@@ -37,7 +37,6 @@ from .errors import (
 from .experiments import (
     SweepResult,
     UncertaintyResult,
-    run_pareto,
     run_threshold_experiment,
     run_uncertainty_experiment,
     write_results,
@@ -141,7 +140,6 @@ __all__ = [
     "read_label_records",
     "run_assessment",
     "run_confidence_threshold",
-    "run_pareto",
     "run_threshold_experiment",
     "run_uncertainty_experiment",
     "run_uncertainty_sampling",

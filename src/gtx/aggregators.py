@@ -14,24 +14,25 @@ Four rules, from least to most informed:
 Every rule resolves exact ties to class 0 and reports a class-1 soft score
 (vote share, weight share, mass share, or posterior probability) alongside
 the hard label, so mean-absolute-error comparisons use each method's own
-probability-like output.
+probability-like output.  The arithmetic of every rule is the kernel in
+:mod:`gtx.model`, shared with the collection engines.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .errors import EmptyLabelSet, MissingEstimate
+from .errors import EmptyLabelSet
 from .model import (
     ClassPrior,
     LabelRecord,
     LabelerEstimate,
+    Method,
     UNIFORM_PRIOR,
     _check_labels,
-    hard_label,
-    posterior,
+    accumulate,
+    kernel,
 )
 
 __all__ = [
@@ -43,18 +44,6 @@ __all__ = [
     "aggregate_sv",
     "aggregate_wmv",
 ]
-
-
-class Method(str, enum.Enum):
-    """Aggregation method tags used in configs, CSV columns, and reports."""
-
-    MV = "mv"
-    WMV = "wmv"
-    SV = "sv"
-    GTX = "gtx"
-
-    def __str__(self) -> str:  # "mv" rather than "Method.MV" in output files
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -79,112 +68,40 @@ def _prepare(labels: Iterable[LabelRecord]) -> list[LabelRecord]:
     return out
 
 
-def aggregate_mv(labels: Sequence[LabelRecord]) -> AggregateLabel:
-    """Majority vote.  Needs no accuracy estimates."""
-    recs = _prepare(labels)
-    n1 = sum(r.value for r in recs)
-    n = len(recs)
-    n0 = n - n1
-    label = 1 if n1 > n0 else 0
-    winning = n1 if label == 1 else n0
-    return AggregateLabel(
-        example_id=recs[0].example_id,
-        method=Method.MV,
-        label=label,
-        confidence=winning / n,
-        soft_p1=n1 / n,
-        n_labels=n,
-    )
-
-
-def aggregate_wmv(
-    labels: Sequence[LabelRecord],
-    estimates: Mapping[Hashable, LabelerEstimate],
-) -> AggregateLabel:
-    """Accuracy-weighted majority vote."""
-    recs = _prepare(labels)
-    w1 = 0.0
-    w0 = 0.0
-    for rec in recs:
-        est = estimates.get(rec.labeler_id)
-        if est is None:
-            raise MissingEstimate(f"no accuracy estimate for labeler {rec.labeler_id!r}")
-        if rec.value == 1:
-            w1 += est.accuracy
-        else:
-            w0 += est.accuracy
-    total = w0 + w1
-    label = 1 if w1 > w0 else 0
-    winning = w1 if label == 1 else w0
-    return AggregateLabel(
-        example_id=recs[0].example_id,
-        method=Method.WMV,
-        label=label,
-        confidence=winning / total,
-        soft_p1=w1 / total,
-        n_labels=len(recs),
-    )
-
-
-def aggregate_sv(
-    labels: Sequence[LabelRecord],
-    estimates: Mapping[Hashable, LabelerEstimate],
-) -> AggregateLabel:
-    """Soft votes: each voter splits one unit of mass (accuracy, 1-accuracy)."""
-    recs = _prepare(labels)
-    m1 = 0.0
-    for rec in recs:
-        est = estimates.get(rec.labeler_id)
-        if est is None:
-            raise MissingEstimate(f"no accuracy estimate for labeler {rec.labeler_id!r}")
-        m1 += est.accuracy if rec.value == 1 else 1.0 - est.accuracy
-    n = len(recs)
-    m0 = n - m1
-    label = 1 if m1 > m0 else 0
-    winning = m1 if label == 1 else m0
-    return AggregateLabel(
-        example_id=recs[0].example_id,
-        method=Method.SV,
-        label=label,
-        confidence=winning / n,
-        soft_p1=m1 / n,
-        n_labels=n,
-    )
-
-
-def aggregate_gtx(
-    labels: Sequence[LabelRecord],
-    estimates: Mapping[Hashable, LabelerEstimate],
-    prior: ClassPrior = UNIFORM_PRIOR,
-) -> AggregateLabel:
-    """Bayesian aggregation: hard label and confidence from the posterior."""
-    recs = _prepare(labels)
-    post = posterior(recs, estimates, prior)
-    label, conf = hard_label(post)
-    return AggregateLabel(
-        example_id=recs[0].example_id,
-        method=Method.GTX,
-        label=label,
-        confidence=conf,
-        soft_p1=post.p1,
-        n_labels=len(recs),
-    )
-
-
 def aggregate(
     method: Method,
     labels: Sequence[LabelRecord],
     estimates: Mapping[Hashable, LabelerEstimate] | None = None,
     prior: ClassPrior = UNIFORM_PRIOR,
 ) -> AggregateLabel:
-    """Dispatch to the aggregation rule named by ``method``."""
+    """Aggregate one example's votes under the rule named by ``method``.
+
+    MV needs no estimates; the other rules raise MissingEstimate unless every
+    voter has one.  Only GTX uses ``prior``.
+    """
     method = Method(method)
-    if method is Method.MV:
-        return aggregate_mv(labels)
-    if estimates is None:
-        raise MissingEstimate(f"method {method} requires accuracy estimates")
-    if method is Method.WMV:
-        return aggregate_wmv(labels, estimates)
-    if method is Method.SV:
-        return aggregate_sv(labels, estimates)
-    return aggregate_gtx(labels, estimates, prior)
+    recs = _prepare(labels)
+    s0, s1 = accumulate(method, recs, estimates)
+    n = len(recs)
+    label, confidence, soft_p1 = kernel(method, prior).finalize(s0, s1, n)
+    return AggregateLabel(recs[0].example_id, method, label, confidence, soft_p1, n)
+
+
+def aggregate_mv(labels: Sequence[LabelRecord]) -> AggregateLabel:
+    """Majority vote.  Needs no accuracy estimates."""
+    return aggregate(Method.MV, labels)
+
+
+def aggregate_wmv(labels, estimates) -> AggregateLabel:
+    """Accuracy-weighted majority vote."""
+    return aggregate(Method.WMV, labels, estimates)
+
+
+def aggregate_sv(labels, estimates) -> AggregateLabel:
+    """Soft votes: each voter splits one unit of mass (accuracy, 1-accuracy)."""
+    return aggregate(Method.SV, labels, estimates)
+
+
+def aggregate_gtx(labels, estimates, prior: ClassPrior = UNIFORM_PRIOR) -> AggregateLabel:
+    """Bayesian aggregation: hard label and confidence from the posterior."""
+    return aggregate(Method.GTX, labels, estimates, prior)

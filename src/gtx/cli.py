@@ -9,18 +9,22 @@ results land only in files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .errors import ConfigError, GtxError
 from .experiments import (
-    run_pareto,
     run_threshold_experiment,
     run_uncertainty_experiment,
     write_results,
 )
-from .io import load_config, read_assessment_set, read_label_records, write_csv
+from .io import (
+    load_config,
+    read_assessment_set,
+    read_label_records,
+    write_csv,
+    write_json,
+)
 
 
 def _add_experiment_args(sub: argparse.ArgumentParser) -> None:
@@ -98,7 +102,7 @@ def _progress(msg: str) -> None:
 _RUNNERS = {
     "threshold": run_threshold_experiment,
     "uncertainty": run_uncertainty_experiment,
-    "pareto": run_pareto,
+    "pareto": run_threshold_experiment,
 }
 
 
@@ -146,10 +150,7 @@ def _cmd_assess(args) -> int:
         "n_labelers": len(estimates),
         "n_items": len(truth),
     }
-    (out_dir / "run.json").write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+    write_json(out_dir / "run.json", payload)
     print(f"wrote estimates for {len(estimates)} labelers to {args.out}", file=sys.stderr)
     return 0
 

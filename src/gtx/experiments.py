@@ -8,9 +8,10 @@ bit regardless of worker count and stable under changes to the trial count:
   accuracies, then (unless oracle accuracies are requested) assessment item
   labels and assessment responses;
 * collection stream, spawn key ``(1, trial, method_code, cell_code)``: the
-  select/elicit draws of one collection run.  Method codes are mv=0, wmv=1,
-  sv=2, gtx=3; the cell code is ``round(tau * 10000)`` for threshold cells
-  and the fixed label count for count cells (0 for uncertainty sampling).
+  select/elicit draws of one collection run.  The method code is
+  ``Method.code`` (mv=0, wmv=1, sv=2, gtx=3); the cell code is
+  ``tau_code(tau)`` (``round(tau * 10000)``) for threshold cells and the
+  fixed label count for count cells (0 for uncertainty sampling).
 
 A trial therefore shares one simulated world across every method and sweep
 cell, which makes per-trial paired comparisons between methods meaningful,
@@ -30,9 +31,11 @@ from .aggregators import Method
 from .assessment import oracle_estimates, run_assessment
 from .io import (
     ExperimentConfig,
+    tau_code,
     write_aggregates_csv,
     write_csv,
     write_event_log,
+    write_json,
 )
 from .metrics import TrialSummary, mean_se, summarize, trial_report
 from .simulation import SimConfig, draw_assessment, init_simulation
@@ -49,7 +52,6 @@ __all__ = [
     "build_trial_env",
     "collection_rng",
     "environment_rng",
-    "run_pareto",
     "run_threshold_experiment",
     "run_uncertainty_experiment",
     "threshold_cells",
@@ -58,8 +60,6 @@ __all__ = [
 
 _ENV_DOMAIN = 0
 _COLLECT_DOMAIN = 1
-
-METHOD_CODE = {Method.MV: 0, Method.WMV: 1, Method.SV: 2, Method.GTX: 3}
 
 
 def environment_rng(master_seed: int, trial: int) -> np.random.Generator:
@@ -72,7 +72,7 @@ def collection_rng(
 ) -> np.random.Generator:
     seq = np.random.SeedSequence(
         master_seed,
-        spawn_key=(_COLLECT_DOMAIN, trial, METHOD_CODE[Method(method)], cell_code),
+        spawn_key=(_COLLECT_DOMAIN, trial, Method(method).code, cell_code),
     )
     return np.random.default_rng(seq)
 
@@ -110,7 +110,7 @@ class Cell:
     @property
     def code(self) -> int:
         if self.tau is not None:
-            return round(self.tau * 10000)
+            return tau_code(self.tau)
         return self.fixed_count
 
     @property
@@ -141,52 +141,48 @@ def threshold_cells(config: ExperimentConfig) -> tuple[Cell, ...]:
     return tuple(cells)
 
 
-def _run_cell(config, dataset, labelers, estimates, cell, master_seed, trial):
-    rng = collection_rng(master_seed, trial, cell.method, cell.code)
+def _threshold_run(config, env, cell, master_seed, trial, record_events):
+    dataset, labelers, estimates = env
     stopping = ThresholdConfig(
         tau=cell.tau, kappa=config.kappa, fixed_count=cell.fixed_count
     )
-    outcome = run_confidence_threshold(
-        dataset,
-        labelers,
-        estimates,
-        stopping,
-        config.budget,
-        cell.method,
-        rng,
-        record_events=False,
+    rng = collection_rng(master_seed, trial, cell.method, cell.code)
+    return run_confidence_threshold(
+        dataset, labelers, estimates, stopping, config.budget, cell.method, rng,
+        record_events=record_events,
     )
-    return trial_report(
-        outcome, dataset.true_labels, "threshold", params=cell.params, seed=trial
+
+
+def _uncertainty_run(config, env, method, master_seed, trial, **record):
+    dataset, labelers, estimates = env
+    rng = collection_rng(master_seed, trial, method, 0)
+    return run_uncertainty_sampling(
+        dataset, labelers, estimates, config.budget, method, rng, **record
     )
 
 
 def _threshold_trial(trial, config, master_seed, cells):
-    dataset, labelers, estimates = build_trial_env(config, master_seed, trial)
+    env = build_trial_env(config, master_seed, trial)
     return [
-        _run_cell(config, dataset, labelers, estimates, cell, master_seed, trial)
+        trial_report(
+            _threshold_run(config, env, cell, master_seed, trial, False),
+            env[0].true_labels, "threshold", params=cell.params, seed=trial,
+        )
         for cell in cells
     ]
 
 
 def _uncertainty_trial(trial, config, master_seed):
-    dataset, labelers, estimates = build_trial_env(config, master_seed, trial)
+    env = build_trial_env(config, master_seed, trial)
     reports = []
     dynamics = []
     for method in config.methods:
-        rng = collection_rng(master_seed, trial, method, 0)
-        outcome = run_uncertainty_sampling(
-            dataset,
-            labelers,
-            estimates,
-            config.budget,
-            method,
-            rng,
-            record_events=False,
-            record_dynamics=True,
+        outcome = _uncertainty_run(
+            config, env, method, master_seed, trial,
+            record_events=False, record_dynamics=True,
         )
         reports.append(
-            trial_report(outcome, dataset.true_labels, "uncertainty", seed=trial)
+            trial_report(outcome, env[0].true_labels, "uncertainty", seed=trial)
         )
         dynamics.append(outcome.dynamics)
     return reports, dynamics
@@ -241,26 +237,14 @@ class SweepResult:
 
 
 def _threshold_exemplars(config, master_seed, cells, best):
-    dataset, labelers, estimates = build_trial_env(config, master_seed, 0)
-    exemplars = {}
-    for method, idx in best.items():
-        cell = cells[idx]
-        rng = collection_rng(master_seed, 0, method, cell.code)
-        stopping = ThresholdConfig(
-            tau=cell.tau, kappa=config.kappa, fixed_count=cell.fixed_count
+    env = build_trial_env(config, master_seed, 0)
+    return {
+        method: (
+            _threshold_run(config, env, cells[i], master_seed, 0, True),
+            env[0].true_labels,
         )
-        outcome = run_confidence_threshold(
-            dataset,
-            labelers,
-            estimates,
-            stopping,
-            config.budget,
-            method,
-            rng,
-            record_events=True,
-        )
-        exemplars[method] = (outcome, dataset.true_labels)
-    return exemplars
+        for method, i in best.items()
+    }
 
 
 def run_threshold_experiment(
@@ -294,21 +278,6 @@ def run_threshold_experiment(
         summaries=summaries,
         best=best,
         exemplars=exemplars,
-    )
-
-
-def run_pareto(
-    config: ExperimentConfig,
-    *,
-    master_seed: int | None = None,
-    trials: int | None = None,
-    workers: int = 1,
-    progress=None,
-) -> SweepResult:
-    """Full cost/error sweep; identical to the threshold experiment, kept as
-    its own entry point because the deliverable is the curve, not the table."""
-    return run_threshold_experiment(
-        config, master_seed=master_seed, trials=trials, workers=workers, progress=progress
     )
 
 
@@ -364,20 +333,14 @@ def run_uncertainty_experiment(
         )
     summaries = {m: summarize(r) for m, r in reports.items()}
 
-    dataset, labelers, estimates = build_trial_env(config, master_seed, 0)
-    exemplars = {}
-    for method in config.methods:
-        rng = collection_rng(master_seed, 0, method, 0)
-        outcome = run_uncertainty_sampling(
-            dataset,
-            labelers,
-            estimates,
-            config.budget,
-            method,
-            rng,
-            record_events=True,
+    env = build_trial_env(config, master_seed, 0)
+    exemplars = {
+        method: (
+            _uncertainty_run(config, env, method, master_seed, 0, record_events=True),
+            env[0].true_labels,
         )
-        exemplars[method] = (outcome, dataset.true_labels)
+        for method in config.methods
+    }
     return UncertaintyResult(
         strategy="uncertainty",
         config=config,
@@ -455,17 +418,12 @@ def _summary_row(cell_type, cell_value, s: TrialSummary, best: bool):
 
 
 def _write_run_json(out_dir: Path, result) -> None:
-    import json
-
     payload = {
         "strategy": result.strategy,
         "master_seed": result.master_seed,
         "config": result.config.as_dict(),
     }
-    (out_dir / "run.json").write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+    write_json(out_dir / "run.json", payload)
 
 
 def _write_exemplars(out_dir: Path, exemplars: dict, methods) -> None:

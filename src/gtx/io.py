@@ -33,9 +33,11 @@ __all__ = [
     "load_config",
     "read_assessment_set",
     "read_label_records",
+    "tau_code",
     "write_aggregates_csv",
     "write_csv",
     "write_event_log",
+    "write_json",
     "write_label_records",
 ]
 
@@ -54,6 +56,15 @@ def fmt(value) -> str:
     if isinstance(value, int):
         return str(int(value))
     return str(value)
+
+
+def _json_line(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def write_json(path, payload) -> None:
+    """Write one JSON object as a single sorted, compact line."""
+    Path(path).write_text(_json_line(payload), encoding="utf-8")
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
@@ -83,23 +94,14 @@ def write_label_records(path, records: Sequence[LabelRecord], steps=None) -> Non
             if step <= last:
                 raise ValueError(f"steps must be strictly increasing, got {step} after {last}")
             last = step
-            fh.write(
-                json.dumps(
-                    {
-                        "example_id": rec.example_id,
-                        "labeler_id": rec.labeler_id,
-                        "step": step,
-                        "value": rec.value,
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+            row = {"example_id": rec.example_id, "labeler_id": rec.labeler_id,
+                   "step": step, "value": rec.value}
+            fh.write(_json_line(row))
 
 
 _RECORD_KEYS = {"example_id", "labeler_id", "step", "value"}
 _OPTIONAL_KEYS = {"confidence", "method"}
+_ID_TYPES = (str, int)  # exact types: a bool, list or dict id is rejected
 
 
 def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
@@ -129,6 +131,12 @@ def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
                     f"{path}:{lineno}: expected keys {sorted(_RECORD_KEYS)}, "
                     f"got {sorted(row)}"
                 )
+            ex, lab = row["example_id"], row["labeler_id"]
+            if type(ex) not in _ID_TYPES or type(lab) not in _ID_TYPES:
+                raise ValueError(
+                    f"{path}:{lineno}: example_id and labeler_id must be strings "
+                    f"or integers, got {ex!r} and {lab!r}"
+                )
             step = row["step"]
             if not isinstance(step, int) or isinstance(step, bool):
                 raise ValueError(f"{path}:{lineno}: step must be an integer")
@@ -138,11 +146,7 @@ def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
                     f"({step} after {last})"
                 )
             last = step
-            rec = LabelRecord(
-                example_id=row["example_id"],
-                labeler_id=row["labeler_id"],
-                value=row["value"],
-            )
+            rec = LabelRecord(example_id=ex, labeler_id=lab, value=row["value"])
             pair = (rec.example_id, rec.labeler_id)
             if pair in seen:
                 raise AlreadyLabeled(
@@ -184,7 +188,7 @@ def write_event_log(path, events: Sequence[LabelEvent], method=None) -> None:
             }
             if method is not None:
                 row["method"] = str(method)
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(_json_line(row))
 
 
 def write_aggregates_csv(path, outcomes, true_labels=None) -> None:
@@ -284,6 +288,12 @@ _ALLOWED_KEYS = {
 _STRATEGIES = ("threshold", "uncertainty")
 
 
+def tau_code(tau: float) -> int:
+    """A tau cell's code, its part of the collection spawn key: tau in units
+    of 1e-4.  The taus of one config must have distinct codes."""
+    return round(tau * 10000)
+
+
 def _want_int(raw, key, problems, minimum, default):
     v = raw.get(key, default)
     if isinstance(v, bool) or not isinstance(v, int):
@@ -354,11 +364,19 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         problems.append(f"tau_grid must be a non-empty list, got {tau_grid!r}")
         tau_grid = list(DEFAULT_TAU_GRID)
     else:
+        codes: dict[int, float] = {}
         for t in tau_grid:
             if isinstance(t, bool) or not isinstance(t, (int, float)) or math.isnan(t):
                 problems.append(f"tau values must be numbers, got {t!r}")
             elif not 0.5 < t <= 1.0:
                 problems.append(f"tau must be in (0.5, 1], got {t}")
+            elif tau_code(t) in codes:
+                problems.append(
+                    f"taus {codes[tau_code(t)]} and {t} share the cell code "
+                    f"round(tau * 10000) = {tau_code(t)}"
+                )
+            else:
+                codes[tau_code(t)] = t
 
     fixed_counts = raw.get("fixed_counts", list(range(1, kappa + 1)))
     if (
@@ -369,11 +387,16 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         problems.append(f"fixed_counts must be a non-empty list, got {fixed_counts!r}")
         fixed_counts = list(range(1, kappa + 1))
     else:
+        counts: set[int] = set()
         for c in fixed_counts:
             if isinstance(c, bool) or not isinstance(c, int):
                 problems.append(f"fixed counts must be integers, got {c!r}")
             elif not 1 <= c <= kappa:
                 problems.append(f"fixed counts must be in 1..kappa ({kappa}), got {c}")
+            elif c in counts:
+                problems.append(f"duplicate fixed count {c}")
+            else:
+                counts.add(c)
 
     interval = raw.get("accuracy_interval", [0.8, 1.0])
     low, high = 0.8, 1.0

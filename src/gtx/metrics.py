@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .aggregators import Method
 from .errors import ConfigError
 from .strategies import CollectionOutcome
@@ -28,51 +30,32 @@ __all__ = [
 ]
 
 
-def _truth_lookup(true_labels):
-    if isinstance(true_labels, Mapping):
-        return true_labels.__getitem__
-    return lambda ex: true_labels[ex]
-
-
-def error_rate(aggregates, true_labels) -> float | None:
+def error_rate(outcome: CollectionOutcome, true_labels) -> float | None:
     """Fraction of labeled examples whose hard label is wrong.
 
-    ``aggregates`` is a CollectionOutcome or a mapping example_id ->
-    AggregateLabel; ``true_labels`` is indexable or a mapping by example id.
+    ``true_labels`` is indexed by example id (an array or a sequence).
     Returns None when no example was labeled.
     """
-    truth = _truth_lookup(true_labels)
-    if isinstance(aggregates, CollectionOutcome):
-        n = aggregates.n_labeled
-        if n == 0:
-            return None
-        wrong = 0
-        labels = aggregates.labels
-        for i, ex in enumerate(aggregates.example_ids):
-            wrong += labels[i] != truth(ex)
-        return float(wrong) / n
-    if not aggregates:
+    n = outcome.n_labeled
+    if n == 0:
         return None
-    wrong = sum(agg.label != truth(ex) for ex, agg in aggregates.items())
-    return float(wrong) / len(aggregates)
+    truth = np.asarray(true_labels).tolist()
+    wrong = 0
+    for ex, label in zip(outcome.example_ids, outcome.labels):
+        wrong += label != truth[ex]
+    return float(wrong) / n
 
 
-def mean_absolute_error(aggregates, true_labels) -> float | None:
+def mean_absolute_error(outcome: CollectionOutcome, true_labels) -> float | None:
     """Mean |true label - soft class-1 score| over labeled examples."""
-    truth = _truth_lookup(true_labels)
-    if isinstance(aggregates, CollectionOutcome):
-        n = aggregates.n_labeled
-        if n == 0:
-            return None
-        total = 0.0
-        soft = aggregates.soft_p1s
-        for i, ex in enumerate(aggregates.example_ids):
-            total += abs(truth(ex) - soft[i])
-        return float(total) / n
-    if not aggregates:
+    n = outcome.n_labeled
+    if n == 0:
         return None
-    total = sum(abs(truth(ex) - agg.soft_p1) for ex, agg in aggregates.items())
-    return float(total) / len(aggregates)
+    truth = np.asarray(true_labels).tolist()
+    total = 0.0
+    for ex, soft in zip(outcome.example_ids, outcome.soft_p1s):
+        total += abs(truth[ex] - soft)
+    return float(total) / n
 
 
 @dataclass(frozen=True)

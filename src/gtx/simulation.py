@@ -106,8 +106,9 @@ class UniformStream:
     """Block-buffered uniform draws over a numpy Generator.
 
     Behaves like ``rng.random()`` per call (same underlying bit stream,
-    consumed in blocks) but with far less per-call overhead.  The strategy
-    engines consume collection draws through this wrapper.
+    consumed in blocks, as plain Python floats) but with far less per-call
+    overhead.  The strategy engines consume collection draws through this
+    wrapper.
     """
 
     __slots__ = ("_rng", "_buf", "_pos")
@@ -116,14 +117,14 @@ class UniformStream:
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._buf = rng.random(self.BLOCK)
+        self._buf = rng.random(self.BLOCK).tolist()
         self._pos = 0
 
     def random(self) -> float:
         buf = self._buf
         pos = self._pos
-        if pos >= buf.shape[0]:
-            buf = self._rng.random(self.BLOCK)
+        if pos >= len(buf):
+            buf = self._rng.random(self.BLOCK).tolist()
             self._buf = buf
             pos = 0
         self._pos = pos + 1

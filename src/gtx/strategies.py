@@ -14,10 +14,13 @@ assessment labels are charged elsewhere):
   labeler pool) is exhausted.
 
 Both engines stop mid-example when the budget runs out and keep the partial
-labels: they are paid for.  GTX stopping decisions are made in log-odds space
-against ``log_odds(tau)`` so that a vote from a labeler whose estimate equals
-tau exactly meets the threshold even in floating point; reported confidences
-are the corresponding posterior probabilities.
+labels: they are paid for.  Neither engine knows any rule: each run looks up
+the rule's increment pairs per labeler once and keeps two accumulators per
+example, and the kernel of :mod:`gtx.model` supplies the finalizer (whose
+confidence is also the event-log confidence) and the tau stop test.  GTX
+stops in log-odds space against ``log_odds(tau)``, so that a vote from a
+labeler whose estimate equals tau exactly meets the threshold even in
+floating point; SV stops on its winning share.
 
 The engines inline the arithmetic of :func:`gtx.simulation.select_labeler`
 and :func:`gtx.simulation.elicit_label` (two uniform draws per label:
@@ -29,16 +32,13 @@ block-buffered :class:`gtx.simulation.UniformStream`.
 from __future__ import annotations
 
 import heapq
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
-import numpy as np
-
 from .aggregators import AggregateLabel, Method
-from .errors import ConfigError, MissingEstimate
-from .model import ClassPrior, UNIFORM_PRIOR, log_odds
+from .errors import ConfigError
+from .model import ClassPrior, UNIFORM_PRIOR, increment_table, kernel
 from .simulation import SimDataset, SimLabeler, UniformStream
 
 __all__ = [
@@ -87,11 +87,11 @@ class ThresholdConfig:
 
 @dataclass
 class BudgetLedger:
-    """Tracks label spending: one unit per collected label."""
+    """Label spending of one run: one unit per collected label.  The labels
+    spent on each example are the outcome's ``labels_per_example``."""
 
     total: int
     spent: int = 0
-    per_example: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.total < 0:
@@ -102,14 +102,6 @@ class BudgetLedger:
     @property
     def remaining(self) -> int:
         return self.total - self.spent
-
-    def charge(self, example_id: Hashable, n: int = 1) -> None:
-        if n < 1:
-            raise ValueError("charge at least one label")
-        if self.spent + n > self.total:
-            raise ValueError(f"charge of {n} exceeds remaining budget {self.remaining}")
-        self.spent += n
-        self.per_example[example_id] = self.per_example.get(example_id, 0) + n
 
 
 @dataclass(frozen=True)
@@ -123,6 +115,7 @@ class LabelEvent:
     confidence: float
 
 
+@dataclass(eq=False, repr=False)
 class CollectionOutcome:
     """Result of one collection run.
 
@@ -136,17 +129,15 @@ class CollectionOutcome:
     every label from the moment full coverage is reached.
     """
 
-    def __init__(self, method, ledger, example_ids, labels, confidences,
-                 soft_p1s, labels_per_example, event_log=None, dynamics=None):
-        self.method = method
-        self.ledger = ledger
-        self.example_ids = example_ids
-        self.labels = labels
-        self.confidences = confidences
-        self.soft_p1s = soft_p1s
-        self.labels_per_example = labels_per_example
-        self.event_log = event_log
-        self.dynamics = dynamics
+    method: Method
+    ledger: BudgetLedger
+    example_ids: list
+    labels: list
+    confidences: list
+    soft_p1s: list
+    labels_per_example: list
+    event_log: list | None = None
+    dynamics: list | None = None
 
     @property
     def n_labeled(self) -> int:
@@ -167,9 +158,6 @@ class CollectionOutcome:
         }
 
 
-_MCODE = {Method.MV: 0, Method.WMV: 1, Method.SV: 2, Method.GTX: 3}
-
-
 def _sorted_pool(labelers: Sequence[SimLabeler]):
     if not labelers:
         raise ConfigError("labeler pool is empty")
@@ -180,40 +168,12 @@ def _sorted_pool(labelers: Sequence[SimLabeler]):
     return pool, ids
 
 
-def _estimate_arrays(method, ids, estimates):
-    """Per-labeler estimate values in id order, for the methods that need them."""
-    if method is Method.MV:
-        return None, None, None
-    missing = [i for i in ids if i not in estimates]
-    if missing:
-        raise MissingEstimate(f"no accuracy estimate for labeler {missing[0]!r}")
-    accs = [estimates[i].accuracy for i in ids]
-    if method is Method.GTX:
-        lw1 = [estimates[i].log_weight for i in ids]
-        lw0 = [estimates[i].log_counterweight for i in ids]
-        return accs, lw1, lw0
-    return accs, None, None
-
-
-def _prior_logs(prior: ClassPrior):
-    lp0 = -math.inf if prior.p0 == 0.0 else math.log(prior.p0)
-    lp1 = -math.inf if prior.p1 == 0.0 else math.log(prior.p1)
-    return lp0, lp1
-
-
-def _gtx_final(lp0, lp1, ll0, ll1):
-    """Label/confidence/soft score, arithmetic-identical to model.posterior."""
-    a0 = lp0 + ll0
-    a1 = lp1 + ll1
-    m = a0 if a0 >= a1 else a1
-    e0 = math.exp(a0 - m)
-    e1 = math.exp(a1 - m)
-    z = e0 + e1
-    p0 = e0 / z
-    p1 = e1 / z
-    if p0 >= p1:
-        return 0, p0, p1
-    return 1, p1, p1
+def _outcome(method, budget, spent, finals, ks, **logs):
+    """The outcome of examples 0..len(finals)-1 from their finalize tuples."""
+    labels, confidences, soft_p1s = ([f[j] for f in finals] for j in range(3))
+    ledger = BudgetLedger(total=budget, spent=spent)
+    return CollectionOutcome(method, ledger, list(range(len(finals))), labels,
+                             confidences, soft_p1s, ks, **logs)
 
 
 def _check_budget(budget) -> int:
@@ -247,119 +207,47 @@ def run_confidence_threshold(
     L = len(pool)
     if config.kappa > L:
         raise ConfigError(f"kappa ({config.kappa}) exceeds pool size ({L})")
-    if method in (Method.MV, Method.WMV) and config.fixed_count is None:
+    finalize, stop = kernel(method, prior)
+    c_stop = config.fixed_count
+    if c_stop is None and stop is None:
         raise ConfigError(
             f"{method} reaches confidence 1.0 after one label; "
             "use fixed_count instead of tau"
         )
+    reached = None if c_stop is not None else stop(config.tau)
+    inc = increment_table(method, ids, estimates)
     acc_true = [lab.accuracy for lab in pool]
-    est_acc, lw1, lw0 = _estimate_arrays(method, ids, estimates or {})
-    lp0, lp1 = _prior_logs(prior)
-    dprior = lp1 - lp0 if (lp0 > -math.inf and lp1 > -math.inf) else (
-        math.inf if lp0 == -math.inf else -math.inf
-    )
-    tau = config.tau
-    thr = None
-    if tau is not None:
-        thr = math.inf if tau == 1.0 else log_odds(tau)
-    c_stop = config.fixed_count
     kap = config.kappa
-    mc = _MCODE[method]
-    stream = rng if isinstance(rng, UniformStream) else UniformStream(rng)
+    rand = (rng if isinstance(rng, UniformStream) else UniformStream(rng)).random
     truth = dataset.true_labels.tolist()
-    n = dataset.n_examples
 
     events = [] if record_events else None
-    ex_ids, f_label, f_conf, f_soft, f_k = [], [], [], [], []
+    finals, ks = [], []
     spent = 0
 
-    for i in range(n):
+    for i in range(dataset.n_examples):
         if spent >= budget:
             break
         yi = truth[i]
         unused = list(range(L))
         k = 0
-        n1 = 0
-        w1 = w0 = 0.0
-        m1 = 0.0
-        ll0 = ll1 = 0.0
+        s0 = s1 = 0.0
         while spent < budget:
-            u = stream.random()
-            pos = unused.pop(int(u * len(unused)))
-            u2 = stream.random()
-            v = yi if u2 < acc_true[pos] else 1 - yi
+            pos = unused.pop(int(rand() * len(unused)))
+            v = yi if rand() < acc_true[pos] else 1 - yi
+            d0, d1 = inc[pos][v]
+            s0 += d0
+            s1 += d1
             k += 1
             spent += 1
-            if mc == 3:
-                if v == 1:
-                    ll1 += lw1[pos]
-                    ll0 += lw0[pos]
-                else:
-                    ll1 += lw0[pos]
-                    ll0 += lw1[pos]
-            elif mc == 0:
-                n1 += v
-            elif mc == 1:
-                if v == 1:
-                    w1 += est_acc[pos]
-                else:
-                    w0 += est_acc[pos]
-            else:
-                m1 += est_acc[pos] if v == 1 else 1.0 - est_acc[pos]
             if events is not None:
-                if mc == 3:
-                    _, conf_now, _ = _gtx_final(lp0, lp1, ll0, ll1)
-                elif mc == 0:
-                    conf_now = (n1 if 2 * n1 >= k else k - n1) / k
-                elif mc == 1:
-                    conf_now = (w1 if w1 >= w0 else w0) / (w1 + w0)
-                else:
-                    m0 = k - m1
-                    conf_now = (m1 if m1 >= m0 else m0) / k
+                conf_now = finalize(s0, s1, k)[1]
                 events.append(LabelEvent(spent, i, ids[pos], v, conf_now))
-            if c_stop is not None:
-                if k == c_stop:
-                    break
-            elif mc == 3:
-                d = dprior + ll1 - ll0
-                if d >= thr or -d >= thr:
-                    break
-            else:  # SV under tau
-                m0 = k - m1
-                if (m1 if m1 >= m0 else m0) / k >= tau:
-                    break
-            if k == kap:
+            if k == kap or k == c_stop or (reached is not None and reached(s0, s1, k)):
                 break
-        # finalize example i
-        if mc == 3:
-            lab, conf, soft = _gtx_final(lp0, lp1, ll0, ll1)
-        elif mc == 0:
-            n0 = k - n1
-            lab = 1 if n1 > n0 else 0
-            conf = (n1 if lab == 1 else n0) / k
-            soft = n1 / k
-        elif mc == 1:
-            tot = w0 + w1
-            lab = 1 if w1 > w0 else 0
-            conf = (w1 if lab == 1 else w0) / tot
-            soft = w1 / tot
-        else:
-            m0 = k - m1
-            lab = 1 if m1 > m0 else 0
-            conf = (m1 if lab == 1 else m0) / k
-            soft = m1 / k
-        ex_ids.append(i)
-        f_label.append(lab)
-        f_conf.append(conf)
-        f_soft.append(soft)
-        f_k.append(k)
-
-    ledger = BudgetLedger(
-        total=budget, spent=spent, per_example=dict(zip(ex_ids, f_k))
-    )
-    return CollectionOutcome(
-        method, ledger, ex_ids, f_label, f_conf, f_soft, f_k, event_log=events
-    )
+        finals.append(finalize(s0, s1, k))
+        ks.append(k)
+    return _outcome(method, budget, spent, finals, ks, event_log=events)
 
 
 def run_uncertainty_sampling(
@@ -390,30 +278,22 @@ def run_uncertainty_sampling(
     budget = _check_budget(budget)
     pool, ids = _sorted_pool(labelers)
     L = len(pool)
+    finalize = kernel(method, prior).finalize
+    inc = increment_table(method, ids, estimates)
     acc_true = [lab.accuracy for lab in pool]
-    est_acc, lw1, lw0 = _estimate_arrays(method, ids, estimates or {})
-    lp0, lp1 = _prior_logs(prior)
-    mc = _MCODE[method]
-    stream = rng if isinstance(rng, UniformStream) else UniformStream(rng)
+    rand = (rng if isinstance(rng, UniformStream) else UniformStream(rng)).random
     truth = dataset.true_labels.tolist()
     n = dataset.n_examples
 
     events = [] if record_events else None
     dynamics = [] if record_dynamics else None
 
-    # per-example mutable state
+    # per-example mutable state; cur[i] is (label, confidence, soft_p1)
     unused = [None] * n
     kcount = [0] * n
-    s_n1 = [0] * n
-    s_w1 = [0.0] * n
-    s_w0 = [0.0] * n
-    s_m1 = [0.0] * n
-    s_ll0 = [0.0] * n
-    s_ll1 = [0.0] * n
-    cur_label = [0] * n
-    cur_conf = [0.0] * n
-    cur_soft = [0.0] * n
-    versions = [0] * n
+    s0 = [0.0] * n
+    s1 = [0.0] * n
+    cur = [None] * n
     spent = 0
 
     def add_label(i: int) -> None:
@@ -421,51 +301,16 @@ def run_uncertainty_sampling(
         nonlocal spent
         yi = truth[i]
         un = unused[i]
-        u = stream.random()
-        pos = un.pop(int(u * len(un)))
-        u2 = stream.random()
-        v = yi if u2 < acc_true[pos] else 1 - yi
-        k = kcount[i] + 1
-        kcount[i] = k
+        pos = un.pop(int(rand() * len(un)))
+        v = yi if rand() < acc_true[pos] else 1 - yi
+        k = kcount[i] = kcount[i] + 1
         spent += 1
-        if mc == 3:
-            if v == 1:
-                s_ll1[i] += lw1[pos]
-                s_ll0[i] += lw0[pos]
-            else:
-                s_ll1[i] += lw0[pos]
-                s_ll0[i] += lw1[pos]
-            lab, conf, soft = _gtx_final(lp0, lp1, s_ll0[i], s_ll1[i])
-        elif mc == 0:
-            s_n1[i] += v
-            n1 = s_n1[i]
-            n0 = k - n1
-            lab = 1 if n1 > n0 else 0
-            conf = (n1 if lab == 1 else n0) / k
-            soft = n1 / k
-        elif mc == 1:
-            if v == 1:
-                s_w1[i] += est_acc[pos]
-            else:
-                s_w0[i] += est_acc[pos]
-            w1, w0 = s_w1[i], s_w0[i]
-            tot = w0 + w1
-            lab = 1 if w1 > w0 else 0
-            conf = (w1 if lab == 1 else w0) / tot
-            soft = w1 / tot
-        else:
-            s_m1[i] += est_acc[pos] if v == 1 else 1.0 - est_acc[pos]
-            m1 = s_m1[i]
-            m0 = k - m1
-            lab = 1 if m1 > m0 else 0
-            conf = (m1 if lab == 1 else m0) / k
-            soft = m1 / k
-        cur_label[i] = lab
-        cur_conf[i] = conf
-        cur_soft[i] = soft
+        d0, d1 = inc[pos][v]
+        a0 = s0[i] = s0[i] + d0
+        a1 = s1[i] = s1[i] + d1
+        cur[i] = now = finalize(a0, a1, k)
         if events is not None:
-            events.append(LabelEvent(spent, i, ids[pos], v, conf))
-
+            events.append(LabelEvent(spent, i, ids[pos], v, now[1]))
     # first pass: one label per example, id order
     covered = 0
     for i in range(n):
@@ -480,43 +325,33 @@ def run_uncertainty_sampling(
     track = dynamics is not None and covered == n
     if track:
         for i in range(n):
-            err_sum += cur_label[i] != truth[i]
-            mae_sum += abs(truth[i] - cur_soft[i])
+            lab, _, soft = cur[i]
+            err_sum += lab != truth[i]
+            mae_sum += abs(truth[i] - soft)
         dynamics.append((spent, err_sum / n, mae_sum / n))
 
     if covered == n and spent < budget:
-        heap = [(-(1.0 - cur_conf[i]), i, 0) for i in range(n) if unused[i]]
+        # an entry is stale once its example has more labels than it records
+        heap = [(-(1.0 - cur[i][1]), i, 1) for i in range(n) if unused[i]]
         heapq.heapify(heap)
         while spent < budget and heap:
-            neg_u, i, ver = heapq.heappop(heap)
-            if ver != versions[i]:
+            neg_u, i, k = heapq.heappop(heap)
+            if k != kcount[i]:
                 continue  # stale priority
             if track:
-                old_err = cur_label[i] != truth[i]
-                old_mae = abs(truth[i] - cur_soft[i])
+                lab, _, soft = cur[i]
+                old_err = lab != truth[i]
+                old_mae = abs(truth[i] - soft)
             add_label(i)
-            versions[i] = ver + 1
+            lab, conf, soft = cur[i]
             if unused[i]:
-                heapq.heappush(heap, (-(1.0 - cur_conf[i]), i, ver + 1))
+                heapq.heappush(heap, (-(1.0 - conf), i, k + 1))
             if track:
-                err_sum += (cur_label[i] != truth[i]) - old_err
-                mae_sum += abs(truth[i] - cur_soft[i]) - old_mae
+                err_sum += (lab != truth[i]) - old_err
+                mae_sum += abs(truth[i] - soft) - old_mae
                 dynamics.append((spent, err_sum / n, mae_sum / n))
 
-    ex_ids = list(range(covered))
-    ledger = BudgetLedger(
-        total=budget,
-        spent=spent,
-        per_example={i: kcount[i] for i in ex_ids},
-    )
-    return CollectionOutcome(
-        method,
-        ledger,
-        ex_ids,
-        cur_label[:covered],
-        cur_conf[:covered],
-        cur_soft[:covered],
-        kcount[:covered],
-        event_log=events,
-        dynamics=dynamics,
+    return _outcome(
+        method, budget, spent, cur[:covered], kcount[:covered],
+        event_log=events, dynamics=dynamics,
     )

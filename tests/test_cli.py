@@ -191,3 +191,21 @@ class TestAssessCommand:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "field,bad", [("example_id", [1]), ("example_id", True), ("labeler_id", {"a": 1})]
+    )
+    def test_non_scalar_id_exits_two_with_one_line(self, tmp_path, capsys, field, bad):
+        truth = tmp_path / "truth.jsonl"
+        write_label_records(truth, [LabelRecord(1, "expert", 1)])
+        labels = tmp_path / "labels.jsonl"
+        row = {"example_id": 1, "labeler_id": "p", "step": 1, "value": 1}
+        row[field] = bad
+        labels.write_text(json.dumps(row) + "\n")
+        code = main(
+            ["assess", "--labels", str(labels), "--truth", str(truth), "--out", str(tmp_path / "o")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert field in err and "Traceback" not in err

@@ -85,6 +85,18 @@ class TestConfigValidation:
         for needle in ("strategy", "trials", "tau", "fixed counts", "accuracy_interval", "bogus"):
             assert needle in msg
 
+    @pytest.mark.parametrize(
+        "key,values,needle",
+        [
+            ("tau_grid", [0.9, 0.9], "0.9 and 0.9"),
+            ("tau_grid", [0.99991, 0.95, 0.99994], "0.99991 and 0.99994"),
+            ("fixed_counts", [1, 2, 2], "duplicate fixed count 2"),
+        ],
+    )
+    def test_cells_must_have_distinct_codes(self, key, values, needle):
+        with pytest.raises(ConfigError, match=needle):
+            config_from_dict({"strategy": "threshold", key: values})
+
     def test_method_and_methods_conflict(self):
         with pytest.raises(ConfigError, match="not both"):
             config_from_dict({"strategy": "threshold", "method": "mv", "methods": ["mv"]})

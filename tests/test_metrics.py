@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gtx.aggregators import AggregateLabel, Method
+from gtx.aggregators import Method
 from gtx.errors import ConfigError
 from gtx.metrics import (
     error_rate,
@@ -13,19 +13,28 @@ from gtx.metrics import (
     trial_report,
 )
 from gtx.simulation import SimConfig, init_simulation
-from gtx.strategies import ThresholdConfig, run_confidence_threshold
+from gtx.strategies import (
+    BudgetLedger,
+    CollectionOutcome,
+    ThresholdConfig,
+    run_confidence_threshold,
+)
 
 from support import make_estimates
 
 
-def agg(example_id, label, soft_p1):
-    return AggregateLabel(
-        example_id=example_id,
-        method=Method.GTX,
-        label=label,
-        confidence=max(soft_p1, 1 - soft_p1),
-        soft_p1=soft_p1,
-        n_labels=1,
+def outcome(rows):
+    """A one-label-per-example outcome over examples 0..n-1 from
+    (label, soft_p1) rows."""
+    n = len(rows)
+    return CollectionOutcome(
+        Method.GTX,
+        BudgetLedger(total=n, spent=n),
+        list(range(n)),
+        [label for label, _ in rows],
+        [max(soft, 1 - soft) for _, soft in rows],
+        [soft for _, soft in rows],
+        [1] * n,
     )
 
 
@@ -47,18 +56,12 @@ def small_outcome(seed=0, budget=40):
 
 class TestErrorRate:
     def test_counts_wrong_hard_labels(self):
-        aggs = {0: agg(0, 1, 0.9), 1: agg(1, 0, 0.2), 2: agg(2, 1, 0.8)}
-        truth = {0: 1, 1: 1, 2: 0}
-        assert error_rate(aggs, truth) == pytest.approx(2 / 3)
+        out = outcome([(1, 0.9), (0, 0.2), (1, 0.8)])
+        truth = np.array([1, 1, 0], dtype=np.int8)
+        assert error_rate(out, truth) == pytest.approx(2 / 3)
 
     def test_none_when_nothing_labeled(self):
-        assert error_rate({}, {}) is None
-
-    def test_outcome_fast_path_matches_mapping_path(self):
-        out, ds = small_outcome()
-        via_outcome = error_rate(out, ds.true_labels)
-        via_mapping = error_rate(out.aggregates, ds.true_labels)
-        assert via_outcome == via_mapping
+        assert error_rate(outcome([]), []) is None
 
     def test_zero_budget_outcome(self):
         out, ds = small_outcome(budget=0)
@@ -68,26 +71,16 @@ class TestErrorRate:
 
 class TestMeanAbsoluteError:
     def test_distance_from_soft_score_to_truth(self):
-        aggs = {0: agg(0, 1, 0.9), 1: agg(1, 0, 0.3)}
-        truth = {0: 1, 1: 0}
-        assert mean_absolute_error(aggs, truth) == pytest.approx((0.1 + 0.3) / 2)
-
-    def test_outcome_fast_path_matches_mapping_path(self):
-        out, ds = small_outcome(seed=5)
-        assert mean_absolute_error(out, ds.true_labels) == pytest.approx(
-            mean_absolute_error(out.aggregates, ds.true_labels), abs=1e-15
-        )
+        out = outcome([(1, 0.9), (0, 0.3)])
+        truth = np.array([1, 0], dtype=np.int8)
+        assert mean_absolute_error(out, truth) == pytest.approx((0.1 + 0.3) / 2)
 
     @given(st.lists(st.tuples(st.integers(0, 1), st.floats(0.0, 1.0)), min_size=1, max_size=30))
     def test_error_rate_at_most_twice_mae(self, rows):
         # a wrong hard label implies soft mass >= 0.5 on the wrong side
-        aggs = {}
-        truth = {}
-        for i, (t, soft) in enumerate(rows):
-            label = 1 if soft > 0.5 else 0
-            aggs[i] = agg(i, label, soft)
-            truth[i] = t
-        assert error_rate(aggs, truth) <= 2 * mean_absolute_error(aggs, truth) + 1e-12
+        out = outcome([(1 if soft > 0.5 else 0, soft) for _, soft in rows])
+        truth = np.array([t for t, _ in rows], dtype=np.int8)
+        assert error_rate(out, truth) <= 2 * mean_absolute_error(out, truth) + 1e-12
 
 
 class TestMeanSe:

@@ -49,6 +49,11 @@ class TestLabelerEstimate:
         assert LabelerEstimate("a", 0.0).accuracy == ACCURACY_FLOOR
         assert LabelerEstimate("a", 0.5).accuracy == 0.5
 
+    @pytest.mark.parametrize("bad", [1.7, math.inf, -3.0, -math.inf, math.nan, 1.0000001])
+    def test_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match="accuracy"):
+            LabelerEstimate("a", bad)
+
     def test_log_weights(self):
         e = LabelerEstimate("a", 0.8)
         assert e.log_weight == math.log(0.8)

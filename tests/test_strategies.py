@@ -51,20 +51,10 @@ class TestThresholdConfig:
 
 
 class TestBudgetLedger:
-    def test_charges_accumulate(self):
-        led = BudgetLedger(total=5)
-        led.charge("x")
-        led.charge("x")
-        led.charge("y")
-        assert led.spent == 3
-        assert led.remaining == 2
-        assert led.per_example == {"x": 2, "y": 1}
-
     def test_overcharge_rejected(self):
-        led = BudgetLedger(total=1)
-        led.charge("x")
+        assert BudgetLedger(total=5, spent=3).remaining == 2
         with pytest.raises(ValueError):
-            led.charge("y")
+            BudgetLedger(total=1, spent=2)
 
 
 class TestThresholdStopping:
@@ -281,7 +271,6 @@ class TestThresholdBudget:
         )
         assert out.ledger.spent == len(out.event_log)
         assert out.ledger.spent == sum(out.labels_per_example)
-        assert out.ledger.per_example == dict(zip(out.example_ids, out.labels_per_example))
 
 
 class TestThresholdValidation:
