@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from .aggregators import Method
 from .assessment import oracle_estimates, run_assessment
+from .errors import GtxError
 from .io import (
     ExperimentConfig,
     tau_code,
@@ -184,7 +186,12 @@ def _uncertainty_trial(trial, config, master_seed):
         reports.append(
             trial_report(outcome, env[0].true_labels, "uncertainty", seed=trial)
         )
-        dynamics.append(outcome.dynamics)
+        # int64 steps, float64 error and MAE: 24 bytes per label, where
+        # the engine's tuples cost ~140 until every trial has finished
+        traj = outcome.dynamics
+        dynamics.append((np.array([d[0] for d in traj], dtype=np.int64),
+                         np.array([d[1] for d in traj], dtype=float),
+                         np.array([d[2] for d in traj], dtype=float)))
     return reports, dynamics
 
 
@@ -197,11 +204,14 @@ def _map_trials(worker, trials: int, workers: int, progress=None):
                 progress(f"trial {trial + 1}/{trials}")
         return results
     chunk = max(1, trials // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for i, res in enumerate(pool.map(worker, range(trials), chunksize=chunk)):
-            results.append(res)
-            if progress is not None:
-                progress(f"trial {i + 1}/{trials}")
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for i, res in enumerate(pool.map(worker, range(trials), chunksize=chunk)):
+                results.append(res)
+                if progress is not None:
+                    progress(f"trial {i + 1}/{trials}")
+    except BrokenProcessPool as exc:
+        raise GtxError(f"a worker process died: {exc}") from exc
     return results
 
 
@@ -294,10 +304,11 @@ class UncertaintyResult:
 
 def _uncertainty_curves(dynamics_per_trial):
     """Average the per-label error trajectories across trials, keyed by the
-    running label count (identical across trials once coverage completes)."""
+    running label count (identical across trials once coverage completes).
+    Each trajectory is a ``(steps, errors, maes)`` triple of arrays."""
     by_step: dict[int, list] = {}
-    for trajectory in dynamics_per_trial:
-        for spent, err, mae in trajectory:
+    for steps, errs, maes in dynamics_per_trial:
+        for spent, err, mae in zip(steps.tolist(), errs.tolist(), maes.tolist()):
             by_step.setdefault(spent, []).append((err, mae))
     curve = []
     for spent in sorted(by_step):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -58,13 +59,10 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def write_json(path, payload) -> None:
     """Write one JSON object as a single sorted, compact line."""
-    Path(path).write_text(_json_line(payload), encoding="utf-8")
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
@@ -80,23 +78,37 @@ def write_csv(path, header: Sequence[str], rows) -> None:
 # label records and event logs
 
 
+def _value(v) -> str:
+    """One JSON value exactly as ``json.dumps`` writes it: plain ints and
+    finite floats by ``repr``, everything else (str, bool, nan, inf) through
+    ``json.dumps``."""
+    t = type(v)
+    if t is int or (t is float and math.isfinite(v)):
+        return repr(v)
+    return json.dumps(v)
+
+
+def _write_rows(path, template: str, rows) -> None:
+    """Write one JSON object per row in one ``write``: ``template`` spells the
+    sorted compact keys with a ``%s`` per value, so each line equals
+    ``json.dumps(row_dict, sort_keys=True, separators=(",", ":"))``."""
+    text = "".join([template % tuple(map(_value, row)) for row in rows])
+    Path(path).write_text(text, encoding="utf-8")
+
+
 def write_label_records(path, records: Sequence[LabelRecord], steps=None) -> None:
     """Write records as JSONL; steps default to 1..n and must be increasing."""
-    if steps is None:
-        steps = range(1, len(records) + 1)
-    steps = list(steps)
+    steps = list(range(1, len(records) + 1) if steps is None else steps)
     if len(steps) != len(records):
         raise ValueError("steps and records differ in length")
-    last = 0
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for step, rec in zip(steps, records):
-            if step <= last:
-                raise ValueError(f"steps must be strictly increasing, got {step} after {last}")
-            last = step
-            row = {"example_id": rec.example_id, "labeler_id": rec.labeler_id,
-                   "step": step, "value": rec.value}
-            fh.write(_json_line(row))
+    for last, step in zip([0] + steps, steps):
+        if step <= last:
+            raise ValueError(f"steps must be strictly increasing, got {step} after {last}")
+    _write_rows(
+        path, '{"example_id":%s,"labeler_id":%s,"step":%s,"value":%s}\n',
+        ((rec.example_id, rec.labeler_id, step, rec.value)
+         for step, rec in zip(steps, records)),
+    )
 
 
 _RECORD_KEYS = {"example_id", "labeler_id", "step", "value"}
@@ -174,21 +186,17 @@ def read_assessment_set(path) -> AssessmentSet:
     return AssessmentSet(example_ids=tuple(ids), true_labels=tuple(labels))
 
 
+# a LabelEvent's fields in the sorted-key order of its JSON line
+_EVENT_FIELDS = itemgetter(4, 1, 2, 0, 3)
+
+
 def write_event_log(path, events: Sequence[LabelEvent], method=None) -> None:
     """Write collection events as JSONL (label-record schema + confidence)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for ev in events:
-            row = {
-                "example_id": ev.example_id,
-                "labeler_id": ev.labeler_id,
-                "step": ev.step,
-                "value": ev.value,
-                "confidence": ev.confidence,
-            }
-            if method is not None:
-                row["method"] = str(method)
-            fh.write(_json_line(row))
+    keys = '"step":%s,"value":%s}\n'
+    if method is not None:  # the same in every row, so part of the template
+        keys = '"method":' + _value(str(method)).replace("%", "%%") + "," + keys
+    template = '{"confidence":%s,"example_id":%s,"labeler_id":%s,' + keys
+    _write_rows(path, template, map(_EVENT_FIELDS, events))
 
 
 def write_aggregates_csv(path, outcomes, true_labels=None) -> None:

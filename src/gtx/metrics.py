@@ -136,32 +136,18 @@ def summarize(reports: Sequence[TrialReport]) -> TrialSummary:
     if not reports:
         raise ConfigError("cannot summarize zero trial reports")
     head = reports[0]
+    key = (head.method, head.strategy, head.params)
     for rep in reports[1:]:
-        if (rep.method, rep.strategy, rep.params) != (
-            head.method,
-            head.strategy,
-            head.params,
-        ):
+        if (rep.method, rep.strategy, rep.params) != key:
             raise ConfigError(
-                "summarize() needs homogeneous reports; got "
-                f"{(head.method, head.strategy, head.params)} and "
+                f"summarize() needs homogeneous reports; got {key} and "
                 f"{(rep.method, rep.strategy, rep.params)}"
             )
-    avg_k = mean_se([r.avg_k for r in reports])
-    n_labeled = mean_se([float(r.n_labeled) for r in reports])
-    err = mean_se([r.error_rate for r in reports])
-    mae = mean_se([r.mae for r in reports])
-    return TrialSummary(
-        method=head.method,
-        strategy=head.strategy,
-        params=head.params,
-        trials=len(reports),
-        avg_k_mean=avg_k[0],
-        avg_k_se=avg_k[1],
-        n_labeled_mean=n_labeled[0],
-        n_labeled_se=n_labeled[1],
-        error_rate_mean=err[0],
-        error_rate_se=err[1],
-        mae_mean=mae[0],
-        mae_se=mae[1],
+    return TrialSummary(  # each mean_se pair fills a field's (mean, se)
+        *key,
+        len(reports),
+        *mean_se([r.avg_k for r in reports]),
+        *mean_se([float(r.n_labeled) for r in reports]),
+        *mean_se([r.error_rate for r in reports]),
+        *mean_se([r.mae for r in reports]),
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
@@ -108,7 +109,10 @@ class LabelerEstimate:
     n_assessed: int | None = None
 
     def __post_init__(self):
-        a = float(self.accuracy)
+        a = self.accuracy
+        if isinstance(a, bool) or not isinstance(a, numbers.Real):
+            raise ValueError(f"accuracy must be a number, got {a!r}")
+        a = float(a)
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"accuracy must be a probability in [0, 1], got {a!r}")
         a = min(max(a, ACCURACY_FLOOR), ACCURACY_CEIL)
@@ -147,8 +151,10 @@ class ClassPrior:
     p1: float
 
     def __post_init__(self):
-        if self.p0 < 0.0 or self.p1 < 0.0:
-            raise ValueError("prior probabilities must be non-negative")
+        if not (0.0 <= self.p0 <= 1.0 and 0.0 <= self.p1 <= 1.0):
+            raise ValueError(
+                f"prior probabilities must lie in [0, 1], got {self.p0!r}, {self.p1!r}"
+            )
         if abs(self.p0 + self.p1 - 1.0) > 1e-9:
             raise ValueError("prior must sum to 1")
 

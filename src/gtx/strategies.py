@@ -34,7 +34,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 from .aggregators import AggregateLabel, Method
 from .errors import ConfigError
@@ -104,9 +104,10 @@ class BudgetLedger:
         return self.total - self.spent
 
 
-@dataclass(frozen=True)
-class LabelEvent:
-    """One collected label plus the aggregate confidence right after it."""
+class LabelEvent(NamedTuple):
+    """One collected label plus the aggregate confidence right after it.
+
+    A tuple, so an event compares equal to a plain tuple of its fields."""
 
     step: int
     example_id: int

@@ -1,10 +1,17 @@
 import json
+import os
 
 import pytest
 
+import gtx.experiments
 from gtx.cli import main
 from gtx.io import write_label_records
 from gtx.model import LabelRecord
+
+
+def _crash(*args, **kwargs):
+    """A trial worker whose process dies without raising."""
+    os._exit(1)
 
 
 @pytest.fixture
@@ -61,6 +68,17 @@ class TestExperimentCommands:
         code = main(["uncertainty", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         assert (out / "dynamics.csv").exists()
+
+    def test_crashed_worker_exits_two_with_one_line(
+        self, tmp_path, threshold_config, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(gtx.experiments, "_threshold_trial", _crash)
+        code = main(["threshold", "--config", str(threshold_config),
+                     "--out", str(tmp_path / "o"), "--workers", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "worker" in err and "Traceback" not in err
 
     def test_strategy_command_mismatch_is_config_error(self, tmp_path, threshold_config):
         code = main(

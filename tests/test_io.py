@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gtx.aggregators import Method
 from gtx.errors import AlreadyLabeled, ConfigError
@@ -187,6 +189,64 @@ class TestLabelRecordFiles:
         recs, steps = read_label_records(p)
         assert steps == [1, 2]
         assert recs[0] == LabelRecord(0, 3, 1)
+
+
+def _dict_line(row) -> str:
+    """A JSONL row in the writers' reference form: the row's dict through
+    json.dumps with sorted keys and compact separators."""
+    return json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+_ids = st.one_of(st.text(), st.integers())
+
+
+@st.composite
+def _labeled(draw):
+    """Records with distinct (example, labeler) pairs and increasing steps."""
+    rows = draw(st.lists(st.tuples(_ids, _ids, st.integers(0, 1)),
+                         unique_by=lambda r: r[:2], max_size=20))
+    gaps = draw(st.lists(st.integers(1, 2**40), min_size=len(rows), max_size=len(rows)))
+    steps = [sum(gaps[: i + 1]) for i in range(len(gaps))]
+    return [LabelRecord(*r) for r in rows], steps
+
+
+class TestJsonlEncoding:
+    @given(_labeled())
+    def test_label_records_match_dict_form(self, tmp_path_factory, labeled):
+        records, steps = labeled
+        p = tmp_path_factory.getbasetemp() / "records.jsonl"
+        write_label_records(p, records, steps)
+        expected = "".join(
+            _dict_line({"example_id": r.example_id, "labeler_id": r.labeler_id,
+                        "step": step, "value": r.value})
+            for step, r in zip(steps, records)
+        )
+        assert p.read_bytes() == expected.encode("utf-8")
+
+    @given(
+        st.lists(st.builds(LabelEvent, st.integers(1), _ids, _ids,
+                           st.integers(0, 1), st.floats()), max_size=20),
+        st.one_of(st.none(), st.sampled_from(list(Method)), st.text()),
+    )
+    @example([LabelEvent(1, 0, "a", 1, 0.5)], "100%s")  # a method the template must escape
+    def test_event_log_matches_dict_form(self, tmp_path_factory, events, method):
+        p = tmp_path_factory.getbasetemp() / "events.jsonl"
+        write_event_log(p, events, method)
+        expected = ""
+        for ev in events:
+            row = {"example_id": ev.example_id, "labeler_id": ev.labeler_id,
+                   "step": ev.step, "value": ev.value, "confidence": ev.confidence}
+            if method is not None:
+                row["method"] = str(method)
+            expected += _dict_line(row)
+        assert p.read_bytes() == expected.encode("utf-8")
+
+    @given(_labeled())
+    def test_label_records_round_trip(self, tmp_path_factory, labeled):
+        records, steps = labeled
+        p = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
+        write_label_records(p, records, steps)
+        assert read_label_records(p) == (records, steps)
 
 
 class TestAssessmentReader:

@@ -54,6 +54,11 @@ class TestLabelerEstimate:
         with pytest.raises(ValueError, match="accuracy"):
             LabelerEstimate("a", bad)
 
+    @pytest.mark.parametrize("bad", ["0.8", "a", True, False])
+    def test_non_number_rejected(self, bad):
+        with pytest.raises(ValueError, match="accuracy"):
+            LabelerEstimate("a", bad)
+
     def test_log_weights(self):
         e = LabelerEstimate("a", 0.8)
         assert e.log_weight == math.log(0.8)
@@ -64,6 +69,15 @@ class TestClassPrior:
     def test_must_sum_to_one(self):
         with pytest.raises(ValueError):
             ClassPrior(0.6, 0.6)
+
+    @pytest.mark.parametrize(
+        "p0,p1",
+        [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan), (math.inf, 0.0),
+         (-math.inf, math.inf)],
+    )
+    def test_non_finite_rejected(self, p0, p1):
+        with pytest.raises(ValueError, match="prior"):
+            ClassPrior(p0, p1)
 
     def test_degenerate_is_legal(self):
         p = ClassPrior(1.0, 0.0)
