@@ -21,6 +21,8 @@ and no stream is ever split across processes.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ import numpy as np
 
 from .aggregators import Method
 from .assessment import oracle_estimates, run_assessment
-from .errors import GtxError
+from .errors import ConfigError, GtxError
 from .io import (
     ExperimentConfig,
     tau_code,
@@ -39,7 +41,7 @@ from .io import (
     write_event_log,
     write_json,
 )
-from .metrics import TrialSummary, mean_se, summarize, trial_report
+from .metrics import TrialSummary, summarize, trial_report
 from .simulation import SimConfig, draw_assessment, init_simulation
 from .strategies import (
     ThresholdConfig,
@@ -175,24 +177,27 @@ def _threshold_trial(trial, config, master_seed, cells):
 
 
 def _uncertainty_trial(trial, config, master_seed):
+    """One trial's reports and dynamics arrays per method; trial 0 also
+    records event logs and returns its outcomes as the exemplars (recording
+    events draws nothing, so the outcomes are unchanged)."""
     env = build_trial_env(config, master_seed, trial)
-    reports = []
-    dynamics = []
+    truth = env[0].true_labels
+    reports, dynamics, outcomes = [], [], []
     for method in config.methods:
         outcome = _uncertainty_run(
             config, env, method, master_seed, trial,
-            record_events=False, record_dynamics=True,
+            record_events=trial == 0, record_dynamics=True,
         )
-        reports.append(
-            trial_report(outcome, env[0].true_labels, "uncertainty", seed=trial)
-        )
+        reports.append(trial_report(outcome, truth, "uncertainty", seed=trial))
         # int64 steps, float64 error and MAE: 24 bytes per label, where
         # the engine's tuples cost ~140 until every trial has finished
-        traj = outcome.dynamics
+        traj, outcome.dynamics = outcome.dynamics, None
         dynamics.append((np.array([d[0] for d in traj], dtype=np.int64),
                          np.array([d[1] for d in traj], dtype=float),
                          np.array([d[2] for d in traj], dtype=float)))
-    return reports, dynamics
+        if trial == 0:
+            outcomes.append(outcome)
+    return reports, dynamics, (outcomes, truth) if trial == 0 else None
 
 
 def _map_trials(worker, trials: int, workers: int, progress=None):
@@ -293,31 +298,54 @@ def run_threshold_experiment(
 
 @dataclass
 class UncertaintyResult:
+    """``curves[method]`` is five equal-length arrays: the running label
+    count (int64) and, at each count, the across-trial mean and standard
+    error of the error rate and of the MAE (float64), each equal bit for
+    bit to ``metrics.mean_se`` of that count's per-trial values."""
+
     strategy: str
     config: ExperimentConfig
     master_seed: int
     reports: dict  # method -> per-trial tuple of TrialReport
     summaries: dict  # method -> TrialSummary
-    curves: dict  # method -> [(labels, err_mean, err_se, mae_mean, mae_se)]
-    exemplars: dict
+    curves: dict  # method -> (labels, err_mean, err_se, mae_mean, mae_se)
+    exemplars: dict  # method -> (CollectionOutcome of trial 0, truth)
+
+
+def _column_mean_se(rows):
+    """``mean_se`` of every column of the equal-length float rows.
+
+    The same operations in the same order as ``mean_se``: sums accumulate
+    row by row from 0.0 (not numpy's pairwise ``sum``), and squares go
+    through ``np.float_power``, which calls libm ``pow`` as CPython's
+    ``x ** 2`` does, where ``x * x`` (``np.square``) can differ in the
+    last bit."""
+    n = len(rows)
+    total = 0.0
+    for row in rows:
+        total = total + row
+    mean = total / n
+    if n == 1:
+        return mean, np.zeros_like(mean)
+    squares = 0.0
+    for row in rows:
+        squares = squares + np.float_power(row - mean, 2.0)
+    return mean, np.sqrt(squares / (n - 1)) / math.sqrt(n)
 
 
 def _uncertainty_curves(dynamics_per_trial):
-    """Average the per-label error trajectories across trials, keyed by the
-    running label count (identical across trials once coverage completes).
-    Each trajectory is a ``(steps, errors, maes)`` triple of arrays."""
-    by_step: dict[int, list] = {}
-    for steps, errs, maes in dynamics_per_trial:
-        for spent, err, mae in zip(steps.tolist(), errs.tolist(), maes.tolist()):
-            by_step.setdefault(spent, []).append((err, mae))
-    curve = []
-    for spent in sorted(by_step):
-        errs = [e for e, _ in by_step[spent]]
-        maes = [m for _, m in by_step[spent]]
-        err_mean, err_se = mean_se(errs)
-        mae_mean, mae_se = mean_se(maes)
-        curve.append((spent, err_mean, err_se, mae_mean, mae_se))
-    return curve
+    """Average the per-label error trajectories across trials, column by
+    column.  Each trajectory is a ``(steps, errors, maes)`` triple of
+    arrays, and every trial records the same steps: from full coverage at
+    ``n_examples`` labels to the end of the run at ``min(budget,
+    n_examples * n_labelers)``."""
+    steps = dynamics_per_trial[0][0]
+    for other, _, _ in dynamics_per_trial[1:]:
+        if not np.array_equal(other, steps):
+            raise ValueError("trials recorded dynamics at different label counts")
+    err_mean, err_se = _column_mean_se([errs for _, errs, _ in dynamics_per_trial])
+    mae_mean, mae_se = _column_mean_se([maes for _, _, maes in dynamics_per_trial])
+    return steps, err_mean, err_se, mae_mean, mae_se
 
 
 def run_uncertainty_experiment(
@@ -331,27 +359,23 @@ def run_uncertainty_experiment(
     """Run uncertainty sampling for each method over repeated trials."""
     master_seed = config.seed if master_seed is None else master_seed
     trials = config.trials if trials is None else trials
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     worker = functools.partial(
         _uncertainty_trial, config=config, master_seed=master_seed
     )
     per_trial = _map_trials(worker, trials, workers, progress)
+    outcomes, truth = per_trial[0][2]
     reports = {}
     curves = {}
+    exemplars = {}
     for mi, method in enumerate(config.methods):
         reports[method] = tuple(per_trial[t][0][mi] for t in range(trials))
         curves[method] = _uncertainty_curves(
             [per_trial[t][1][mi] for t in range(trials)]
         )
+        exemplars[method] = (outcomes[mi], truth)
     summaries = {m: summarize(r) for m, r in reports.items()}
-
-    env = build_trial_env(config, master_seed, 0)
-    exemplars = {
-        method: (
-            _uncertainty_run(config, env, method, master_seed, 0, record_events=True),
-            env[0].true_labels,
-        )
-        for method in config.methods
-    }
     return UncertaintyResult(
         strategy="uncertainty",
         config=config,
@@ -539,8 +563,8 @@ def write_results(result, out_dir) -> None:
 
         def dyn_rows():
             for method in result.config.methods:
-                for labels, err, err_se, mae, mae_se in result.curves[method]:
-                    yield [str(method), labels, err, err_se, mae, mae_se]
+                columns = (c.tolist() for c in result.curves[method])
+                yield from zip(itertools.repeat(str(method)), *columns)
 
         write_csv(
             out_dir / "dynamics.csv",

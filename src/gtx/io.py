@@ -13,6 +13,7 @@ event log is itself a valid label-record file.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -65,13 +66,32 @@ def write_json(path, payload) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+# exact types whose ``%s`` form is their ``fmt`` form (str(float) is repr)
+_PLAIN_CELLS = frozenset({str, int, float})
+_CSV_CHUNK = 1024  # rows encoded per write
+
+
+def _csv_text(rows: list) -> str:
+    """The CSV lines of ``rows``, each ``",".join(fmt(v) for v in row)``.
+
+    When every row has the same width and every cell is exactly a str, int
+    or float, one ``%s`` template covers the whole chunk; otherwise (None,
+    bool, numpy scalars, ragged rows) each cell goes through ``fmt``."""
+    width = len(rows[0])
+    cells = tuple(itertools.chain.from_iterable(rows))
+    if set(map(len, rows)) == {width} and set(map(type, cells)) <= _PLAIN_CELLS:
+        return ((",".join(["%s"] * width) + "\n") * len(rows)) % cells
+    return "".join([",".join([fmt(v) for v in row]) + "\n" for row in rows])
+
+
 def write_csv(path, header: Sequence[str], rows) -> None:
     """Write rows of already-ordered values; floats via repr, None empty."""
     path = Path(path)
+    rows = iter(rows)
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
+            fh.write(_csv_text(chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +153,7 @@ def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # too deep
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(row, dict):
                 raise ValueError(f"{path}:{lineno}: expected an object per line")
@@ -455,6 +475,6 @@ def load_config(path) -> ExperimentConfig:
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     return config_from_dict(raw)

@@ -1,6 +1,10 @@
-"""Shared helpers for driving the collection engines in tests."""
+"""Shared helpers for driving the collection engines in tests, and a
+Hypothesis strategy for arbitrary JSON-lines input."""
+
+import json
 
 import numpy as np
+from hypothesis import strategies as st
 
 from gtx.model import LabelerEstimate
 from gtx.simulation import SimDataset, SimLabeler, UniformStream
@@ -46,3 +50,21 @@ def make_estimates(accuracies):
 WRONG = 0.9999  # correctness draw that fails any clamped accuracy
 RIGHT = 0.0  # correctness draw that succeeds for any positive accuracy
 FIRST = 0.0  # selection draw that picks the lowest-id unused labeler
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+_near_values = st.one_of(st.integers(-1, 3), st.text(max_size=2), _json_values)
+# JSON lines: objects with some or all record keys and any values, any JSON
+# value, or any text at all
+json_lines = st.one_of(
+    st.fixed_dictionaries(
+        {}, optional={k: _near_values for k in
+                      ("example_id", "labeler_id", "step", "value", "confidence", "extra")},
+    ).map(json.dumps),
+    _json_values.map(lambda v: json.dumps(v, allow_nan=True)),
+    st.text(max_size=20),
+)

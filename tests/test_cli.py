@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import gtx.experiments
 from gtx.cli import main
 from gtx.io import write_label_records
 from gtx.model import LabelRecord
+from support import json_lines
 
 
 def _crash(*args, **kwargs):
@@ -227,3 +232,34 @@ class TestAssessCommand:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert field in err and "Traceback" not in err
+
+
+@st.composite
+def _label_file(draw):
+    """Lines of a label file: records with increasing steps over a few ids
+    and any label value, with one arbitrary JSON line at a drawn place."""
+    rows = draw(st.lists(st.fixed_dictionaries({
+        "example_id": st.integers(0, 2) | st.text(max_size=1),
+        "labeler_id": st.sampled_from(["p", "q", 0]),
+        "value": st.integers(-1, 2) | st.booleans() | st.floats(),
+    }), max_size=6))
+    lines = [json.dumps({**row, "step": i + 1}) for i, row in enumerate(rows)]
+    at = draw(st.integers(0, len(lines)))
+    return lines[:at] + draw(st.lists(json_lines, max_size=1)) + lines[at:]
+
+
+class TestAssessArbitraryInput:
+    @given(_label_file(), _label_file())
+    @example(['{"example_id": 0, "labeler_id": "e", "step": 1, "value": 1}'], ["[" * 100_000])
+    def test_exits_zero_one_or_two_with_one_line(self, tmp_path_factory, truth, labels):
+        base = tmp_path_factory.getbasetemp()
+        (base / "fuzz_truth.jsonl").write_text("\n".join(truth), encoding="utf-8")
+        (base / "fuzz_labels.jsonl").write_text("\n".join(labels), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["assess", "--truth", str(base / "fuzz_truth.jsonl"),
+                         "--labels", str(base / "fuzz_labels.jsonl"),
+                         "--out", str(base / "fuzz_out")])
+        assert code in (0, 1, 2)
+        if code:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

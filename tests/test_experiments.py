@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from gtx.aggregators import Method
+from gtx.errors import ConfigError
 from gtx.experiments import (
     Cell,
+    _uncertainty_curves,
     build_trial_env,
     collection_rng,
     environment_rng,
@@ -13,6 +15,8 @@ from gtx.experiments import (
     write_results,
 )
 from gtx.io import config_from_dict, read_label_records
+from gtx.metrics import mean_se
+from gtx.strategies import run_uncertainty_sampling
 
 
 def tiny_threshold_config(**extra):
@@ -141,16 +145,22 @@ class TestThresholdExperiment:
             assert len(truth) == cfg.n_examples
 
 
+def _bits(curve):
+    """A curve's columns as raw bytes, so that equality is bit for bit."""
+    return [(c.dtype, c.tobytes()) for c in curve]
+
+
 class TestUncertaintyExperiment:
     def test_reports_and_curves(self):
         cfg = tiny_uncertainty_config()
         res = run_uncertainty_experiment(cfg)
         for method in cfg.methods:
             assert len(res.reports[method]) == cfg.trials
-            curve = res.curves[method]
-            assert curve[0][0] == cfg.n_examples
-            assert curve[-1][0] == cfg.budget
-            assert len(curve) == cfg.budget - cfg.n_examples + 1
+            labels = res.curves[method][0]
+            assert labels[0] == cfg.n_examples
+            assert labels[-1] == cfg.budget
+            assert len(labels) == cfg.budget - cfg.n_examples + 1
+            assert all(len(col) == len(labels) for col in res.curves[method])
             assert res.summaries[method].strategy == "uncertainty"
 
     def test_workers_do_not_change_results(self):
@@ -158,7 +168,55 @@ class TestUncertaintyExperiment:
         seq = run_uncertainty_experiment(cfg, workers=1)
         par = run_uncertainty_experiment(cfg, workers=2)
         assert seq.reports == par.reports
-        assert seq.curves == par.curves
+        assert seq.curves.keys() == par.curves.keys()
+        for method in cfg.methods:
+            assert _bits(seq.curves[method]) == _bits(par.curves[method])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_exemplars_are_trial_zero_with_events(self, workers):
+        cfg = tiny_uncertainty_config()
+        res = run_uncertainty_experiment(cfg, workers=workers)
+        dataset, labelers, estimates = build_trial_env(cfg, cfg.seed, 0)
+        assert list(res.exemplars) == list(cfg.methods)
+        for method, (outcome, truth) in res.exemplars.items():
+            fresh = run_uncertainty_sampling(
+                dataset, labelers, estimates, cfg.budget, method,
+                collection_rng(cfg.seed, 0, method, 0), record_events=True,
+            )
+            assert outcome.event_log and outcome.event_log == fresh.event_log
+            assert outcome.aggregates == fresh.aggregates
+            assert outcome.dynamics is None
+            assert np.array_equal(truth, dataset.true_labels)
+
+    def test_zero_trials_is_a_config_error(self):
+        with pytest.raises(ConfigError):
+            run_uncertainty_experiment(tiny_uncertainty_config(), trials=0)
+
+
+# Four per-trial values whose squared deviations from their mean differ in
+# the last bit between x ** 2 (libm pow) and x * x.
+_POW_SENSITIVE = [0.33, 0.32, 0.84, 0.24666666666666667]
+
+
+class TestUncertaintyCurves:
+    @pytest.mark.parametrize("trials", range(1, 7))
+    def test_columns_equal_mean_se_bit_for_bit(self, trials):
+        rng = np.random.default_rng(trials)
+        steps = np.arange(50, 850, dtype=np.int64)
+        dynamics = [(steps, rng.random(800), rng.random(800) / 3) for _ in range(trials)]
+        curve = _uncertainty_curves(dynamics)
+        err = [mean_se(col) for col in zip(*(e.tolist() for _, e, _ in dynamics))]
+        mae = [mean_se(col) for col in zip(*(m.tolist() for _, _, m in dynamics))]
+        expected = (steps, *(np.array(c) for c in zip(*err)), *(np.array(c) for c in zip(*mae)))
+        assert _bits(curve) == _bits(expected)
+
+    def test_pow_sensitive_values(self):
+        mean = sum(_POW_SENSITIVE) / 4
+        deviations = [v - mean for v in _POW_SENSITIVE]
+        assert [d ** 2 for d in deviations] != [d * d for d in deviations]
+        dynamics = [(np.array([7]), np.array([v]), np.array([v])) for v in _POW_SENSITIVE]
+        _, err_mean, err_se, _, _ = _uncertainty_curves(dynamics)
+        assert (err_mean[0], err_se[0]) == mean_se(_POW_SENSITIVE)
 
 
 class TestWriteResults:

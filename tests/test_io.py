@@ -1,12 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gtx.aggregators import Method
-from gtx.errors import AlreadyLabeled, ConfigError
+from gtx.errors import AlreadyLabeled, ConfigError, GtxError
 from gtx.io import (
+    _CSV_CHUNK,
     DEFAULT_TAU_GRID,
     config_from_dict,
     fmt,
@@ -19,6 +21,7 @@ from gtx.io import (
 )
 from gtx.model import LabelRecord
 from gtx.strategies import LabelEvent
+from support import json_lines
 
 
 class TestConfigDefaults:
@@ -122,6 +125,12 @@ class TestLoadConfig(object):
     def test_invalid_json_reports_path(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text("{nope")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(p)
+
+    def test_deeply_nested_json_is_a_config_error(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text("[" * 100_000)
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(p)
 
@@ -249,6 +258,21 @@ class TestJsonlEncoding:
         assert read_label_records(p) == (records, steps)
 
 
+class TestArbitraryLines:
+    @given(st.lists(json_lines, max_size=6))
+    @example(["[" * 100_000])
+    @example(['{"example_id": 1, "labeler_id": 2, "step": 1, "value": 1}'] * 2)
+    def test_reader_raises_only_documented_errors(self, tmp_path_factory, lines):
+        p = tmp_path_factory.getbasetemp() / "arbitrary.jsonl"
+        p.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            records, steps = read_label_records(p)
+        except (GtxError, ValueError, OSError):
+            return
+        assert len(records) == len(steps)
+        assert all(b > a for a, b in zip(steps, steps[1:]))
+
+
 class TestAssessmentReader:
     def test_reads_truth(self, tmp_path):
         p = tmp_path / "truth.jsonl"
@@ -262,6 +286,33 @@ class TestAssessmentReader:
         write_label_records(p, [LabelRecord(4, "e1", 1), LabelRecord(4, "e2", 1)])
         with pytest.raises(ValueError, match="duplicate truth"):
             read_assessment_set(p)
+
+
+_plain_cells = st.one_of(st.text(max_size=6), st.integers(), st.floats())
+_any_cells = st.one_of(
+    _plain_cells,
+    st.none(),
+    st.booleans(),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+@st.composite
+def _csv_rows(draw):
+    """A header and rows of cells (st.floats() includes nan, +-inf and -0.0):
+    a drawn block repeated past one write chunk, then a tail, so that plain
+    chunks, mixed chunks and ragged rows meet at a chunk boundary."""
+    cells = draw(st.sampled_from([_plain_cells, _any_cells]))
+    width = draw(st.integers(0, 4))
+    row = st.one_of(
+        st.lists(cells, min_size=width, max_size=width), st.lists(cells, max_size=5)
+    )
+    block = draw(st.lists(row, min_size=1, max_size=4))
+    copies = draw(st.sampled_from([1, _CSV_CHUNK // len(block) + 1]))
+    tail = draw(st.lists(row, max_size=3))
+    return [f"h{i}" for i in range(width)], block * copies + tail
 
 
 class TestCsvWriter:
@@ -281,3 +332,15 @@ class TestCsvWriter:
         assert fmt(np.float64(0.25)) == "0.25"
         assert fmt(np.int64(3)) == "3"
         assert fmt(None) == ""
+
+    @given(_csv_rows())
+    @example((["x", "y"], [[0.1, 2]] * _CSV_CHUNK + [[None, True]]))
+    @example(([], [[]] * (_CSV_CHUNK + 1)))
+    def test_bytes_equal_per_cell_fmt(self, tmp_path_factory, csv_rows):
+        header, rows = csv_rows
+        p = tmp_path_factory.getbasetemp() / "cells.csv"
+        write_csv(p, header, iter(rows))
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(fmt(v) for v in row) + "\n" for row in rows
+        )
+        assert p.read_bytes() == expected.encode("utf-8")
