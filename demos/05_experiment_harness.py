@@ -3,8 +3,8 @@
 Runs a small threshold sweep (tau grid for the confidence-based methods,
 fixed counts for the vote-based ones) and a small uncertainty-sampling
 experiment, then writes the full result-file set that the CLI would
-produce: per-cell summary, best-cell table, Pareto curve points, exemplar
-aggregates and event logs, and a re-runnable run.json.
+produce: per-cell summary, best-cell table, exemplar aggregates and event
+logs, and a re-runnable run.json.
 
 The full-size runs from the command line:
 

@@ -8,15 +8,7 @@ decide when an example has enough labels.  A simulator and experiment
 harness reproduce the cost/error trade-offs of each method end to end.
 """
 
-from .aggregators import (
-    AggregateLabel,
-    Method,
-    aggregate,
-    aggregate_gtx,
-    aggregate_mv,
-    aggregate_sv,
-    aggregate_wmv,
-)
+from .aggregators import AggregateLabel, Method, aggregate
 from .assessment import (
     AssessmentSet,
     estimate_accuracy,
@@ -31,7 +23,6 @@ from .errors import (
     EmptyLabelSet,
     GtxError,
     IncompleteAssessment,
-    LabelersExhausted,
     MissingEstimate,
 )
 from .experiments import (
@@ -74,9 +65,7 @@ from .simulation import (
     SimDataset,
     SimLabeler,
     draw_assessment,
-    elicit_label,
     init_simulation,
-    select_labeler,
 )
 from .strategies import (
     BudgetLedger,
@@ -105,7 +94,6 @@ __all__ = [
     "IncompleteAssessment",
     "LabelEvent",
     "LabelRecord",
-    "LabelersExhausted",
     "LabelerEstimate",
     "Method",
     "MissingEstimate",
@@ -119,13 +107,8 @@ __all__ = [
     "TrialSummary",
     "UncertaintyResult",
     "aggregate",
-    "aggregate_gtx",
-    "aggregate_mv",
-    "aggregate_sv",
-    "aggregate_wmv",
     "config_from_dict",
     "draw_assessment",
-    "elicit_label",
     "error_rate",
     "estimate_accuracy",
     "hard_label",
@@ -143,7 +126,6 @@ __all__ = [
     "run_threshold_experiment",
     "run_uncertainty_experiment",
     "run_uncertainty_sampling",
-    "select_labeler",
     "summarize",
     "trial_report",
     "uncertainty",

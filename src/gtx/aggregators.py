@@ -39,10 +39,6 @@ __all__ = [
     "AggregateLabel",
     "Method",
     "aggregate",
-    "aggregate_gtx",
-    "aggregate_mv",
-    "aggregate_sv",
-    "aggregate_wmv",
 ]
 
 
@@ -86,22 +82,3 @@ def aggregate(
     label, confidence, soft_p1 = kernel(method, prior).finalize(s0, s1, n)
     return AggregateLabel(recs[0].example_id, method, label, confidence, soft_p1, n)
 
-
-def aggregate_mv(labels: Sequence[LabelRecord]) -> AggregateLabel:
-    """Majority vote.  Needs no accuracy estimates."""
-    return aggregate(Method.MV, labels)
-
-
-def aggregate_wmv(labels, estimates) -> AggregateLabel:
-    """Accuracy-weighted majority vote."""
-    return aggregate(Method.WMV, labels, estimates)
-
-
-def aggregate_sv(labels, estimates) -> AggregateLabel:
-    """Soft votes: each voter splits one unit of mass (accuracy, 1-accuracy)."""
-    return aggregate(Method.SV, labels, estimates)
-
-
-def aggregate_gtx(labels, estimates, prior: ClassPrior = UNIFORM_PRIOR) -> AggregateLabel:
-    """Bayesian aggregation: hard label and confidence from the posterior."""
-    return aggregate(Method.GTX, labels, estimates, prior)

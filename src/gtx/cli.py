@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 on configuration or usage errors, 2 on runtime
 or data errors (unreadable files, malformed records, incomplete
-assessments).  Progress goes to stderr so stdout stays clean for piping;
-results land only in files.
+assessments, a run too large for memory).  Progress goes to stderr so
+stdout stays clean for piping; results land only in files.
 """
 
 from __future__ import annotations
@@ -63,12 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_args(p)
 
     p = subs.add_parser(
-        "pareto",
-        help="full cost/error sweep (same cells as threshold, curve-focused)",
-    )
-    _add_experiment_args(p)
-
-    p = subs.add_parser(
         "assess",
         help="estimate labeler accuracies from recorded labels and expert truth",
     )
@@ -102,13 +96,12 @@ def _progress(msg: str) -> None:
 _RUNNERS = {
     "threshold": run_threshold_experiment,
     "uncertainty": run_uncertainty_experiment,
-    "pareto": run_threshold_experiment,
 }
 
 
 def _cmd_experiment(args) -> int:
     config = _load_experiment_config(args)
-    if config.strategy != ("uncertainty" if args.command == "uncertainty" else "threshold"):
+    if config.strategy != args.command:
         raise ConfigError(
             f"config has strategy {config.strategy!r} but the "
             f"{args.command!r} command was requested"
@@ -170,8 +163,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (GtxError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GtxError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -29,9 +29,5 @@ class AlreadyLabeled(GtxError):
     """A (example, labeler) pair was labeled twice."""
 
 
-class LabelersExhausted(GtxError):
-    """No unused labeler remains for an example."""
-
-
 class ConfigError(GtxError):
     """Invalid configuration; the message lists every violation found."""

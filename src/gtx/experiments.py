@@ -119,9 +119,7 @@ class Cell:
 
     @property
     def params(self) -> dict:
-        if self.tau is not None:
-            return {"tau": self.tau}
-        return {"count": self.fixed_count}
+        return {self.kind: self.value}
 
     @property
     def kind(self) -> str:
@@ -157,14 +155,6 @@ def _threshold_run(config, env, cell, master_seed, trial, record_events):
     )
 
 
-def _uncertainty_run(config, env, method, master_seed, trial, **record):
-    dataset, labelers, estimates = env
-    rng = collection_rng(master_seed, trial, method, 0)
-    return run_uncertainty_sampling(
-        dataset, labelers, estimates, config.budget, method, rng, **record
-    )
-
-
 def _threshold_trial(trial, config, master_seed, cells):
     env = build_trial_env(config, master_seed, trial)
     return [
@@ -180,12 +170,13 @@ def _uncertainty_trial(trial, config, master_seed):
     """One trial's reports and dynamics arrays per method; trial 0 also
     records event logs and returns its outcomes as the exemplars (recording
     events draws nothing, so the outcomes are unchanged)."""
-    env = build_trial_env(config, master_seed, trial)
-    truth = env[0].true_labels
+    dataset, labelers, estimates = build_trial_env(config, master_seed, trial)
+    truth = dataset.true_labels
     reports, dynamics, outcomes = [], [], []
     for method in config.methods:
-        outcome = _uncertainty_run(
-            config, env, method, master_seed, trial,
+        outcome = run_uncertainty_sampling(
+            dataset, labelers, estimates, config.budget, method,
+            collection_rng(master_seed, trial, method, 0),
             record_events=trial == 0, record_dynamics=True,
         )
         reports.append(trial_report(outcome, truth, "uncertainty", seed=trial))
@@ -201,23 +192,22 @@ def _uncertainty_trial(trial, config, master_seed):
 
 
 def _map_trials(worker, trials: int, workers: int, progress=None):
-    results = []
-    if workers <= 1:
-        for trial in range(trials):
-            results.append(worker(trial))
+    def collect(results):
+        done = []
+        for res in results:
+            done.append(res)
             if progress is not None:
-                progress(f"trial {trial + 1}/{trials}")
-        return results
+                progress(f"trial {len(done)}/{trials}")
+        return done
+
+    if workers <= 1:
+        return collect(map(worker, range(trials)))
     chunk = max(1, trials // (workers * 4))
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, res in enumerate(pool.map(worker, range(trials), chunksize=chunk)):
-                results.append(res)
-                if progress is not None:
-                    progress(f"trial {i + 1}/{trials}")
+            return collect(pool.map(worker, range(trials), chunksize=chunk))
     except BrokenProcessPool as exc:
         raise GtxError(f"a worker process died: {exc}") from exc
-    return results
 
 
 def _pick_best(cells, summaries, methods):
@@ -421,18 +411,6 @@ _BEST_HEADER = [
     "trials",
 ]
 
-_CURVE_HEADER = [
-    "method",
-    "cell_type",
-    "cell",
-    "avg_k",
-    "avg_k_se",
-    "error_rate",
-    "error_rate_se",
-    "mae",
-    "mae_se",
-]
-
 
 def _summary_row(cell_type, cell_value, s: TrialSummary, best: bool):
     return [
@@ -478,10 +456,10 @@ def _write_exemplars(out_dir: Path, exemplars: dict, methods) -> None:
 def write_results(result, out_dir) -> None:
     """Write an experiment's result files into ``out_dir``.
 
-    Threshold/pareto sweeps produce summary.csv (every cell), best_cells.csv
-    (one row per method at its best cell), curve.csv (cost/error points),
-    aggregates.csv and events_<method>.jsonl (trial 0 at each method's best
-    cell), and run.json.  Uncertainty runs produce summary.csv, dynamics.csv,
+    Threshold sweeps produce summary.csv (every cell), best_cells.csv (one
+    row per method at its best cell), aggregates.csv and
+    events_<method>.jsonl (trial 0 at each method's best cell), and
+    run.json.  Uncertainty runs produce summary.csv, dynamics.csv,
     the same exemplar files, and run.json.  Every file is byte-deterministic
     for a given config and seed; worker count is deliberately not recorded.
     """
@@ -520,38 +498,7 @@ def write_results(result, out_dir) -> None:
                 ]
 
         write_csv(out_dir / "best_cells.csv", _BEST_HEADER, best_rows())
-
-        def curve_rows():
-            order = sorted(
-                range(len(result.cells)),
-                key=lambda i: (
-                    str(result.cells[i].method),
-                    result.summaries[i].avg_k_mean
-                    if result.summaries[i].avg_k_mean is not None
-                    else float("inf"),
-                    result.cells[i].code,
-                ),
-            )
-            for i in order:
-                c, s = result.cells[i], result.summaries[i]
-                yield [
-                    str(c.method),
-                    c.kind,
-                    c.value,
-                    s.avg_k_mean,
-                    s.avg_k_se,
-                    s.error_rate_mean,
-                    s.error_rate_se,
-                    s.mae_mean,
-                    s.mae_se,
-                ]
-
-        write_csv(out_dir / "curve.csv", _CURVE_HEADER, curve_rows())
-        _write_exemplars(out_dir, result.exemplars, result.config.methods)
-        _write_run_json(out_dir, result)
-        return
-
-    if isinstance(result, UncertaintyResult):
+    elif isinstance(result, UncertaintyResult):
         write_csv(
             out_dir / "summary.csv",
             _SUMMARY_HEADER,
@@ -571,8 +518,7 @@ def write_results(result, out_dir) -> None:
             ["method", "labels", "error_rate", "error_rate_se", "mae", "mae_se"],
             dyn_rows(),
         )
-        _write_exemplars(out_dir, result.exemplars, result.config.methods)
-        _write_run_json(out_dir, result)
-        return
-
-    raise TypeError(f"cannot write results of type {type(result).__name__}")
+    else:
+        raise TypeError(f"cannot write results of type {type(result).__name__}")
+    _write_exemplars(out_dir, result.exemplars, result.config.methods)
+    _write_run_json(out_dir, result)

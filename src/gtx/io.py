@@ -68,7 +68,7 @@ def write_json(path, payload) -> None:
 
 # exact types whose ``%s`` form is their ``fmt`` form (str(float) is repr)
 _PLAIN_CELLS = frozenset({str, int, float})
-_CSV_CHUNK = 1024  # rows encoded per write
+_CHUNK = 1024  # rows encoded per write
 
 
 def _csv_text(rows: list) -> str:
@@ -84,18 +84,26 @@ def _csv_text(rows: list) -> str:
     return "".join([",".join([fmt(v) for v in row]) + "\n" for row in rows])
 
 
+def _write_chunks(path, head: str, rows, encode) -> None:
+    """Write ``head``, then ``encode(chunk)`` for each chunk of rows."""
+    rows = iter(rows)
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(head)
+        while chunk := list(itertools.islice(rows, _CHUNK)):
+            fh.write(encode(chunk))
+
+
 def write_csv(path, header: Sequence[str], rows) -> None:
     """Write rows of already-ordered values; floats via repr, None empty."""
-    path = Path(path)
-    rows = iter(rows)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
-            fh.write(_csv_text(chunk))
+    _write_chunks(path, ",".join(header) + "\n", rows, _csv_text)
 
 
 # ---------------------------------------------------------------------------
 # label records and event logs
+
+
+# exact types whose ``%s`` form is their JSON form, floats when finite
+_JSON_PLAIN = frozenset({int, float})
 
 
 def _value(v) -> str:
@@ -109,11 +117,23 @@ def _value(v) -> str:
 
 
 def _write_rows(path, template: str, rows) -> None:
-    """Write one JSON object per row in one ``write``: ``template`` spells the
-    sorted compact keys with a ``%s`` per value, so each line equals
-    ``json.dumps(row_dict, sort_keys=True, separators=(",", ":"))``."""
-    text = "".join([template % tuple(map(_value, row)) for row in rows])
-    Path(path).write_text(text, encoding="utf-8")
+    """Write one JSON object per row: ``template`` spells the sorted compact
+    keys with a ``%s`` per value, so each line equals
+    ``json.dumps(row_dict, sort_keys=True, separators=(",", ":"))``.
+
+    When every cell of a chunk is exactly an int or a finite float, one fill
+    of the repeated template covers the chunk; otherwise (str ids, bools,
+    nan, inf) each cell goes through ``_value``."""
+
+    def encode(chunk):
+        cells = tuple(itertools.chain.from_iterable(chunk))
+        if set(map(type, cells)) <= _JSON_PLAIN and all(
+            math.isfinite(v) for v in cells if type(v) is float
+        ):
+            return (template * len(chunk)) % cells
+        return "".join([template % tuple(map(_value, row)) for row in chunk])
+
+    _write_chunks(path, "", rows, encode)
 
 
 def write_label_records(path, records: Sequence[LabelRecord], steps=None) -> None:
@@ -314,6 +334,8 @@ _ALLOWED_KEYS = {
 }
 
 _STRATEGIES = ("threshold", "uncertainty")
+# fixed_counts default to 1..kappa only up to here; a larger kappa lists them
+_MAX_DEFAULT_COUNTS = 10_000
 
 
 def tau_code(tau: float) -> int:
@@ -390,7 +412,6 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     tau_grid = raw.get("tau_grid", list(DEFAULT_TAU_GRID))
     if not isinstance(tau_grid, Sequence) or isinstance(tau_grid, str) or not tau_grid:
         problems.append(f"tau_grid must be a non-empty list, got {tau_grid!r}")
-        tau_grid = list(DEFAULT_TAU_GRID)
     else:
         codes: dict[int, float] = {}
         for t in tau_grid:
@@ -406,14 +427,20 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
             else:
                 codes[tau_code(t)] = t
 
-    fixed_counts = raw.get("fixed_counts", list(range(1, kappa + 1)))
-    if (
+    fixed_counts = raw.get("fixed_counts")
+    if "fixed_counts" not in raw:  # 1..kappa, one sweep cell per count
+        fixed_counts = range(1, kappa + 1)
+        if n_labelers >= kappa > _MAX_DEFAULT_COUNTS:
+            problems.append(
+                f"kappa ({kappa}) exceeds {_MAX_DEFAULT_COUNTS}, the largest "
+                "default fixed_counts grid 1..kappa; list fixed_counts instead"
+            )
+    elif (
         not isinstance(fixed_counts, Sequence)
         or isinstance(fixed_counts, str)
         or not fixed_counts
     ):
         problems.append(f"fixed_counts must be a non-empty list, got {fixed_counts!r}")
-        fixed_counts = list(range(1, kappa + 1))
     else:
         counts: set[int] = set()
         for c in fixed_counts:
@@ -427,7 +454,6 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
                 counts.add(c)
 
     interval = raw.get("accuracy_interval", [0.8, 1.0])
-    low, high = 0.8, 1.0
     if (
         not isinstance(interval, Sequence)
         or isinstance(interval, str)
@@ -447,10 +473,9 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     oracle = raw.get("oracle_accuracy", False)
     if not isinstance(oracle, bool):
         problems.append(f"oracle_accuracy must be true or false, got {oracle!r}")
-        oracle = False
 
     if problems:
-        raise ConfigError("invalid config:\n  - " + "\n  - ".join(problems))
+        raise ConfigError("invalid config: " + "; ".join(problems))
 
     return ExperimentConfig(
         strategy=strategy,

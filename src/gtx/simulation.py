@@ -1,4 +1,4 @@
-"""Synthetic data generation: datasets, labeler pools, and label elicitation.
+"""Synthetic data generation: datasets, labeler pools, and collection draws.
 
 Everything here is driven by a numpy Generator and is reproducible from a
 seed.  The documented draw order for one simulated trial is:
@@ -19,13 +19,11 @@ environment (see gtx.experiments).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .assessment import AssessmentSet
-from .errors import ConfigError, LabelersExhausted
-from .model import LabelRecord
+from .errors import ConfigError
 
 __all__ = [
     "SimConfig",
@@ -33,9 +31,7 @@ __all__ = [
     "SimLabeler",
     "UniformStream",
     "draw_assessment",
-    "elicit_label",
     "init_simulation",
-    "select_labeler",
 ]
 
 
@@ -146,39 +142,3 @@ def draw_assessment(size: int, rng) -> AssessmentSet:
         raise ConfigError(f"assessment size must be >= 1, got {size}")
     labels = tuple(int(v) for v in (rng.random(size) < 0.5))
     return AssessmentSet(example_ids=tuple(range(size)), true_labels=labels)
-
-
-def select_labeler(
-    used_ids: Iterable[int],
-    labelers: Sequence[SimLabeler],
-    rng,
-) -> SimLabeler:
-    """Uniform choice among labelers not yet used on this example.
-
-    Advances the RNG by exactly one draw: the uniform indexes the ascending
-    list of unused labeler ids.  Raises LabelersExhausted when nothing is
-    left to choose.
-    """
-    used = set(used_ids)
-    unused = [lab for lab in labelers if lab.labeler_id not in used]
-    if not unused:
-        raise LabelersExhausted(f"all {len(labelers)} labelers already used")
-    unused.sort(key=lambda lab: lab.labeler_id)
-    u = rng.random()
-    return unused[int(u * len(unused))]
-
-
-def elicit_label(
-    labeler: SimLabeler,
-    example_id: int,
-    true_label: int,
-    rng,
-) -> LabelRecord:
-    """Simulate one vote: correct with probability ``labeler.accuracy``.
-
-    Advances the RNG by exactly one draw.  Accuracy 1.0 always returns the
-    true label (u < 1.0 is certain); accuracy 0.0 always returns the flip.
-    """
-    correct = rng.random() < labeler.accuracy
-    value = true_label if correct else 1 - true_label
-    return LabelRecord(example_id=example_id, labeler_id=labeler.labeler_id, value=value)

@@ -22,11 +22,11 @@ stops in log-odds space against ``log_odds(tau)``, so that a vote from a
 labeler whose estimate equals tau exactly meets the threshold even in
 floating point; SV stops on its winning share.
 
-The engines inline the arithmetic of :func:`gtx.simulation.select_labeler`
-and :func:`gtx.simulation.elicit_label` (two uniform draws per label:
-selection indexes the ascending list of unused labeler ids, then correctness
-is compared against the labeler's true accuracy), consuming draws through a
-block-buffered :class:`gtx.simulation.UniformStream`.
+Each label takes two uniform draws: selection indexes the ascending list of
+unused labeler ids, then correctness is compared against the labeler's true
+accuracy.  The engines consume them through a block-buffered
+:class:`gtx.simulation.UniformStream`; the one-label select and elicit
+oracles in ``tests/oracles.py`` are the spec they replay exactly.
 """
 
 from __future__ import annotations

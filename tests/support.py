@@ -52,12 +52,12 @@ RIGHT = 0.0  # correctness draw that succeeds for any positive accuracy
 FIRST = 0.0  # selection draw that picks the lowest-id unused labeler
 
 
-_json_values = st.recursive(
+json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
     max_leaves=6,
 )
-_near_values = st.one_of(st.integers(-1, 3), st.text(max_size=2), _json_values)
+_near_values = st.one_of(st.integers(-1, 3), st.text(max_size=2), json_values)
 # JSON lines: objects with some or all record keys and any values, any JSON
 # value, or any text at all
 json_lines = st.one_of(
@@ -65,6 +65,6 @@ json_lines = st.one_of(
         {}, optional={k: _near_values for k in
                       ("example_id", "labeler_id", "step", "value", "confidence", "extra")},
     ).map(json.dumps),
-    _json_values.map(lambda v: json.dumps(v, allow_nan=True)),
+    json_values.map(lambda v: json.dumps(v, allow_nan=True)),
     st.text(max_size=20),
 )

@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gtx.aggregators import Method, aggregate_gtx, aggregate_mv
+from gtx.aggregators import Method, aggregate
 from gtx.experiments import (
     build_trial_env,
     collection_rng,
@@ -255,7 +255,7 @@ class TestCriterion6:
                 margin = logodds_margin(values, accs)
                 if abs(margin) > 1e-9:
                     estimates = {j: LabelerEstimate(j, a) for j, a in enumerate(accs)}
-                    agg = aggregate_gtx(labels, estimates)
+                    agg = aggregate(Method.GTX, labels, estimates)
                     agree_margin += agg.label == (1 if margin > 0 else 0)
                     checked_margin += 1
 
@@ -263,7 +263,7 @@ class TestCriterion6:
                 acc = float(rng.uniform(0.51, 0.99))
                 estimates = {j: LabelerEstimate(j, acc) for j in range(size)}
                 agree_mv += (
-                    aggregate_gtx(labels, estimates).label == aggregate_mv(labels).label
+                    aggregate(Method.GTX, labels, estimates).label == aggregate(Method.MV, labels).label
                 )
                 checked_mv += 1
         ok = agree_margin == checked_margin and agree_mv == checked_mv

@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gtx.aggregators import (
-    Method,
-    aggregate,
-    aggregate_gtx,
-    aggregate_mv,
-    aggregate_sv,
-    aggregate_wmv,
-)
+from gtx.aggregators import Method, aggregate
 from gtx.errors import EmptyLabelSet, MissingEstimate
 from gtx.model import LabelerEstimate, LabelRecord, posterior
 
@@ -28,44 +21,44 @@ def est(accuracies):
 
 class TestMajorityVote:
     def test_two_to_one(self):
-        agg = aggregate_mv([rec(0, 1), rec(1, 1), rec(2, 0)])
+        agg = aggregate(Method.MV, [rec(0, 1), rec(1, 1), rec(2, 0)])
         assert agg.label == 1
         assert agg.confidence == pytest.approx(2 / 3, abs=1e-15)
         assert agg.n_labels == 3
 
     def test_tie_goes_to_class_zero(self):
-        agg = aggregate_mv([rec(0, 1), rec(1, 0)])
+        agg = aggregate(Method.MV, [rec(0, 1), rec(1, 0)])
         assert agg.label == 0
         assert agg.confidence == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyLabelSet):
-            aggregate_mv([])
+            aggregate(Method.MV, [])
 
 
 class TestWeightedMajority:
     def test_accuracy_mass_splits_the_vote(self):
         # votes (1, 1, 0) at accuracies (0.9, 0.6, 0.8):
         # class-1 mass 1.5 of 2.3 total
-        agg = aggregate_wmv([rec(0, 1), rec(1, 1), rec(2, 0)], est([0.9, 0.6, 0.8]))
+        agg = aggregate(Method.WMV, [rec(0, 1), rec(1, 1), rec(2, 0)], est([0.9, 0.6, 0.8]))
         assert agg.label == 1
         assert agg.confidence == pytest.approx(1.5 / 2.3, abs=1e-12)
         assert agg.soft_p1 == pytest.approx(1.5 / 2.3, abs=1e-12)
 
     def test_heavy_minority_outweighs_majority(self):
-        agg = aggregate_wmv([rec(0, 1), rec(1, 0), rec(2, 0)], est([0.95, 0.51, 0.4]))
+        agg = aggregate(Method.WMV, [rec(0, 1), rec(1, 0), rec(2, 0)], est([0.95, 0.51, 0.4]))
         assert agg.label == 1
 
     def test_missing_estimate(self):
         with pytest.raises(MissingEstimate):
-            aggregate_wmv([rec(0, 1)], {})
+            aggregate(Method.WMV, [rec(0, 1)], {})
 
 
 class TestShareVote:
     def test_each_voter_splits_its_accuracy(self):
         # votes (1, 0) at accuracies (0.9, 0.6): class-1 mass 0.9 + 0.4 = 1.3
         # of 2 voters
-        agg = aggregate_sv([rec(0, 1), rec(1, 0)], est([0.9, 0.6]))
+        agg = aggregate(Method.SV, [rec(0, 1), rec(1, 0)], est([0.9, 0.6]))
         assert agg.label == 1
         assert agg.confidence == pytest.approx(0.65, abs=1e-12)
 
@@ -73,7 +66,7 @@ class TestShareVote:
         # class masses always sum to the voter count
         labels = [rec(i, v) for i, v in enumerate([1, 0, 1, 1, 0])]
         accs = [0.55, 0.95, 0.7, 0.62, 0.88]
-        agg = aggregate_sv(labels, est(accs))
+        agg = aggregate(Method.SV, labels, est(accs))
         _, conf = share_vote([r.value for r in labels], accs)
         assert agg.confidence == pytest.approx(conf, abs=1e-12)
 
@@ -82,13 +75,13 @@ class TestNaiveBayesAggregate:
     def test_matches_posterior(self):
         labels = [rec(0, 1), rec(1, 0)]
         estimates = est([0.9, 0.7])
-        agg = aggregate_gtx(labels, estimates)
+        agg = aggregate(Method.GTX, labels, estimates)
         post = posterior(labels, estimates)
         assert agg.soft_p1 == post.p1
         assert agg.confidence == max(post.p0, post.p1)
 
     def test_single_vote(self):
-        agg = aggregate_gtx([rec(0, 0)], est([0.8]))
+        agg = aggregate(Method.GTX, [rec(0, 0)], est([0.8]))
         assert agg.label == 0
         assert agg.confidence == pytest.approx(0.8, abs=1e-12)
 
@@ -97,14 +90,9 @@ class TestDispatch:
     def test_by_method(self):
         labels = [rec(0, 1), rec(1, 1), rec(2, 0)]
         estimates = est([0.9, 0.6, 0.8])
-        for method, direct in [
-            (Method.MV, aggregate_mv(labels)),
-            (Method.WMV, aggregate_wmv(labels, estimates)),
-            (Method.SV, aggregate_sv(labels, estimates)),
-            (Method.GTX, aggregate_gtx(labels, estimates)),
-        ]:
+        for method in Method:
             via = aggregate(method, labels, estimates)
-            assert via == direct
+            assert via == aggregate(method.value, labels, estimates)
             assert via.method == method
 
     def test_estimates_required_except_mv(self):
@@ -131,7 +119,7 @@ class TestAgainstOracles:
     def test_mv(self, votes):
         values, accs = votes
         labels = [rec(i, v) for i, v in enumerate(values)]
-        agg = aggregate_mv(labels)
+        agg = aggregate(Method.MV, labels)
         label, conf = majority(values)
         assert agg.label == label
         assert agg.confidence == pytest.approx(conf, abs=1e-12)
@@ -141,7 +129,7 @@ class TestAgainstOracles:
         values, accs = votes
         clamped = [LabelerEstimate(i, a).accuracy for i, a in enumerate(accs)]
         labels = [rec(i, v) for i, v in enumerate(values)]
-        agg = aggregate_wmv(labels, est(accs))
+        agg = aggregate(Method.WMV, labels, est(accs))
         label, conf = weighted_share(values, clamped)
         assert agg.label == label
         assert agg.confidence == pytest.approx(conf, abs=1e-12)
@@ -151,7 +139,7 @@ class TestAgainstOracles:
         values, accs = votes
         clamped = [LabelerEstimate(i, a).accuracy for i, a in enumerate(accs)]
         labels = [rec(i, v) for i, v in enumerate(values)]
-        agg = aggregate_sv(labels, est(accs))
+        agg = aggregate(Method.SV, labels, est(accs))
         label, conf = share_vote(values, clamped)
         assert agg.label == label
         assert agg.confidence == pytest.approx(conf, abs=1e-12)
@@ -164,7 +152,7 @@ class TestAgainstOracles:
         if abs(margin) < 1e-9:
             return
         labels = [rec(i, v) for i, v in enumerate(values)]
-        agg = aggregate_gtx(labels, est(accs))
+        agg = aggregate(Method.GTX, labels, est(accs))
         assert agg.label == (1 if margin > 0 else 0)
 
     @given(
@@ -176,4 +164,4 @@ class TestAgainstOracles:
             return  # exact ties depend on float summation order
         labels = [rec(i, v) for i, v in enumerate(values)]
         estimates = est([acc] * len(values))
-        assert aggregate_gtx(labels, estimates).label == aggregate_mv(labels).label
+        assert aggregate(Method.GTX, labels, estimates).label == aggregate(Method.MV, labels).label

@@ -2,11 +2,16 @@ import contextlib
 import io
 import json
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import gtx
 import gtx.experiments
 from gtx.cli import main
 from gtx.io import write_label_records
@@ -50,11 +55,12 @@ class TestExperimentCommands:
         err = capsys.readouterr().err
         assert "trial 2/2" in err
 
-    def test_pareto_uses_same_cells(self, tmp_path, threshold_config):
+    def test_pareto_command_is_gone(self, tmp_path, threshold_config):
+        # `threshold` is the one sweep command; `pareto` was its alias
         out = tmp_path / "out"
         code = main(["pareto", "--config", str(threshold_config), "--out", str(out)])
-        assert code == 0
-        assert (out / "curve.csv").exists()
+        assert code == 1
+        assert not out.exists()
 
     def test_uncertainty_success(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -232,6 +238,40 @@ class TestAssessCommand:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert field in err and "Traceback" not in err
+
+
+_MEMORY_CAP = 1 << 30  # address space of the capped CLI process, in bytes
+
+
+def _capped_cli(tmp_path, config):
+    """Run ``gtx threshold`` on ``config`` in a child process whose address
+    space is capped, so an oversized allocation fails there at once instead
+    of taking memory from the test run."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(gtx.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "gtx.cli", "threshold", "--config", str(cfg),
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (_MEMORY_CAP,) * 2),
+    )
+
+
+class TestOversizedConfigs:
+    def test_huge_kappa_exits_one_with_one_line(self, tmp_path):
+        run = _capped_cli(tmp_path, {"strategy": "threshold", "kappa": 10**12})
+        assert run.returncode == 1
+        assert run.stderr.count("\n") == 1 and run.stderr.startswith("error: ")
+        assert "kappa (1000000000000) exceeds n_labelers (10)" in run.stderr
+
+    def test_run_too_large_for_memory_exits_two_with_one_line(self, tmp_path):
+        run = _capped_cli(tmp_path, {"strategy": "threshold", "n_examples": 10**12})
+        assert run.returncode == 2
+        assert run.stderr.count("\n") == 1 and run.stderr.startswith("error: ")
+        assert "Unable to allocate" in run.stderr and "Traceback" not in run.stderr
 
 
 @st.composite

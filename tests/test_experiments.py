@@ -228,7 +228,6 @@ class TestWriteResults:
         assert names == [
             "aggregates.csv",
             "best_cells.csv",
-            "curve.csv",
             "events_gtx.jsonl",
             "events_mv.jsonl",
             "events_sv.jsonl",

@@ -24,7 +24,6 @@ GOLDEN = {
     ("threshold", "accurate"): {
         "aggregates.csv": "e76d30e030618dff9f0103cea603c6369293e5cfde86a61dbd82c46be4f38474",
         "best_cells.csv": "af15f737c5a19ca3b3a851f719ea4cd6f580ca212d0bacc3acb9fa2d0d638701",
-        "curve.csv": "db5dee53c1e457f297f19a7a3c8b763965ffc2af3bcdef7f2adeacd8d88cc1fa",
         "events_gtx.jsonl": "0ebb50c6122effffdada203a747b6da31ab3cf07023ca50e41be6d85e2c81763",
         "events_mv.jsonl": "de2c834b159497729057d687ecfb05fbcbe059600e0bf87e26767a150c9d0691",
         "events_sv.jsonl": "364875de54528ff18481547e5c1fcdb1a224aae998fed832b36cfa63f922d894",
@@ -35,7 +34,6 @@ GOLDEN = {
     ("threshold", "noisy"): {
         "aggregates.csv": "4e30898208fc9126dbf295769276477c5362ef7f9470fd8f498704977850fa9f",
         "best_cells.csv": "d45d9e8ce7527b35ee0e5faedc12c2865a3afcb55b9ba1b0b5a92a6ce94255bb",
-        "curve.csv": "5fddf4045f5d4945197cbefed2c9d5249ad53c4d7c28564a8ca1114399bf1a99",
         "events_gtx.jsonl": "73ff7f5ab55dd3f5ceba17205c3793fe93548c99098d34037fc1c78d52b06a5c",
         "events_mv.jsonl": "0d88e647c27dbacf38dc9ebf370efb95a5593dae73fdca18cf1cbad200fa47ba",
         "events_sv.jsonl": "c41c26f882dd02a2c8a7b985637341567c2119dd933d23dbf6d4c57d64aa86ab",

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from gtx.aggregators import Method
 from gtx.errors import AlreadyLabeled, ConfigError, GtxError
 from gtx.io import (
-    _CSV_CHUNK,
+    _ALLOWED_KEYS,
+    _CHUNK,
     DEFAULT_TAU_GRID,
+    ExperimentConfig,
     config_from_dict,
     fmt,
     load_config,
@@ -21,7 +23,7 @@ from gtx.io import (
 )
 from gtx.model import LabelRecord
 from gtx.strategies import LabelEvent
-from support import json_lines
+from support import json_lines, json_values
 
 
 class TestConfigDefaults:
@@ -113,6 +115,52 @@ class TestConfigValidation:
     def test_bool_is_not_an_int(self):
         with pytest.raises(ConfigError, match="trials"):
             config_from_dict({"strategy": "threshold", "trials": True})
+
+
+_int18 = st.integers(-(10**18), 10**18)
+_methods = st.sampled_from([m.value for m in Method])
+# values near each key's valid form (sizes up to 1e18), so that draws get
+# past the early checks and reach the defaults and the final construction
+_near = {
+    "strategy": st.sampled_from(["threshold", "uncertainty"]),
+    "method": _methods,
+    "methods": st.lists(_methods, max_size=4),
+    "tau_grid": st.lists(st.floats(0.5, 1.0), min_size=1, max_size=4),
+    "fixed_counts": st.lists(st.integers(1, 10**18), min_size=1, max_size=4),
+    "accuracy_interval": st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+    "oracle_accuracy": st.booleans(),
+}
+_near_configs = st.fixed_dictionaries({"strategy": _near["strategy"]}, optional={
+    key: _near.get(key, st.integers(0, 10**18)) for key in sorted(_ALLOWED_KEYS - {"strategy"})
+})
+# any JSON value, or any integer up to +-1e18, on every key, unknown ones too
+_any_configs = st.fixed_dictionaries({}, optional={
+    key: st.one_of(_near.get(key, _int18), _int18, json_values)
+    for key in sorted(_ALLOWED_KEYS | {"extra"})
+})
+_fuzz_configs = _near_configs | _any_configs
+
+
+class TestConfigFuzz:
+    @given(_fuzz_configs)
+    @example({"strategy": "threshold", "kappa": 10**12})
+    @example({"strategy": "threshold", "kappa": 10**18, "n_labelers": 10**18})
+    @example({"strategy": "uncertainty", "n_examples": 10**18, "budget": 10**18})
+    def test_config_or_config_error(self, raw):
+        try:
+            cfg = config_from_dict(raw)
+        except ConfigError as exc:
+            assert "\n" not in str(exc)
+            return
+        assert isinstance(cfg, ExperimentConfig)
+        assert config_from_dict(cfg.as_dict()) == cfg
+
+    def test_huge_kappa_is_rejected_before_its_default_counts(self):
+        raw = {"strategy": "threshold", "kappa": 10**18, "n_labelers": 10**18}
+        with pytest.raises(ConfigError, match="list fixed_counts"):
+            config_from_dict(raw)
+        cfg = config_from_dict({**raw, "fixed_counts": [1, 10**18]})
+        assert cfg.fixed_counts == (1, 10**18)
 
 
 class TestLoadConfig(object):
@@ -209,6 +257,17 @@ def _dict_line(row) -> str:
 _ids = st.one_of(st.text(), st.integers())
 
 
+def _event_dict_lines(events, method) -> str:
+    rows = []
+    for ev in events:
+        row = {"example_id": ev.example_id, "labeler_id": ev.labeler_id,
+               "step": ev.step, "value": ev.value, "confidence": ev.confidence}
+        if method is not None:
+            row["method"] = str(method)
+        rows.append(_dict_line(row))
+    return "".join(rows)
+
+
 @st.composite
 def _labeled(draw):
     """Records with distinct (example, labeler) pairs and increasing steps."""
@@ -238,17 +297,24 @@ class TestJsonlEncoding:
         st.one_of(st.none(), st.sampled_from(list(Method)), st.text()),
     )
     @example([LabelEvent(1, 0, "a", 1, 0.5)], "100%s")  # a method the template must escape
+    @example([LabelEvent(1, 0, 0, 1, float("nan"))], None)  # json's NaN, not %s's nan
     def test_event_log_matches_dict_form(self, tmp_path_factory, events, method):
         p = tmp_path_factory.getbasetemp() / "events.jsonl"
         write_event_log(p, events, method)
-        expected = ""
-        for ev in events:
-            row = {"example_id": ev.example_id, "labeler_id": ev.labeler_id,
-                   "step": ev.step, "value": ev.value, "confidence": ev.confidence}
-            if method is not None:
-                row["method"] = str(method)
-            expected += _dict_line(row)
-        assert p.read_bytes() == expected.encode("utf-8")
+        assert p.read_bytes() == _event_dict_lines(events, method).encode("utf-8")
+
+    @pytest.mark.parametrize("field, odd", [
+        ("confidence", float("nan")), ("confidence", float("-inf")),
+        ("labeler_id", "w7"), ("value", True),
+    ])
+    def test_one_odd_cell_in_the_middle_chunk(self, tmp_path, field, odd):
+        # chunks 1 and 3 are plain ints and finite floats; chunk 2 is not
+        events = [LabelEvent(i + 1, i // 3, i % 3, i % 2, 0.5 + i / 7919)
+                  for i in range(2 * _CHUNK + 5)]
+        events[_CHUNK + 3] = events[_CHUNK + 3]._replace(**{field: odd})
+        p = tmp_path / "events.jsonl"
+        write_event_log(p, events, Method.GTX)
+        assert p.read_bytes() == _event_dict_lines(events, Method.GTX).encode("utf-8")
 
     @given(_labeled())
     def test_label_records_round_trip(self, tmp_path_factory, labeled):
@@ -310,7 +376,7 @@ def _csv_rows(draw):
         st.lists(cells, min_size=width, max_size=width), st.lists(cells, max_size=5)
     )
     block = draw(st.lists(row, min_size=1, max_size=4))
-    copies = draw(st.sampled_from([1, _CSV_CHUNK // len(block) + 1]))
+    copies = draw(st.sampled_from([1, _CHUNK // len(block) + 1]))
     tail = draw(st.lists(row, max_size=3))
     return [f"h{i}" for i in range(width)], block * copies + tail
 
@@ -334,8 +400,8 @@ class TestCsvWriter:
         assert fmt(None) == ""
 
     @given(_csv_rows())
-    @example((["x", "y"], [[0.1, 2]] * _CSV_CHUNK + [[None, True]]))
-    @example(([], [[]] * (_CSV_CHUNK + 1)))
+    @example((["x", "y"], [[0.1, 2]] * _CHUNK + [[None, True]]))
+    @example(([], [[]] * (_CHUNK + 1)))
     def test_bytes_equal_per_cell_fmt(self, tmp_path_factory, csv_rows):
         header, rows = csv_rows
         p = tmp_path_factory.getbasetemp() / "cells.csv"

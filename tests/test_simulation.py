@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from gtx.errors import ConfigError, LabelersExhausted
+from gtx.errors import ConfigError
 from gtx.simulation import (
     SimConfig,
     SimDataset,
     SimLabeler,
     UniformStream,
     draw_assessment,
-    elicit_label,
     init_simulation,
-    select_labeler,
 )
 
+from oracles import LabelersExhausted, elicit_label, select_labeler
 from support import Script
 
 

@@ -4,7 +4,7 @@ import pytest
 from gtx.aggregators import Method, aggregate
 from gtx.errors import ConfigError
 from gtx.model import ClassPrior, LabelRecord
-from gtx.simulation import SimConfig, UniformStream, elicit_label, init_simulation, select_labeler
+from gtx.simulation import SimConfig, UniformStream, init_simulation
 from gtx.strategies import (
     BudgetLedger,
     ThresholdConfig,
@@ -12,6 +12,7 @@ from gtx.strategies import (
     run_uncertainty_sampling,
 )
 
+from oracles import elicit_label, select_labeler
 from support import FIRST, RIGHT, WRONG, Script, make_dataset, make_estimates, make_labelers
 
 
@@ -413,8 +414,8 @@ class TestReplayAgainstPublicApi:
                 method=Method.GTX,
                 rng=np.random.default_rng(seed),
             )
-        # replaying the event sequence through the public one-step
-        # operations with the same stream must reproduce every pick
+        # replaying the event sequence through the one-step oracles of
+        # tests/oracles.py with the same stream must reproduce every pick
         stream = UniformStream(np.random.default_rng(seed))
         used = {}
         truth = ds.true_labels.tolist()
