@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -191,6 +192,15 @@ def _uncertainty_trial(trial, config, master_seed):
     return reports, dynamics, (outcomes, truth) if trial == 0 else None
 
 
+# Most trials in one task for a worker process.  With two tasks per worker
+# in flight, what is queued does not grow with the trial count.
+_MAX_CHUNK = 16
+
+
+def _trial_span(worker, start: int, stop: int) -> list:
+    return [worker(t) for t in range(start, stop)]
+
+
 def _map_trials(worker, trials: int, workers: int, progress=None):
     def collect(results):
         done = []
@@ -202,10 +212,21 @@ def _map_trials(worker, trials: int, workers: int, progress=None):
 
     if workers <= 1:
         return collect(map(worker, range(trials)))
-    chunk = max(1, trials // (workers * 4))
+    chunk = max(1, min(trials // (workers * 4), _MAX_CHUNK))
+    spans = ((a, min(a + chunk, trials)) for a in range(0, trials, chunk))
+
+    def in_order(pool):
+        flight = deque(pool.submit(_trial_span, worker, *span)
+                       for span in itertools.islice(spans, 2 * workers))
+        while flight:
+            results = flight.popleft().result()
+            for span in itertools.islice(spans, 1):
+                flight.append(pool.submit(_trial_span, worker, *span))
+            yield from results
+
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return collect(pool.map(worker, range(trials), chunksize=chunk))
+            return collect(in_order(pool))
     except BrokenProcessPool as exc:
         raise GtxError(f"a worker process died: {exc}") from exc
 

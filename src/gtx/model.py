@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
+import numpy as np
+
 from .errors import DuplicateLabeler, MissingEstimate
 
 __all__ = [
@@ -121,7 +123,9 @@ class LabelerEstimate:
     @cached_property
     def increments(self) -> tuple:
         """``((s0, s1) for a vote of 0, (s0, s1) for a vote of 1)`` under each
-        rule, indexed by ``Method.code``; computed once per estimate."""
+        rule, indexed by ``Method.code``; computed once per estimate.  A vote
+        of 1 adds the pair of a vote of 0 swapped, which lets the threshold
+        engine follow both truths of an example with one pair of sums."""
         a = self.accuracy
         lw = self.log_weight
         lc = self.log_counterweight
@@ -257,10 +261,12 @@ def accumulate(method: Method, labels: list, estimates) -> tuple[float, float]:
 
 class Kernel(NamedTuple):
     """One rule's finalizer and, for the rules that can stop at a confidence
-    threshold, the factory of its stop test."""
+    threshold, the factory of its stop test.  The stop test takes float64
+    arrays of accumulators (one entry per run state) and the vote count they
+    share, and returns a bool array."""
 
     finalize: Callable  # (s0, s1, k) -> (label, confidence, soft_p1)
-    stop: Callable | None  # tau -> ((s0, s1, k) -> bool); None: counts only
+    stop: Callable | None  # tau -> ((s0, s1, k) -> bool array); None: counts only
 
 
 def _share_finalize(s0, s1, k):
@@ -272,8 +278,7 @@ def _share_finalize(s0, s1, k):
 
 def _share_stop(tau):
     def reached(s0, s1, k):
-        m0 = k - s1
-        return (s1 if s1 >= m0 else m0) / k >= tau
+        return np.maximum(s1, k - s1) / k >= tau
 
     return reached
 
@@ -299,8 +304,7 @@ def _gtx_kernel(prior: ClassPrior) -> Kernel:
         dprior = lp1 - lp0
 
         def reached(s0, s1, k):
-            d = dprior + s1 - s0
-            return d >= thr or -d >= thr
+            return abs(dprior + s1 - s0) >= thr
 
         return reached
 

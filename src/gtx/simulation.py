@@ -9,7 +9,9 @@ seed.  The documented draw order for one simulated trial is:
 4. assessment responses (one uniform per labeler per item, labelers in id
    order, items in assessment order),
 5. collection draws (two uniforms per collected label: labeler selection,
-   then correctness).
+   then correctness).  Label j of a collection run uses draws 2j and
+   2j + 1.  The uncertainty engine takes exactly two draws per label; the
+   threshold engine takes them in blocks and may draw past its last label.
 
 Steps 1-4 use the trial's environment stream; step 5 uses a separate
 collection stream so that different collection cells can share one
@@ -103,8 +105,10 @@ class UniformStream:
 
     Behaves like ``rng.random()`` per call (same underlying bit stream,
     consumed in blocks, as plain Python floats) but with far less per-call
-    overhead.  The strategy engines consume collection draws through this
-    wrapper.
+    overhead, and like ``rng.random(n)`` through ``take``.  The uncertainty
+    engine takes collection draws one at a time through ``random``; the
+    threshold engine takes blocks through ``take`` (or straight from a
+    Generator).
     """
 
     __slots__ = ("_rng", "_buf", "_pos")
@@ -125,6 +129,15 @@ class UniformStream:
             pos = 0
         self._pos = pos + 1
         return buf[pos]
+
+    def take(self, n: int) -> np.ndarray:
+        """The next ``n`` draws as a float64 array, continuing the stream."""
+        pos = self._pos
+        head = self._buf[pos:pos + n]
+        self._pos = pos + len(head)
+        if len(head) == n:
+            return np.array(head, dtype=float)
+        return np.concatenate((head, self._rng.random(n - len(head))))
 
 
 def init_simulation(config: SimConfig, rng) -> tuple[SimDataset, list[SimLabeler]]:

@@ -24,9 +24,16 @@ floating point; SV stops on its winning share.
 
 Each label takes two uniform draws: selection indexes the ascending list of
 unused labeler ids, then correctness is compared against the labeler's true
-accuracy.  The engines consume them through a block-buffered
-:class:`gtx.simulation.UniformStream`; the one-label select and elicit
-oracles in ``tests/oracles.py`` are the spec they replay exactly.
+accuracy.  Label j of a run uses draws 2j and 2j + 1, whichever example it
+goes to.  The uncertainty engine takes them one at a time from a
+block-buffered :class:`gtx.simulation.UniformStream`.  The threshold engine
+takes them in blocks for a window of start offsets at a time: it simulates
+in numpy the labels an example starting at each offset would take, under
+both truths, then chains the real example starts through the window and
+closes each example with the kernel's scalar finalizer.  The one-label
+select and elicit oracles in ``tests/oracles.py`` are the spec both engines
+replay exactly, and the one-label-at-a-time threshold loop there is the
+reference the threshold engine equals bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +41,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Hashable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .aggregators import AggregateLabel, Method
 from .errors import ConfigError
@@ -183,6 +193,89 @@ def _check_budget(budget) -> int:
     return int(budget)
 
 
+# A threshold window simulates _WINDOW // kmax start offsets, and at most
+# _MAX_OFFSETS: its arrays hold about _WINDOW labels, and its Python
+# temporaries one number per offset.
+_WINDOW = 20480
+_MAX_OFFSETS = 1024
+
+
+def _simulate_offsets(u, m, stride, kmax, acc, tab, reached, room, record):
+    """Collect labels from each of ``m`` start offsets ``stride`` labels
+    apart, under both truths at once.
+
+    ``u`` holds two draws per label from the first offset on: label t of
+    offset p (the offset ``stride * p`` labels in) picks with ``u[2l]`` and
+    is right when ``u[2l + 1]`` is below the labeler's accuracy, where
+    ``l = stride * p + t``, so every offset is simulated on its own.  An
+    offset takes at most ``kmax`` labels, and at most ``room - stride * p``.
+    ``tab[:, 2 * pos + right]`` is the increment pair of a vote from pool
+    position pos on an example of truth 0; under truth 1 the same draws give
+    the swapped pair (see ``LabelerEstimate.increments``), so one pair of
+    accumulators serves both truths.
+
+    Returns ``k[y, p]``, the labels offset p takes under truth y, and
+    ``hist[t, y, p]``, its accumulator s0 under truth y after label t (s1
+    is ``hist[t, 1 - y, p]``), valid for t < k[y, p].  With
+    ``record`` it also returns each label's pool position and correctness
+    as ``(kmax, m)`` arrays.  Offsets stopped under both truths leave the
+    working arrays once they are half of them.
+    """
+    L = len(acc)
+    b = 2 * u.itemsize  # one label's draws
+    sel, cor = (np.ndarray((kmax, m), float, u, j * u.itemsize, (b, b * stride))
+                for j in (0, 1))
+    # label t picks the int(u * (L - t))-th unused position
+    rank = (sel * np.arange(L, L - kmax, -1, dtype=float)[:, None]).astype(np.intp)
+    act = np.arange(m)  # window offsets still collecting under some truth
+    flat = None  # once offsets leave: the flat index of act in a (2, m) array
+    k = np.zeros((2, m), np.intp)
+    full_k = k
+    s = np.zeros((2, m))
+    alive = np.ones((2, m), bool)
+    hist = np.empty((kmax, 2, m))
+    picked = (np.zeros((kmax, m), np.intp), np.zeros((kmax, m), bool)) if record else None
+    picks = []  # picks[j]: the (j+1)-th smallest position each offset used
+
+    for t in range(kmax):
+        c = rank[t]
+        for q in picks:
+            c += q <= c
+        right = cor[t] < acc[c]
+        d = tab.take(2 * c + right, axis=1)
+        if flat is None:
+            s = np.add(s, d, out=hist[t])
+        else:
+            s = s + d
+            hist[t].reshape(-1)[flat] = s.reshape(-1)
+        k += alive
+        if record:
+            picked[0][t, act], picked[1][t, act] = c, right
+        if reached is not None:
+            alive &= ~reached(s, s[::-1], t + 1)
+        if t + 1 == kmax:
+            break
+        if room - t - 1 < stride * m:  # the offset whose next label is over budget
+            alive &= stride * act != room - t - 1
+        keep = alive[0] | alive[1]
+        n_keep = np.count_nonzero(keep)
+        if 2 * n_keep <= len(act):
+            if flat is not None:
+                full_k.reshape(-1)[flat] = k.reshape(-1)
+            if not n_keep:
+                break
+            kept = keep.nonzero()[0]
+            act, c, picks = act[kept], c[kept], [q[kept] for q in picks]
+            flat = np.concatenate((act, act + m))
+            rank, cor, k, s, alive = (x.take(kept, axis=1) for x in (rank, cor, k, s, alive))
+        for j, q in enumerate(picks):  # insert c, keeping picks sorted
+            picks[j], c = np.minimum(q, c), np.maximum(q, c)
+        picks.append(c)
+    if flat is not None:
+        full_k.reshape(-1)[flat] = k.reshape(-1)
+    return full_k, hist, picked
+
+
 def run_confidence_threshold(
     dataset: SimDataset,
     labelers: Sequence[SimLabeler],
@@ -200,7 +293,13 @@ def run_confidence_threshold(
     Examples are visited in ascending id order; the run ends when the budget
     is spent or the dataset is exhausted.  At most the final example is cut
     mid-collection, and its partial labels are kept.  ``rng`` may be a numpy
-    Generator or an already-positioned UniformStream.
+    Generator or an already-positioned UniformStream; the run may take draws
+    past its last label.
+
+    Label j of the run uses draws 2j and 2j + 1 whichever example it goes
+    to, so the labels an example would take from each start offset are
+    simulated in numpy for a window of offsets at a time, and the real
+    example starts are then chained through them.
     """
     method = Method(method)
     budget = _check_budget(budget)
@@ -209,46 +308,86 @@ def run_confidence_threshold(
     if config.kappa > L:
         raise ConfigError(f"kappa ({config.kappa}) exceeds pool size ({L})")
     finalize, stop = kernel(method, prior)
-    c_stop = config.fixed_count
-    if c_stop is None and stop is None:
-        raise ConfigError(
-            f"{method} reaches confidence 1.0 after one label; "
-            "use fixed_count instead of tau"
-        )
-    reached = None if c_stop is not None else stop(config.tau)
+    kmax, reached = config.fixed_count, None
+    if kmax is None:
+        if stop is None:
+            raise ConfigError(
+                f"{method} reaches confidence 1.0 after one label; "
+                "use fixed_count instead of tau"
+            )
+        kmax, reached = config.kappa, stop(config.tau)
     inc = increment_table(method, ids, estimates)
-    acc_true = [lab.accuracy for lab in pool]
-    kap = config.kappa
-    rand = (rng if isinstance(rng, UniformStream) else UniformStream(rng)).random
-    truth = dataset.true_labels.tolist()
+    acc = np.array([lab.accuracy for lab in pool])
+    # a right vote on an example of truth 0 is 0
+    tab = np.array([[inc[pos][1 - right][j] for pos in range(L) for right in (0, 1)]
+                    for j in (0, 1)], dtype=float)
+    take = rng.take if isinstance(rng, UniformStream) else rng.random
+    truth = dataset.true_labels
+    ys = truth.tolist()
+    n = dataset.n_examples
+    width = max(1, min(_MAX_OFFSETS, _WINDOW // kmax))
+    # Examples start every kmax labels while each takes kmax, as under a
+    # fixed count, so a window then simulates only every kmax-th offset.  A
+    # tau window does so after a window whose examples all took kmax, and
+    # ends early at a start it skipped.
+    stride = 1 if reached is not None else kmax
 
     events = [] if record_events else None
     finals, ks = [], []
-    spent = 0
-
-    for i in range(dataset.n_examples):
-        if spent >= budget:
-            break
-        yi = truth[i]
-        unused = list(range(L))
-        k = 0
-        s0 = s1 = 0.0
-        while spent < budget:
-            pos = unused.pop(int(rand() * len(unused)))
-            v = yi if rand() < acc_true[pos] else 1 - yi
-            d0, d1 = inc[pos][v]
-            s0 += d0
-            s1 += d1
-            k += 1
-            spent += 1
-            if events is not None:
-                conf_now = finalize(s0, s1, k)[1]
-                events.append(LabelEvent(spent, i, ids[pos], v, conf_now))
-            if k == kap or k == c_stop or (reached is not None and reached(s0, s1, k)):
+    i = o = 0  # the next example and the offset of its first label
+    u, got = np.empty(0), 0  # the draws of labels o.., all draws taken
+    while i < n and o < budget:
+        end = min(o + stride * width, o + (n - i) * kmax, budget)  # offsets o..end-1
+        m = -((o - end) // stride)
+        span = stride * (m - 1) + kmax  # the labels the window reads
+        if len(u) < 2 * span:
+            # draws for labels up to the budget; zeros after it are never kept
+            new = take(max(0, 2 * min(span, budget - o) - len(u)))
+            got += len(new)
+            u = np.concatenate((u, new, np.zeros(2 * span - len(u) - len(new))))
+        k, hist, picked = _simulate_offsets(
+            u, m, stride, kmax, acc, tab, reached, budget - o, record_events
+        )
+        k0, k1 = k.tolist()
+        w0, i0, starts = o, i, []
+        while i < n and o < end:
+            p, skipped = divmod(o - w0, stride)
+            if skipped:
                 break
-        finals.append(finalize(s0, s1, k))
-        ks.append(k)
-    return _outcome(method, budget, spent, finals, ks, event_log=events)
+            starts.append(p)
+            o += (k1 if ys[i] else k0)[p]
+            i += 1
+        # close the examples that start in this window
+        y = truth[i0:i]
+        kk = k[y, starts]
+        sums = hist[kk - 1, y, starts].tolist(), hist[kk - 1, 1 - y, starts].tolist()
+        kk = kk.tolist()
+        finals += map(finalize, *sums, kk)
+        ks += kk
+        if record_events:
+            events += _window_events(w0, stride, i0, starts, kk, y, hist, picked, ids, finalize)
+        if reached is not None:
+            stride = kmax if min(kk) == kmax else 1
+        u = u[2 * (o - w0):]
+    if o > got // 2:
+        raise ValueError(f"the draw stream ended after {got} draws; {o} labels need {2 * o}")
+    return _outcome(method, budget, o, finals, ks, event_log=events)
+
+
+def _window_events(w0, stride, i0, starts, ks, y, hist, picked, ids, finalize):
+    """The events of the examples that start in one window."""
+    # one row per label: its example's offset and truth, and its index t
+    p = np.repeat(starts, ks)
+    t = np.arange(len(p)) - np.repeat(np.cumsum(ks) - ks, ks)
+    y = np.repeat(y, ks)
+    pos, right = (x[t, p] for x in picked)
+    sums = hist[t, y, p].tolist(), hist[t, 1 - y, p].tolist()
+    confs = [f[1] for f in map(finalize, *sums, (t + 1).tolist())]
+    # each example's id is one int object for all of its events
+    example = [i for i, n in zip(range(i0, i0 + len(ks)), ks) for _ in range(n)]
+    fields = zip((w0 + stride * p + t + 1).tolist(), example, map(ids.__getitem__, pos.tolist()),
+                 np.where(right, y, 1 - y).tolist(), confs)
+    return map(tuple.__new__, repeat(LabelEvent), fields)
 
 
 def run_uncertainty_sampling(

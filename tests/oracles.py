@@ -3,12 +3,16 @@
 Everything here is deliberately naive: plain probability space, no logs, no
 incremental state.  If the package and these functions agree, the clever
 versions earn their keep.  ``select_labeler`` and ``elicit_label`` are the
-spec of one collected label that both collection engines replay exactly.
+spec of one collected label that both collection engines replay exactly,
+and ``confidence_threshold`` is the one-label-at-a-time loop that the
+offset-parallel threshold engine must equal bit for bit.
 """
 
 import math
 
-from gtx.model import LabelRecord
+from gtx.model import LabelRecord, Method, increment_table, kernel, log_odds
+from gtx.simulation import UniformStream
+from gtx.strategies import BudgetLedger, CollectionOutcome, LabelEvent
 
 
 def bayes_posterior(values, accuracies, p0=0.5, p1=0.5):
@@ -88,3 +92,72 @@ def elicit_label(labeler, example_id, true_label, rng):
     correct = rng.random() < labeler.accuracy
     value = true_label if correct else 1 - true_label
     return LabelRecord(example_id=example_id, labeler_id=labeler.labeler_id, value=value)
+
+
+def _reached(method, prior, tau):
+    """The scalar tau stop test of sv and gtx; None for mv and wmv."""
+    if method is Method.SV:
+        def reached(s0, s1, k):
+            m0 = k - s1
+            return (s1 if s1 >= m0 else m0) / k >= tau
+        return reached
+    if method is Method.GTX:
+        lp0, lp1 = prior.logs
+        dprior = lp1 - lp0
+        thr = math.inf if tau == 1.0 else log_odds(tau)
+
+        def reached(s0, s1, k):
+            d = dprior + s1 - s0
+            return d >= thr or -d >= thr
+        return reached
+    return None
+
+
+def confidence_threshold(dataset, labelers, estimates, config, budget, method,
+                         rng, prior, record_events=True):
+    """The confidence-threshold run, one label at a time, for valid inputs.
+
+    Each label pops ``int(u * len(unused))`` from the ascending unused pool
+    positions, then compares the next draw with the labeler's accuracy.
+    """
+    pool = sorted(labelers, key=lambda lab: lab.labeler_id)
+    ids = [lab.labeler_id for lab in pool]
+    L = len(pool)
+    finalize = kernel(method, prior).finalize
+    c_stop = config.fixed_count
+    reached = None if c_stop is not None else _reached(method, prior, config.tau)
+    inc = increment_table(method, ids, estimates)
+    acc_true = [lab.accuracy for lab in pool]
+    kap = config.kappa
+    rand = (rng if isinstance(rng, UniformStream) else UniformStream(rng)).random
+    truth = dataset.true_labels.tolist()
+
+    events = [] if record_events else None
+    finals, ks = [], []
+    spent = 0
+    for i in range(dataset.n_examples):
+        if spent >= budget:
+            break
+        yi = truth[i]
+        unused = list(range(L))
+        k = 0
+        s0 = s1 = 0.0
+        while spent < budget:
+            pos = unused.pop(int(rand() * len(unused)))
+            v = yi if rand() < acc_true[pos] else 1 - yi
+            d0, d1 = inc[pos][v]
+            s0 += d0
+            s1 += d1
+            k += 1
+            spent += 1
+            if events is not None:
+                events.append(LabelEvent(spent, i, ids[pos], v, finalize(s0, s1, k)[1]))
+            if k == kap or k == c_stop or (reached is not None and reached(s0, s1, k)):
+                break
+        finals.append(finalize(s0, s1, k))
+        ks.append(k)
+    labels, confidences, soft_p1s = ([f[j] for f in finals] for j in range(3))
+    return CollectionOutcome(
+        method, BudgetLedger(budget, spent), list(range(len(finals))), labels,
+        confidences, soft_p1s, ks, event_log=events,
+    )

@@ -15,7 +15,9 @@ class Script(UniformStream):
 
     Lets a test decide exactly which labeler is selected and whether each
     elicited label is correct (draw order per label: selection, then
-    correctness).  Running past the script is a test bug and raises.
+    correctness).  Running past the script is a test bug: ``random`` raises,
+    and ``take`` returns only the draws left, so an engine that keeps a
+    label without both of its draws raises.
     """
 
     def __init__(self, values):
@@ -26,6 +28,11 @@ class Script(UniformStream):
         v = self._vals[self._i]
         self._i += 1
         return v
+
+    def take(self, n):
+        vals = self._vals[self._i:self._i + n]
+        self._i += len(vals)
+        return np.array(vals, dtype=float)
 
     @property
     def consumed(self):

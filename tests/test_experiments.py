@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,30 @@ class TestThresholdExperiment:
         par = run_threshold_experiment(cfg, workers=2)
         assert seq.reports == par.reports
         assert seq.best == par.best
+
+    def test_parallel_progress_comes_before_memory_grows_with_trials(self):
+        # a million trials: submitting them all before the first result
+        # would allocate about 90 MiB of trial indices
+        cfg = tiny_threshold_config(trials=10**6, budget=30, n_examples=20)
+        lines = []
+
+        class Enough(Exception):
+            pass
+
+        def progress(line):
+            lines.append(line)
+            if len(lines) == 3:
+                raise Enough
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(Enough):
+                run_threshold_experiment(cfg, workers=2, progress=progress)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lines == [f"trial {t}/1000000" for t in (1, 2, 3)]
+        assert peak < 2**20
 
     def test_best_cell_minimizes_mean_error(self):
         cfg = tiny_threshold_config()

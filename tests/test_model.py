@@ -64,6 +64,13 @@ class TestLabelerEstimate:
         assert e.log_weight == math.log(0.8)
         assert e.log_counterweight == math.log1p(-0.8)
 
+    @given(st.floats(0, 1))
+    def test_vote_of_one_is_the_swapped_vote_of_zero(self, a):
+        # the threshold engine shares one accumulator pair between the two
+        # truths of an example on this symmetry
+        for code, (zero, one) in enumerate(LabelerEstimate("a", a).increments):
+            assert one == zero[::-1], code
+
 
 class TestClassPrior:
     def test_must_sum_to_one(self):

@@ -138,3 +138,14 @@ class TestUniformStream:
         vals = [stream.random() for _ in range(n)]
         assert len(set(vals)) > n // 2
         assert all(0.0 <= v < 1.0 for v in vals)
+
+    def test_take_continues_the_stream(self):
+        # draws handed out one at a time and in blocks, across a refill,
+        # follow the generator's own sequence
+        stream = UniformStream(np.random.default_rng(3))
+        got = [stream.random() for _ in range(5)]
+        got += stream.take(UniformStream.BLOCK).tolist()
+        got += [stream.random() for _ in range(3)]
+        got += stream.take(7).tolist()
+        want = np.random.default_rng(3).random(UniformStream.BLOCK + 15).tolist()
+        assert got == want

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gtx import strategies
 from gtx.aggregators import Method, aggregate
 from gtx.errors import ConfigError
-from gtx.model import ClassPrior, LabelRecord
-from gtx.simulation import SimConfig, UniformStream, init_simulation
+from gtx.model import ClassPrior, LabelerEstimate, LabelRecord, UNIFORM_PRIOR
+from gtx.simulation import SimConfig, SimLabeler, UniformStream, init_simulation
 from gtx.strategies import (
     BudgetLedger,
     ThresholdConfig,
@@ -12,7 +16,7 @@ from gtx.strategies import (
     run_uncertainty_sampling,
 )
 
-from oracles import elicit_label, select_labeler
+from oracles import confidence_threshold, elicit_label, select_labeler
 from support import FIRST, RIGHT, WRONG, Script, make_dataset, make_estimates, make_labelers
 
 
@@ -191,6 +195,21 @@ class TestThresholdStopping:
         assert out.labels_per_example == [1]
         assert out.labels == [0]
         assert out.confidences[0] == 1.0
+
+    def test_script_one_draw_short_raises(self):
+        # the third label has its selection draw but not its correctness draw
+        ds = make_dataset([1])
+        labelers = make_labelers([0.9, 0.9, 0.9])
+        with pytest.raises(ValueError, match="draw stream ended after 5 draws; 3 labels need 6"):
+            run_confidence_threshold(
+                ds,
+                labelers,
+                make_estimates([0.9, 0.9, 0.9]),
+                ThresholdConfig(tau=0.95, kappa=3),
+                budget=10,
+                method=Method.GTX,
+                rng=Script([FIRST, RIGHT, FIRST, WRONG, FIRST]),
+            )
 
 
 class TestThresholdBudget:
@@ -386,6 +405,79 @@ class TestAgainstAggregators:
             )
             want = aggregate(Method.GTX, prefix[ev.example_id], estimates)
             assert ev.confidence == want.confidence
+
+
+# accuracies on and around the taus, the clamps and the extremes
+_accuracies = st.sampled_from([0.0, 0.3, 0.5, 0.6, 0.8, 0.85, 0.9, 0.95, 0.99, 1.0]) | st.floats(0, 1)
+_priors = st.sampled_from(
+    [UNIFORM_PRIOR, ClassPrior(0.3, 0.7), ClassPrior(0.9, 0.1), ClassPrior(1.0, 0.0), ClassPrior(0.0, 1.0)]
+)
+
+
+@st.composite
+def _threshold_runs(draw):
+    """A dataset, a pool, estimates, a stopping rule, a budget and a seed, with
+    budgets from 0 past what the dataset can take (every pool exhausted)."""
+    n_labelers = draw(st.integers(1, 6))
+    method = draw(st.sampled_from(list(Method)))
+    kappa = draw(st.integers(1, n_labelers))
+    if method in (Method.MV, Method.WMV) or draw(st.booleans()):
+        stopping = ThresholdConfig(tau=None, kappa=kappa, fixed_count=draw(st.integers(1, kappa)))
+    else:
+        tau = draw(st.sampled_from([0.8, 0.9, 0.95, 0.99, 1.0]) | st.floats(0.5, 1.0, exclude_min=True))
+        stopping = ThresholdConfig(tau=tau, kappa=kappa)
+    truth = draw(st.lists(st.integers(0, 1), min_size=1, max_size=120))
+    accs = draw(st.lists(_accuracies, min_size=n_labelers, max_size=n_labelers))
+    ests = draw(st.lists(_accuracies, min_size=n_labelers, max_size=n_labelers))
+    # labeler ids need not be 0..L-1 nor arrive sorted
+    ids = draw(st.permutations(range(0, 3 * n_labelers, 3)))
+    labelers = [SimLabeler(i, a) for i, a in zip(ids, accs)]
+    estimates = {i: LabelerEstimate(i, a) for i, a in zip(ids, ests)}
+    return dict(
+        dataset=make_dataset(truth), labelers=labelers, estimates=estimates, config=stopping,
+        budget=draw(st.integers(0, len(truth) * kappa + 3)), method=method,
+        prior=draw(_priors), seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _outcome_fields(out):
+    return (out.method, out.ledger, out.example_ids, out.labels, out.confidences,
+            out.soft_p1s, out.labels_per_example, out.event_log)
+
+
+class TestThresholdAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(run=_threshold_runs(), window=st.none() | st.integers(1, 40), record=st.booleans())
+    def test_engine_equals_one_label_loop(self, run, window, record):
+        # a window of a few labels puts window edges inside examples and at
+        # the budget, and lets windows that skip offsets end early; None
+        # keeps the engine's own window
+        seed, prior = run.pop("seed"), run.pop("prior")
+        want = confidence_threshold(
+            **run, rng=np.random.default_rng(seed), prior=prior, record_events=record
+        )
+        with mock.patch.object(strategies, "_WINDOW", window or strategies._WINDOW):
+            got = run_confidence_threshold(
+                **run, rng=np.random.default_rng(seed), prior=prior, record_events=record
+            )
+        assert _outcome_fields(got) == _outcome_fields(want)  # bit for bit
+
+    def test_window_after_skipped_offsets_reuses_their_draws(self):
+        # at sv tau 0.9 the first examples take all four labels, so the next
+        # window simulates every fourth offset only; an example that stops
+        # early ends it, and the window after it starts on draws already
+        # taken for more labels than it reads
+        ids = [0, 3, 6, 9, 15, 12]
+        run = dict(
+            dataset=make_dataset([0] * 5),
+            labelers=[SimLabeler(i, 0.0) for i in ids],
+            estimates={i: LabelerEstimate(i, 0.3 if i == 12 else 0.0) for i in ids},
+            config=ThresholdConfig(tau=0.9, kappa=4), budget=11, method=Method.SV,
+        )
+        want = confidence_threshold(**run, rng=np.random.default_rng(0), prior=UNIFORM_PRIOR)
+        with mock.patch.object(strategies, "_WINDOW", 8):
+            got = run_confidence_threshold(**run, rng=np.random.default_rng(0))
+        assert _outcome_fields(got) == _outcome_fields(want)
 
 
 class TestReplayAgainstPublicApi:
