@@ -21,7 +21,7 @@ probability-like output.  The arithmetic of every rule is the kernel in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .errors import EmptyLabelSet
 from .model import (
@@ -54,14 +54,7 @@ class AggregateLabel:
     n_labels: int
 
 
-def _prepare(labels: Iterable[LabelRecord]) -> list[LabelRecord]:
-    out = _check_labels(labels)
-    if not out:
-        raise EmptyLabelSet("cannot aggregate zero labels")
-    ids = {rec.example_id for rec in out}
-    if len(ids) > 1:
-        raise ValueError(f"labels span multiple examples: {sorted(map(repr, ids))}")
-    return out
+_METHODS = {m.value: m for m in Method}  # a Method hashes and compares as its value
 
 
 def aggregate(
@@ -75,10 +68,16 @@ def aggregate(
     MV needs no estimates; the other rules raise MissingEstimate unless every
     voter has one.  Only GTX uses ``prior``.
     """
-    method = Method(method)
-    recs = _prepare(labels)
-    s0, s1 = accumulate(method, recs, estimates)
+    method = isinstance(method, str) and _METHODS.get(method) or Method(method)
+    recs = labels if type(labels) is list else list(labels)
     n = len(recs)
+    examples = {rec.example_id for rec in recs}
+    # distinct voters on one example; the checks naming a fault run only then
+    if len({rec.labeler_id for rec in recs}) != n or len(examples) != 1:
+        _check_labels(recs)
+        if not recs:
+            raise EmptyLabelSet("cannot aggregate zero labels")
+        raise ValueError(f"labels span multiple examples: {sorted(map(repr, examples))}")
+    s0, s1 = accumulate(method, recs, estimates)
     label, confidence, soft_p1 = kernel(method, prior).finalize(s0, s1, n)
     return AggregateLabel(recs[0].example_id, method, label, confidence, soft_p1, n)
-

@@ -130,6 +130,10 @@ def _cmd_assess(args) -> int:
         for labeler_id, responses in by_labeler.items()
     ]
     estimates.sort(key=lambda e: str(e.labeler_id))
+    for a, b in zip(estimates, estimates[1:]):  # ids of equal text sort together
+        if str(a.labeler_id) == str(b.labeler_id):
+            raise ValueError(f"labeler ids {a.labeler_id!r} and {b.labeler_id!r} "
+                             "would read the same in estimates.csv")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -144,23 +144,22 @@ def write_label_records(path, records: Sequence[LabelRecord], steps=None) -> Non
     for last, step in zip([0] + steps, steps):
         if step <= last:
             raise ValueError(f"steps must be strictly increasing, got {step} after {last}")
-    _write_rows(
-        path, '{"example_id":%s,"labeler_id":%s,"step":%s,"value":%s}\n',
-        ((rec.example_id, rec.labeler_id, step, rec.value)
-         for step, rec in zip(steps, records)),
-    )
+    template = '{"example_id":%s,"labeler_id":%s,"step":%s,"value":%s}\n'
+    _write_rows(path, template, ((ex, lab, step, v) for step, (ex, lab, v) in zip(steps, records)))
 
 
 _RECORD_KEYS = {"example_id", "labeler_id", "step", "value"}
 _OPTIONAL_KEYS = {"confidence", "method"}
 _ID_TYPES = (str, int)  # exact types: a bool, list or dict id is rejected
+_decode = json.JSONDecoder().raw_decode
 
 
 def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
     """Read a JSONL label-record file, validating the schema.
 
-    Returns (records, steps).  Steps must be strictly increasing integers;
-    a repeated (example_id, labeler_id) pair raises AlreadyLabeled.
+    Returns (records, steps).  Steps must be strictly increasing integers
+    and values exactly the integer 0 or 1 (not true, not 1.0); a repeated
+    (example_id, labeler_id) pair raises AlreadyLabeled.
     """
     records: list[LabelRecord] = []
     steps: list[int] = []
@@ -171,14 +170,19 @@ def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
             line = line.strip()
             if not line:
                 continue
+            # one scan; on any failure json.loads gives the error its exact text
             try:
-                row = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # too deep
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                row, end = _decode(line)
+            except (json.JSONDecodeError, RecursionError):
+                end = None
+            if end != len(line):
+                try:
+                    row = json.loads(line)
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(row, dict):
                 raise ValueError(f"{path}:{lineno}: expected an object per line")
-            keys = set(row) - _OPTIONAL_KEYS
-            if keys != _RECORD_KEYS:
+            if row.keys() != _RECORD_KEYS and set(row) - _OPTIONAL_KEYS != _RECORD_KEYS:
                 raise ValueError(
                     f"{path}:{lineno}: expected keys {sorted(_RECORD_KEYS)}, "
                     f"got {sorted(row)}"
@@ -190,7 +194,7 @@ def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
                     f"or integers, got {ex!r} and {lab!r}"
                 )
             step = row["step"]
-            if not isinstance(step, int) or isinstance(step, bool):
+            if type(step) is not int:  # JSON numbers decode to exact ints
                 raise ValueError(f"{path}:{lineno}: step must be an integer")
             if last is not None and step <= last:
                 raise ValueError(
@@ -198,15 +202,17 @@ def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
                     f"({step} after {last})"
                 )
             last = step
-            rec = LabelRecord(example_id=ex, labeler_id=lab, value=row["value"])
-            pair = (rec.example_id, rec.labeler_id)
+            value = row["value"]
+            if type(value) is not int or value not in (0, 1):
+                raise ValueError(f"{path}:{lineno}: value must be the int 0 or 1, got {value!r}")
+            pair = (ex, lab)
             if pair in seen:
                 raise AlreadyLabeled(
                     f"{path}:{lineno}: duplicate label for example "
-                    f"{rec.example_id!r} by labeler {rec.labeler_id!r}"
+                    f"{ex!r} by labeler {lab!r}"
                 )
             seen.add(pair)
-            records.append(rec)
+            records.append(tuple.__new__(LabelRecord, (ex, lab, value)))
             steps.append(step)
     return records, steps
 
@@ -214,16 +220,12 @@ def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
 def read_assessment_set(path) -> AssessmentSet:
     """Load expert truth from a label-record file (labeler ids are ignored)."""
     records, _ = read_label_records(path)
-    ids = []
-    labels = []
-    seen = set()
-    for rec in records:
-        if rec.example_id in seen:
-            raise ValueError(f"duplicate truth for example {rec.example_id!r}")
-        seen.add(rec.example_id)
-        ids.append(rec.example_id)
-        labels.append(rec.value)
-    return AssessmentSet(example_ids=tuple(ids), true_labels=tuple(labels))
+    truth = {}
+    for ex, _, value in records:
+        if ex in truth:
+            raise ValueError(f"duplicate truth for example {ex!r}")
+        truth[ex] = value
+    return AssessmentSet(example_ids=tuple(truth), true_labels=tuple(truth.values()))
 
 
 # a LabelEvent's fields in the sorted-key order of its JSON line

@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
@@ -54,23 +55,26 @@ ACCURACY_CEIL = 0.99
 
 def as_label(value) -> int:
     """Validate a binary label, returning it as a plain int (0 or 1)."""
-    if value is False or value is True:
-        return int(value)
     if value == 0 or value == 1:
         return int(value)
     raise ValueError(f"label value must be 0 or 1, got {value!r}")
 
 
-@dataclass(frozen=True)
-class LabelRecord:
-    """One vote: ``labeler_id`` said ``value`` about ``example_id``."""
+class LabelRecord(namedtuple("LabelRecord", ["example_id", "labeler_id", "value"])):
+    """One vote: ``labeler_id`` said ``value`` about ``example_id``.
 
-    example_id: Hashable
-    labeler_id: Hashable
-    value: int
+    A tuple, so a record compares equal to a plain tuple of its fields.  The
+    constructor, ``_make`` and ``_replace`` pass ``value`` through ``as_label``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_label(self.value))
+    __slots__ = ()
+
+    def __new__(cls, example_id: Hashable, labeler_id: Hashable, value: int):
+        return tuple.__new__(cls, (example_id, labeler_id, as_label(value)))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class Method(str, enum.Enum):

@@ -6,10 +6,15 @@ versions earn their keep.  ``select_labeler`` and ``elicit_label`` are the
 spec of one collected label that both collection engines replay exactly,
 and ``confidence_threshold`` is the one-label-at-a-time loop that the
 offset-parallel threshold engine must equal bit for bit.
+``read_label_records`` is the label-file reader as a plain ``json.loads``
+loop, the spec of the one-scan reader in ``gtx.io``.
 """
 
+import json
 import math
+from pathlib import Path
 
+from gtx.errors import AlreadyLabeled
 from gtx.model import LabelRecord, Method, increment_table, kernel, log_odds
 from gtx.simulation import UniformStream
 from gtx.strategies import BudgetLedger, CollectionOutcome, LabelEvent
@@ -161,3 +166,60 @@ def confidence_threshold(dataset, labelers, estimates, config, budget, method,
         method, BudgetLedger(budget, spent), list(range(len(finals))), labels,
         confidences, soft_p1s, ks, event_log=events,
     )
+
+
+_RECORD_KEYS = {"example_id", "labeler_id", "step", "value"}
+
+
+def read_label_records(path):
+    """``(records, steps)`` of a JSONL label-record file, each line parsed by
+    ``json.loads`` and checked in the documented order: JSON, an object, the
+    keys (``confidence`` and ``method`` may be added), str or int ids, an int
+    step above the last, a value that is exactly the int 0 or 1, and a new
+    (example, labeler) pair."""
+    records, steps, seen, last = [], [], set(), None
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise ValueError(f"{path}:{lineno}: expected an object per line")
+            if set(row) - {"confidence", "method"} != _RECORD_KEYS:
+                raise ValueError(
+                    f"{path}:{lineno}: expected keys {sorted(_RECORD_KEYS)}, "
+                    f"got {sorted(row)}"
+                )
+            ex, lab = row["example_id"], row["labeler_id"]
+            if type(ex) not in (str, int) or type(lab) not in (str, int):
+                raise ValueError(
+                    f"{path}:{lineno}: example_id and labeler_id must be strings "
+                    f"or integers, got {ex!r} and {lab!r}"
+                )
+            step = row["step"]
+            if not isinstance(step, int) or isinstance(step, bool):
+                raise ValueError(f"{path}:{lineno}: step must be an integer")
+            if last is not None and step <= last:
+                raise ValueError(
+                    f"{path}:{lineno}: steps must be strictly increasing "
+                    f"({step} after {last})"
+                )
+            last = step
+            value = row["value"]
+            if isinstance(value, bool) or not isinstance(value, int) or value not in (0, 1):
+                raise ValueError(f"{path}:{lineno}: value must be the int 0 or 1, got {value!r}")
+            rec = LabelRecord(example_id=ex, labeler_id=lab, value=value)
+            pair = (rec.example_id, rec.labeler_id)
+            if pair in seen:
+                raise AlreadyLabeled(
+                    f"{path}:{lineno}: duplicate label for example "
+                    f"{rec.example_id!r} by labeler {rec.labeler_id!r}"
+                )
+            seen.add(pair)
+            records.append(rec)
+            steps.append(step)
+    return records, steps

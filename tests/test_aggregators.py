@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gtx.aggregators import Method, aggregate
-from gtx.errors import EmptyLabelSet, MissingEstimate
+from gtx.errors import DuplicateLabeler, EmptyLabelSet, MissingEstimate
 from gtx.model import LabelerEstimate, LabelRecord, posterior
 
 from oracles import logodds_margin, majority, share_vote, weighted_share
@@ -104,6 +104,44 @@ class TestDispatch:
 
     def test_string_method_names(self):
         assert aggregate("mv", [rec(0, 1)]).method is Method.MV
+
+    @pytest.mark.parametrize("bad", ["xx", ["gtx"], None, 3])
+    def test_unknown_method_is_a_value_error(self, bad):
+        with pytest.raises(ValueError):
+            aggregate(bad, [rec(0, 1)], est([0.9]))
+
+
+class TestChecks:
+    """Which error ``aggregate`` raises when a vote set breaks several rules."""
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_duplicate_labeler(self, method):
+        with pytest.raises(DuplicateLabeler):
+            aggregate(method, [rec(0, 1), rec(1, 1), rec(0, 1)], est([0.9, 0.8]))
+
+    def test_duplicate_labeler_before_several_examples(self):
+        with pytest.raises(DuplicateLabeler):
+            aggregate(Method.GTX, [rec(0, 1, example=0), rec(0, 0, example=1)], {})
+
+    def test_several_examples_before_missing_estimate(self):
+        with pytest.raises(ValueError, match="multiple examples"):
+            aggregate(Method.GTX, [rec(0, 1, example=0), rec(1, 0, example=1)], {})
+
+    def test_missing_estimate_last(self):
+        with pytest.raises(MissingEstimate):
+            aggregate(Method.GTX, [rec(0, 1), rec(1, 0)], est([0.9]))
+
+    @pytest.mark.parametrize("method", [Method.WMV, Method.SV, Method.GTX])
+    def test_empty_before_missing_estimates(self, method):
+        with pytest.raises(EmptyLabelSet):
+            aggregate(method, [], None)
+
+    @pytest.mark.parametrize("wrap", [tuple, iter, lambda votes: (v for v in votes)])
+    def test_any_iterable_of_votes(self, wrap):
+        votes = [rec(0, 1), rec(1, 1), rec(2, 0)]
+        for method in Method:
+            assert aggregate(method, wrap(votes), est([0.9, 0.6, 0.8])) == aggregate(
+                method, votes, est([0.9, 0.6, 0.8]))
 
 
 vote_sets = st.integers(1, 7).flatmap(

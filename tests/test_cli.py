@@ -239,6 +239,33 @@ class TestAssessCommand:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("bad", ["true", "1.0", "0.0"])
+    def test_non_int_value_exits_two_with_one_line(self, tmp_path, capsys, bad):
+        truth = tmp_path / "truth.jsonl"
+        write_label_records(truth, [LabelRecord(1, "expert", 1)])
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(f'{{"example_id": 1, "labeler_id": "p", "step": 1, "value": {bad}}}\n')
+        code = main(
+            ["assess", "--labels", str(labels), "--truth", str(truth), "--out", str(tmp_path / "o")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "labels.jsonl:1:" in err and "value" in err
+
+    def test_labeler_ids_of_equal_text_exit_two_with_one_line(self, tmp_path, capsys):
+        truth = tmp_path / "truth.jsonl"
+        write_label_records(truth, [LabelRecord(0, "expert", 1)])
+        labels = tmp_path / "labels.jsonl"
+        write_label_records(labels, [LabelRecord(0, 1, 1), LabelRecord(0, "1", 0)])
+        out = tmp_path / "o"
+        code = main(["assess", "--labels", str(labels), "--truth", str(truth), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "1 and '1'" in err
+        assert not (out / "estimates.csv").exists()
+
 
 _MEMORY_CAP = 1 << 30  # address space of the capped CLI process, in bytes
 

@@ -3,11 +3,14 @@
 Every result file of a small ``gtx threshold`` and ``gtx uncertainty`` run
 over both accuracy cohorts, and of a small ``gtx assess`` run (its input
 files included), is hashed and compared with the hashes recorded before the
-event-log fast path landed.  A speedup that changes any byte of any result
+event-log fast path landed.  The ``repr`` of every ``aggregate`` of the
+assess run's label file, under each rule with the estimates it wrote, is
+hashed too (recorded before the one-scan reader and the fused vote checks).  A speedup that changes any byte of any result
 file fails here; a deliberate format change must re-record the table and say
 why.
 """
 
+import csv
 import hashlib
 import json
 
@@ -15,8 +18,9 @@ import numpy as np
 import pytest
 
 from gtx.cli import main
-from gtx.io import write_label_records
-from gtx.model import LabelRecord
+from gtx.aggregators import Method, aggregate
+from gtx.io import read_label_records, write_label_records
+from gtx.model import LabelerEstimate, LabelRecord
 
 COHORTS = {"accurate": [0.8, 1.0], "noisy": [0.6, 0.9]}
 
@@ -67,6 +71,13 @@ GOLDEN = {
         "estimates.csv": "d27d85e356cef91a6c9ff83338e2886851017909e46df4084d33acab9375571a",
         "run.json": "70b490819df5a2ed6b5df7e247477b398c0bfabf87884470264fafee2960d050",
     },
+}
+
+AGGREGATE_GOLDEN = {
+    "mv": "0d46b340a9fefdf0fe32e41368f146f6a9edae33fb245bf1b9a33538c4223bb0",
+    "wmv": "a98c073f635ba27291b8d0a631cf7231c98d75d38653b81e05a2ab10ce292d09",
+    "sv": "801c144f56971b22242376e06d8c50aac2e9292def86d7955e7b38d2207a0300",
+    "gtx": "8b48a0302955a8091a683f339c0572bd616d0efc42d712c9323a204f8b576c7f",
 }
 
 
@@ -121,3 +132,20 @@ def test_experiment_files_match_golden(tmp_path, strategy, cohort):
 
 def test_assess_files_match_golden(tmp_path):
     assert _run_assess(tmp_path) == GOLDEN["assess"]
+
+
+def test_assess_aggregates_match_golden(tmp_path):
+    _run_assess(tmp_path)
+    records, _ = read_label_records(tmp_path / "in" / "labels.jsonl")
+    with open(tmp_path / "out" / "estimates.csv", newline="") as fh:
+        estimates = {row["labeler_id"]: LabelerEstimate(row["labeler_id"], float(row["accuracy"]))
+                     for row in csv.DictReader(fh)}
+    by_example = {}
+    for rec in records:
+        by_example.setdefault(rec.example_id, []).append(rec)
+    hashes = {}
+    for method in Method:
+        text = "\n".join(repr(aggregate(method, votes, estimates))
+                          for votes in by_example.values())
+        hashes[method.value] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert hashes == AGGREGATE_GOLDEN

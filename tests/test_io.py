@@ -23,6 +23,7 @@ from gtx.io import (
 )
 from gtx.model import LabelRecord
 from gtx.strategies import LabelEvent
+from oracles import read_label_records as spec_read_label_records
 from support import json_lines, json_values
 
 
@@ -230,6 +231,14 @@ class TestLabelRecordFiles:
         with pytest.raises(ValueError):
             read_label_records(p)
 
+    @pytest.mark.parametrize("bad", ["true", "false", "1.0", "0.0", "3"])
+    def test_value_must_be_the_int_zero_or_one(self, tmp_path, bad):
+        p = tmp_path / "labels.jsonl"
+        p.write_text('{"example_id": 0, "labeler_id": "a", "step": 1, "value": 1}\n'
+                     f'{{"example_id": 1, "labeler_id": "a", "step": 2, "value": {bad}}}\n')
+        with pytest.raises(ValueError, match=f"labels.jsonl:2: value must be .*got {bad.title()}"):
+            read_label_records(p)
+
     def test_blank_lines_ignored(self, tmp_path):
         p = tmp_path / "labels.jsonl"
         p.write_text('{"example_id": 0, "labeler_id": "a", "step": 1, "value": 1}\n\n')
@@ -337,6 +346,65 @@ class TestArbitraryLines:
             return
         assert len(records) == len(steps)
         assert all(b > a for a, b in zip(steps, steps[1:]))
+
+
+_spec_ids = st.sampled_from([0, 1, 2, "a", "b", "1", "w"])
+
+
+def _spec_record(step, value=st.sampled_from([0, 1])):
+    return st.fixed_dictionaries(
+        {"example_id": _spec_ids, "labeler_id": _spec_ids, "step": step, "value": value},
+        optional={"confidence": st.floats(), "method": st.sampled_from(["gtx", "mv"])},
+    ).map(json.dumps)
+
+
+def _odd_line(step):
+    clean = _spec_record(st.just(step))
+    return st.one_of(
+        clean.map(lambda line: "\ufeff" + line),
+        clean.map(lambda line: line + " x"),
+        clean.map(lambda line: line + " {}"),
+        clean.map(lambda line: " \t" + line + "  "),
+        clean.map(lambda line: line[:-1] + ', "extra": 0}'),
+        clean.map(lambda line: json.dumps(dict(list(json.loads(line).items())[1:]))),
+        _spec_record(st.just(step), st.sampled_from([True, False, 0.0, 1.0, 2, -1, "1", None])),
+        _spec_record(st.one_of(st.integers(-1, 9), st.sampled_from([1.0, True, "2"]))),
+        json_lines,
+        st.sampled_from(["", "  ", "\t"]),
+    )
+
+
+@st.composite
+def _spec_files(draw):
+    """The text of a label file: up to 8 records in step order, then up to two
+    odd lines inserted (a BOM, trailing text, padding, an unknown or a missing
+    key, an odd value or step, any JSON-ish line, a blank line), joined by
+    \\n or \\r\\n."""
+    lines = [draw(_spec_record(st.just(i + 1))) for i in range(draw(st.integers(0, 8)))]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines)))
+        lines.insert(i, draw(_odd_line(i + 1)))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _read_outcome(read, path):
+    """``repr`` of what ``read`` returns, or the type and text of its error."""
+    try:
+        return repr(read(path))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestReaderMatchesSpec:
+    @given(_spec_files())
+    @example("\ufeff" + json.dumps({"example_id": 0, "labeler_id": "a", "step": 1, "value": 1}))
+    @example('{"example_id": 0, "labeler_id": "a", "step": 1, "value": 1} x')
+    @example('{"example_id": 0, "labeler_id": "a", "step": 1, "value": true}')
+    @example("[" * 100_000)
+    def test_same_records_or_same_error(self, tmp_path_factory, text):
+        p = tmp_path_factory.getbasetemp() / "spec.jsonl"
+        p.write_bytes(text.encode("utf-8"))
+        assert _read_outcome(read_label_records, p) == _read_outcome(spec_read_label_records, p)
 
 
 class TestAssessmentReader:

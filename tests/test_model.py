@@ -43,6 +43,21 @@ class TestLabelValue:
             as_label(bad)
 
 
+class TestLabelRecord:
+    def test_is_a_tuple_of_its_fields(self):
+        r = LabelRecord(0, "a", True)
+        assert r == (0, "a", 1) and type(r.value) is int
+        assert hash(r) == hash((0, "a", 1))
+
+    def test_every_way_of_making_one_checks_the_value(self):
+        r = LabelRecord(0, "a", 1)
+        with pytest.raises(ValueError):
+            r._replace(value=2)
+        with pytest.raises(ValueError):
+            LabelRecord._make((0, "a", 2))
+        assert LabelRecord._make((0, "a", 1.0)) == r._replace(value=True) == r
+
+
 class TestLabelerEstimate:
     def test_clamps_to_open_interval(self):
         assert LabelerEstimate("a", 1.0).accuracy == ACCURACY_CEIL
