@@ -210,9 +210,11 @@ def _map_trials(worker, trials: int, workers: int, progress=None):
                 progress(f"trial {len(done)}/{trials}")
         return done
 
+    chunk = max(1, min(trials // (workers * 4), _MAX_CHUNK))
+    # a pool starts all of its processes at the first submit
+    workers = min(workers, -(-trials // chunk))
     if workers <= 1:
         return collect(map(worker, range(trials)))
-    chunk = max(1, min(trials // (workers * 4), _MAX_CHUNK))
     spans = ((a, min(a + chunk, trials)) for a in range(0, trials, chunk))
 
     def in_order(pool):

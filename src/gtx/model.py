@@ -10,8 +10,9 @@ arbitrarily long vote lists neither underflow nor overflow.
 Every aggregation rule is one sufficient-statistic kernel: two accumulators
 ``(s0, s1)``, each vote adding its labeler's increment pair for the value it
 gave (``LabelerEstimate.increments``), and a ``finalize(s0, s1, k) -> (label,
-confidence, soft_p1)`` over the ``k`` votes (``kernel``).  ``aggregate``,
-both collection engines and ``log_likelihood`` all share them.
+confidence, soft_p1)`` over the ``k`` votes, with an array form that closes
+many examples at once (``kernel``).  ``aggregate``, both collection engines
+and ``log_likelihood`` all share them.
 
 Accuracy estimates must lie in [0, 1].  Exact 0 and 1 (from maximum
 likelihood on a small assessment) are clamped into [ACCURACY_FLOOR,
@@ -264,12 +265,19 @@ def accumulate(method: Method, labels: list, estimates) -> tuple[float, float]:
 
 
 class Kernel(NamedTuple):
-    """One rule's finalizer and, for the rules that can stop at a confidence
-    threshold, the factory of its stop test.  The stop test takes float64
-    arrays of accumulators (one entry per run state) and the vote count they
-    share, and returns a bool array."""
+    """One rule's finalizers and, for the rules that can stop at a confidence
+    threshold, the factory of its stop test.
+
+    ``finalize`` closes one example from its accumulators and vote count.
+    ``finalize_array`` closes many: it takes float64 arrays of ``s0`` and
+    ``s1`` and an int array of ``k`` and returns int labels, confidences and
+    soft scores as arrays, each element bit-equal to ``finalize`` of the
+    same inputs.  The stop test takes float64 arrays of accumulators (one
+    entry per run state) and the vote count they share, and returns a bool
+    array."""
 
     finalize: Callable  # (s0, s1, k) -> (label, confidence, soft_p1)
+    finalize_array: Callable  # (s0, s1, k) arrays -> (labels, confidences, soft_p1s)
     stop: Callable | None  # tau -> ((s0, s1, k) -> bool array); None: counts only
 
 
@@ -278,6 +286,12 @@ def _share_finalize(s0, s1, k):
     m0 = k - s1
     label = 1 if s1 > m0 else 0
     return label, (s1 if label else m0) / k, s1 / k
+
+
+def _share_finalize_array(s0, s1, k):
+    m0 = k - s1
+    label = s1 > m0
+    return label.astype(int), np.where(label, s1, m0) / k, s1 / k
 
 
 def _share_stop(tau):
@@ -293,6 +307,12 @@ def _weight_finalize(s0, s1, k):
     return label, (s1 if label else s0) / total, s1 / total
 
 
+def _weight_finalize_array(s0, s1, k):
+    total = s0 + s1
+    label = s1 > s0
+    return label.astype(int), np.where(label, s1, s0) / total, s1 / total
+
+
 @lru_cache(maxsize=64)
 def _gtx_kernel(prior: ClassPrior) -> Kernel:
     lp0, lp1 = prior.logs
@@ -300,6 +320,21 @@ def _gtx_kernel(prior: ClassPrior) -> Kernel:
     def finalize(s0, s1, k):
         p0, p1 = normalize(lp0 + s0, lp1 + s1)
         return (0, p0, p1) if p0 >= p1 else (1, p1, p1)
+
+    def finalize_array(s0, s1, k):
+        """``normalize`` elementwise: the larger log-sum exponentiates to 1.0,
+        and the other difference goes through ``math.exp``, which np.exp
+        does not always equal in the last bit."""
+        a0 = lp0 + s0
+        a1 = lp1 + s1
+        first = a0 >= a1
+        e = np.array(list(map(math.exp, np.where(first, a1 - a0, a0 - a1).tolist())))
+        z = e + 1.0
+        big, small = 1.0 / z, e / z
+        p0 = np.where(first, big, small)
+        p1 = np.where(first, small, big)
+        label = p0 < p1
+        return label.astype(int), np.where(label, p1, p0), p1
 
     def stop(tau):
         """Stop in log-odds space, so that one vote from a labeler whose
@@ -312,25 +347,27 @@ def _gtx_kernel(prior: ClassPrior) -> Kernel:
 
         return reached
 
-    return Kernel(finalize, stop)
+    return Kernel(finalize, finalize_array, stop)
 
 
-_VOTE_KERNELS = {
-    Method.MV: Kernel(_share_finalize, None),
-    Method.WMV: Kernel(_weight_finalize, None),
-    Method.SV: Kernel(_share_finalize, _share_stop),
+_KERNELS = {
+    Method.MV: Kernel(_share_finalize, _share_finalize_array, None),
+    Method.WMV: Kernel(_weight_finalize, _weight_finalize_array, None),
+    Method.SV: Kernel(_share_finalize, _share_finalize_array, _share_stop),
+    Method.GTX: _gtx_kernel(UNIFORM_PRIOR),
 }
 
 
 def kernel(method: Method, prior: ClassPrior = UNIFORM_PRIOR) -> Kernel:
-    """The finalizer and stop test of ``method``; only gtx uses ``prior``.
+    """The finalizers and stop test of ``method``; only gtx uses ``prior``.
 
     Exact ties go to class 0 under every rule.  MV and WMV reach confidence
-    1.0 after a single vote, so they stop at fixed counts only.
+    1.0 after a single vote, so they stop at fixed counts only.  The uniform
+    prior's gtx kernel is a constant; other priors' are cached.
     """
-    if method is Method.GTX:
+    if method is Method.GTX and prior is not UNIFORM_PRIOR:
         return _gtx_kernel(prior)
-    return _VOTE_KERNELS[method]
+    return _KERNELS[method]
 
 
 def log_likelihood(

@@ -16,7 +16,7 @@ assessment labels are charged elsewhere):
 Both engines stop mid-example when the budget runs out and keep the partial
 labels: they are paid for.  Neither engine knows any rule: each run looks up
 the rule's increment pairs per labeler once and keeps two accumulators per
-example, and the kernel of :mod:`gtx.model` supplies the finalizer (whose
+example, and the kernel of :mod:`gtx.model` supplies the finalizers (whose
 confidence is also the event-log confidence) and the tau stop test.  GTX
 stops in log-odds space against ``log_odds(tau)``, so that a vote from a
 labeler whose estimate equals tau exactly meets the threshold even in
@@ -30,7 +30,7 @@ block-buffered :class:`gtx.simulation.UniformStream`.  The threshold engine
 takes them in blocks for a window of start offsets at a time: it simulates
 in numpy the labels an example starting at each offset would take, under
 both truths, then chains the real example starts through the window and
-closes each example with the kernel's scalar finalizer.  The one-label
+closes all examples with the kernel's array finalizer.  The one-label
 select and elicit oracles in ``tests/oracles.py`` are the spec both engines
 replay exactly, and the one-label-at-a-time threshold loop there is the
 reference the threshold engine equals bit for bit.
@@ -179,14 +179,6 @@ def _sorted_pool(labelers: Sequence[SimLabeler]):
     return pool, ids
 
 
-def _outcome(method, budget, spent, finals, ks, **logs):
-    """The outcome of examples 0..len(finals)-1 from their finalize tuples."""
-    labels, confidences, soft_p1s = ([f[j] for f in finals] for j in range(3))
-    ledger = BudgetLedger(total=budget, spent=spent)
-    return CollectionOutcome(method, ledger, list(range(len(finals))), labels,
-                             confidences, soft_p1s, ks, **logs)
-
-
 def _check_budget(budget) -> int:
     if budget is None or budget < 0 or int(budget) != budget:
         raise ConfigError(f"budget must be a non-negative integer, got {budget!r}")
@@ -299,7 +291,9 @@ def run_confidence_threshold(
     Label j of the run uses draws 2j and 2j + 1 whichever example it goes
     to, so the labels an example would take from each start offset are
     simulated in numpy for a window of offsets at a time, and the real
-    example starts are then chained through them.
+    example starts are then chained through them: one at a time, or, while
+    examples take kmax labels each, in numpy.  One call of the kernel's
+    array finalizer closes the examples that start in a window.
     """
     method = Method(method)
     budget = _check_budget(budget)
@@ -307,15 +301,15 @@ def run_confidence_threshold(
     L = len(pool)
     if config.kappa > L:
         raise ConfigError(f"kappa ({config.kappa}) exceeds pool size ({L})")
-    finalize, stop = kernel(method, prior)
+    kern = kernel(method, prior)
     kmax, reached = config.fixed_count, None
     if kmax is None:
-        if stop is None:
+        if kern.stop is None:
             raise ConfigError(
                 f"{method} reaches confidence 1.0 after one label; "
                 "use fixed_count instead of tau"
             )
-        kmax, reached = config.kappa, stop(config.tau)
+        kmax, reached = config.kappa, kern.stop(config.tau)
     inc = increment_table(method, ids, estimates)
     acc = np.array([lab.accuracy for lab in pool])
     # a right vote on an example of truth 0 is 0
@@ -333,7 +327,7 @@ def run_confidence_threshold(
     stride = 1 if reached is not None else kmax
 
     events = [] if record_events else None
-    finals, ks = [], []
+    labels, confidences, soft_p1s, ks = [], [], [], []
     i = o = 0  # the next example and the offset of its first label
     u, got = np.empty(0), 0  # the draws of labels o.., all draws taken
     while i < n and o < budget:
@@ -348,43 +342,53 @@ def run_confidence_threshold(
         k, hist, picked = _simulate_offsets(
             u, m, stride, kmax, acc, tab, reached, budget - o, record_events
         )
-        k0, k1 = k.tolist()
-        w0, i0, starts = o, i, []
-        while i < n and o < end:
-            p, skipped = divmod(o - w0, stride)
-            if skipped:
-                break
-            starts.append(p)
-            o += (k1 if ys[i] else k0)[p]
-            i += 1
-        # close the examples that start in this window
-        y = truth[i0:i]
-        kk = k[y, starts]
-        sums = hist[kk - 1, y, starts].tolist(), hist[kk - 1, 1 - y, starts].tolist()
-        kk = kk.tolist()
-        finals += map(finalize, *sums, kk)
-        ks += kk
+        w0, i0 = o, i
+        if stride == 1:
+            k0, k1 = k.tolist()
+            starts = []
+            while i < n and o < end:
+                p = o - w0
+                starts.append(p)
+                o += (k1 if ys[i] else k0)[p]
+                i += 1
+            y = truth[i0:i]
+            kk = k[y, starts]
+        else:
+            # example i0 + p starts at window offset p (m <= n - i0) while
+            # every example before it took kmax labels
+            y = truth[i0:i0 + m]
+            starts = np.arange(m)
+            kk = k[y, starts]
+            short = kk < kmax
+            c = int(short.argmax()) + 1 if short.any() else m
+            y, starts, kk = y[:c], starts[:c], kk[:c]
+            i, o = i0 + c, o + kmax * (c - 1) + int(kk[-1])
+        # the example starting at offset p closes with the sums after its kk-th label
+        closed = kern.finalize_array(hist[kk - 1, y, starts], hist[kk - 1, 1 - y, starts], kk)
+        for out, x in zip((labels, confidences, soft_p1s, ks), (*closed, kk)):
+            out += x.tolist()
         if record_events:
-            events += _window_events(w0, stride, i0, starts, kk, y, hist, picked, ids, finalize)
+            events += _window_events(w0, stride, i0, starts, kk, y, hist, picked, ids,
+                                     kern.finalize_array)
         if reached is not None:
-            stride = kmax if min(kk) == kmax else 1
+            stride = kmax if kk.min() == kmax else 1
         u = u[2 * (o - w0):]
     if o > got // 2:
         raise ValueError(f"the draw stream ended after {got} draws; {o} labels need {2 * o}")
-    return _outcome(method, budget, o, finals, ks, event_log=events)
+    return CollectionOutcome(method, BudgetLedger(budget, o), list(range(i)), labels,
+                             confidences, soft_p1s, ks, event_log=events)
 
 
-def _window_events(w0, stride, i0, starts, ks, y, hist, picked, ids, finalize):
+def _window_events(w0, stride, i0, starts, ks, y, hist, picked, ids, finalize_array):
     """The events of the examples that start in one window."""
     # one row per label: its example's offset and truth, and its index t
     p = np.repeat(starts, ks)
     t = np.arange(len(p)) - np.repeat(np.cumsum(ks) - ks, ks)
     y = np.repeat(y, ks)
     pos, right = (x[t, p] for x in picked)
-    sums = hist[t, y, p].tolist(), hist[t, 1 - y, p].tolist()
-    confs = [f[1] for f in map(finalize, *sums, (t + 1).tolist())]
+    confs = finalize_array(hist[t, y, p], hist[t, 1 - y, p], t + 1)[1].tolist()
     # each example's id is one int object for all of its events
-    example = [i for i, n in zip(range(i0, i0 + len(ks)), ks) for _ in range(n)]
+    example = [i for i, n in zip(range(i0, i0 + len(ks)), ks.tolist()) for _ in range(n)]
     fields = zip((w0 + stride * p + t + 1).tolist(), example, map(ids.__getitem__, pos.tolist()),
                  np.where(right, y, 1 - y).tolist(), confs)
     return map(tuple.__new__, repeat(LabelEvent), fields)
@@ -491,7 +495,8 @@ def run_uncertainty_sampling(
                 mae_sum += abs(truth[i] - soft) - old_mae
                 dynamics.append((spent, err_sum / n, mae_sum / n))
 
-    return _outcome(
-        method, budget, spent, cur[:covered], kcount[:covered],
-        event_log=events, dynamics=dynamics,
+    labels, confidences, soft_p1s = ([f[j] for f in cur[:covered]] for j in range(3))
+    return CollectionOutcome(
+        method, BudgetLedger(budget, spent), list(range(covered)), labels,
+        confidences, soft_p1s, kcount[:covered], event_log=events, dynamics=dynamics,
     )

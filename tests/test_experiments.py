@@ -1,8 +1,11 @@
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import gtx.experiments
 from gtx.aggregators import Method
 from gtx.errors import ConfigError
 from gtx.experiments import (
@@ -128,6 +131,24 @@ class TestThresholdExperiment:
         par = run_threshold_experiment(cfg, workers=2)
         assert seq.reports == par.reports
         assert seq.best == par.best
+
+    @pytest.mark.parametrize("trials,asked", [(1, []), (3, [3]), (4, [4])])
+    def test_pool_is_no_larger_than_its_chunks(self, trials, asked):
+        # a pool starts all of its processes at once, so 64 workers for a
+        # few trials would fork 64; this pool records what it is asked for
+        # and starts at most 2
+        seen = []
+
+        class Pool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2))
+
+        cfg = tiny_threshold_config(trials=trials)
+        with mock.patch.object(gtx.experiments, "ProcessPoolExecutor", Pool):
+            par = run_threshold_experiment(cfg, workers=64)
+        assert seen == asked
+        assert par.reports == run_threshold_experiment(cfg, workers=1).reports
 
     def test_parallel_progress_comes_before_memory_grows_with_trials(self):
         # a million trials: submitting them all before the first result

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +13,11 @@ from gtx.model import (
     ClassPrior,
     LabelerEstimate,
     LabelRecord,
+    Method,
     PosteriorResult,
     as_label,
     hard_label,
+    kernel,
     log_likelihood,
     log_odds,
     posterior,
@@ -243,3 +247,61 @@ class TestPosteriorProperties:
         post = posterior(labels, estimates)
         rev = posterior(list(reversed(labels)), estimates)
         assert rev.p1 == pytest.approx(post.p1, abs=1e-12)
+
+
+_finalizer_accuracies = st.sampled_from([0.0, 0.5, 0.6, 0.75, 0.9, 0.99, 1.0]) | st.floats(0, 1)
+
+
+@st.composite
+def _closed_examples(draw):
+    """A rule, a prior and per-example ``(s0, s1, k)`` as the engines reach
+    them, with exact ties: ``s1 == k - s1``, ``s0 == s1`` and equal log-sums
+    ``lp0 + s0 == lp1 + s1``."""
+    method = draw(st.sampled_from(list(Method)))
+    prior = draw(st.sampled_from(
+        [ClassPrior.uniform(), ClassPrior(0.3, 0.7), ClassPrior(0.9, 0.1),
+         ClassPrior(1.0, 0.0), ClassPrior(0.0, 1.0)]
+    ))
+    lp0, lp1 = prior.logs
+    # few distinct accuracies, so that opposite votes often cancel exactly
+    pool = [LabelerEstimate(0, a).increments[method.code]
+            for a in draw(st.lists(_finalizer_accuracies, min_size=1, max_size=3))]
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 64))):
+        k = rnd.randint(1, 40)
+        s0 = s1 = 0.0
+        for _ in range(k):
+            d0, d1 = rnd.choice(pool)[rnd.getrandbits(1)]
+            s0 += d0
+            s1 += d1
+        tie = rnd.choice(["none", "none", "share", "sums", "logs"])
+        if tie == "share":
+            k += k % 2
+            s0 = s1 = k / 2
+        elif tie == "sums":
+            s0 = s1 = max(s0, s1)
+        elif tie == "logs" and math.isfinite(lp0 + lp1):
+            s0, s1 = lp1, lp0
+        rows.append((s0, s1, k))
+    return method, prior, rows
+
+
+class TestArrayFinalizer:
+    @settings(max_examples=300)
+    @given(_closed_examples())
+    def test_equals_scalar_finalize(self, case):
+        method, prior, rows = case
+        kern = kernel(method, prior)
+        s0, s1, k = zip(*rows)
+        got = kern.finalize_array(np.array(s0), np.array(s1), np.array(k))
+        want = zip(*map(kern.finalize, s0, s1, k))
+        # repr tells a bool from an int, a numpy scalar from a float, and
+        # every float bit from its neighbours
+        assert [repr(x.tolist()) for x in got] == [repr(list(w)) for w in want]
+
+    def test_uniform_gtx_kernel_is_one_object(self):
+        assert kernel(Method.GTX) is kernel(Method.GTX, ClassPrior(0.5, 0.5))
+        skewed = kernel(Method.GTX, ClassPrior(0.3, 0.7))
+        assert skewed is kernel(Method.GTX, ClassPrior(0.3, 0.7))
+        assert skewed.finalize(0.0, 0.0, 0) == (1, 0.7, 0.7)
