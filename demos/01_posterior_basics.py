@@ -10,23 +10,21 @@ from gtx import (
     ClassPrior,
     LabelRecord,
     LabelerEstimate,
-    hard_label,
+    Method,
+    aggregate,
     log_odds,
-    posterior,
-    uncertainty,
 )
 
 
-def show(title, labels, estimates, prior=None):
-    post = posterior(labels, estimates, prior or ClassPrior(0.5, 0.5))
-    label, confidence = hard_label(post)
+def show(title, labels, estimates, prior=ClassPrior(0.5, 0.5)):
+    agg = aggregate(Method.GTX, labels, estimates, prior)
     votes = ", ".join(f"labeler {r.labeler_id} says {r.value}" for r in labels)
-    print(f"{title}\n  votes: {votes or '(none)'}")
+    print(f"{title}\n  votes: {votes}")
     print(
-        f"  p(y=1) = {post.p1:.4f}   hard label = {label}   "
-        f"confidence = {confidence:.4f}   uncertainty = {uncertainty(post):.4f}\n"
+        f"  p(y=1) = {agg.soft_p1:.4f}   hard label = {agg.label}   "
+        f"confidence = {agg.confidence:.4f}   uncertainty = {1 - agg.confidence:.4f}\n"
     )
-    return post
+    return agg
 
 
 est = {
@@ -35,7 +33,7 @@ est = {
     "cy": LabelerEstimate("cy", 0.98),
 }
 
-show("No votes yet: posterior is the prior.", [], est)
+print("No votes yet: the posterior is the prior, p(y=1) = 0.5.\n")
 
 show(
     "Two agreeing votes reinforce each other:",
@@ -60,8 +58,8 @@ print(
     f"A claimed accuracy of 1.0 is clamped to {perfect.accuracy}; one vote can "
     "reach at most"
 )
-post = posterior([LabelRecord(0, "dee", 1)], {"dee": perfect})
-print(f"  confidence {hard_label(post)[1]:.2f}, never certainty.")
+agg = aggregate(Method.GTX, [LabelRecord(0, "dee", 1)], {"dee": perfect})
+print(f"  confidence {agg.confidence:.2f}, never certainty.")
 
 skewed = ClassPrior(0.85, 0.15)
 print("\nA skewed prior moves the starting point; one vote for the rare class")

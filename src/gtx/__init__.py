@@ -53,12 +53,7 @@ from .model import (
     ClassPrior,
     LabelerEstimate,
     LabelRecord,
-    PosteriorResult,
-    hard_label,
-    log_likelihood,
     log_odds,
-    posterior,
-    uncertainty,
 )
 from .simulation import (
     SimConfig,
@@ -97,7 +92,6 @@ __all__ = [
     "LabelerEstimate",
     "Method",
     "MissingEstimate",
-    "PosteriorResult",
     "SimConfig",
     "SimDataset",
     "SimLabeler",
@@ -111,14 +105,11 @@ __all__ = [
     "draw_assessment",
     "error_rate",
     "estimate_accuracy",
-    "hard_label",
     "init_simulation",
     "load_config",
-    "log_likelihood",
     "log_odds",
     "mean_absolute_error",
     "oracle_estimates",
-    "posterior",
     "read_assessment_set",
     "read_label_records",
     "run_assessment",
@@ -128,7 +119,6 @@ __all__ = [
     "run_uncertainty_sampling",
     "summarize",
     "trial_report",
-    "uncertainty",
     "write_event_log",
     "write_label_records",
     "write_results",

@@ -20,17 +20,15 @@ probability-like output.  The arithmetic of every rule is the kernel in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
-from .errors import EmptyLabelSet
+from .errors import DuplicateLabeler, EmptyLabelSet
 from .model import (
     ClassPrior,
     LabelRecord,
     LabelerEstimate,
     Method,
     UNIFORM_PRIOR,
-    _check_labels,
     accumulate,
     kernel,
 )
@@ -42,9 +40,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AggregateLabel:
-    """Aggregated decision for one example."""
+class AggregateLabel(NamedTuple):
+    """Aggregated decision for one example.
+
+    A tuple, so an aggregate compares equal to a plain tuple of its fields.
+    For gtx, ``soft_p1`` is the posterior of class 1 and ``1 - confidence``
+    the example's uncertainty."""
 
     example_id: Hashable
     method: Method
@@ -66,7 +67,8 @@ def aggregate(
     """Aggregate one example's votes under the rule named by ``method``.
 
     MV needs no estimates; the other rules raise MissingEstimate unless every
-    voter has one.  Only GTX uses ``prior``.
+    voter has one.  Only GTX uses ``prior``; a degenerate prior forces its
+    class whatever the votes.
     """
     method = isinstance(method, str) and _METHODS.get(method) or Method(method)
     recs = labels if type(labels) is list else list(labels)
@@ -74,7 +76,13 @@ def aggregate(
     examples = {rec.example_id for rec in recs}
     # distinct voters on one example; the checks naming a fault run only then
     if len({rec.labeler_id for rec in recs}) != n or len(examples) != 1:
-        _check_labels(recs)
+        seen = set()
+        for rec in recs:
+            if rec.labeler_id in seen:
+                raise DuplicateLabeler(
+                    f"labeler {rec.labeler_id!r} voted twice on example {rec.example_id!r}"
+                )
+            seen.add(rec.labeler_id)
         if not recs:
             raise EmptyLabelSet("cannot aggregate zero labels")
         raise ValueError(f"labels span multiple examples: {sorted(map(repr, examples))}")

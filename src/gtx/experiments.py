@@ -33,7 +33,7 @@ import numpy as np
 
 from .aggregators import Method
 from .assessment import oracle_estimates, run_assessment
-from .errors import ConfigError, GtxError
+from .errors import GtxError
 from .io import (
     ExperimentConfig,
     tau_code,
@@ -144,40 +144,40 @@ def threshold_cells(config: ExperimentConfig) -> tuple[Cell, ...]:
     return tuple(cells)
 
 
-def _threshold_run(config, env, cell, master_seed, trial, record_events):
+def _threshold_run(config, env, cell, trial, record_events):
     dataset, labelers, estimates = env
     stopping = ThresholdConfig(
         tau=cell.tau, kappa=config.kappa, fixed_count=cell.fixed_count
     )
-    rng = collection_rng(master_seed, trial, cell.method, cell.code)
+    rng = collection_rng(config.seed, trial, cell.method, cell.code)
     return run_confidence_threshold(
         dataset, labelers, estimates, stopping, config.budget, cell.method, rng,
         record_events=record_events,
     )
 
 
-def _threshold_trial(trial, config, master_seed, cells):
-    env = build_trial_env(config, master_seed, trial)
+def _threshold_trial(trial, config, cells):
+    env = build_trial_env(config, config.seed, trial)
     return [
         trial_report(
-            _threshold_run(config, env, cell, master_seed, trial, False),
+            _threshold_run(config, env, cell, trial, False),
             env[0].true_labels, "threshold", params=cell.params, seed=trial,
         )
         for cell in cells
     ]
 
 
-def _uncertainty_trial(trial, config, master_seed):
+def _uncertainty_trial(trial, config):
     """One trial's reports and dynamics arrays per method; trial 0 also
     records event logs and returns its outcomes as the exemplars (recording
     events draws nothing, so the outcomes are unchanged)."""
-    dataset, labelers, estimates = build_trial_env(config, master_seed, trial)
+    dataset, labelers, estimates = build_trial_env(config, config.seed, trial)
     truth = dataset.true_labels
     reports, dynamics, outcomes = [], [], []
     for method in config.methods:
         outcome = run_uncertainty_sampling(
             dataset, labelers, estimates, config.budget, method,
-            collection_rng(master_seed, trial, method, 0),
+            collection_rng(config.seed, trial, method, 0),
             record_events=trial == 0, record_dynamics=True,
         )
         reports.append(trial_report(outcome, truth, "uncertainty", seed=trial))
@@ -256,7 +256,6 @@ def _pick_best(cells, summaries, methods):
 class SweepResult:
     strategy: str
     config: ExperimentConfig
-    master_seed: int
     cells: tuple
     reports: tuple  # reports[i] is the per-trial tuple for cells[i]
     summaries: tuple
@@ -264,11 +263,11 @@ class SweepResult:
     exemplars: dict  # method -> (CollectionOutcome of trial 0 at best cell, truth)
 
 
-def _threshold_exemplars(config, master_seed, cells, best):
-    env = build_trial_env(config, master_seed, 0)
+def _threshold_exemplars(config, cells, best):
+    env = build_trial_env(config, config.seed, 0)
     return {
         method: (
-            _threshold_run(config, env, cells[i], master_seed, 0, True),
+            _threshold_run(config, env, cells[i], 0, True),
             env[0].true_labels,
         )
         for method, i in best.items()
@@ -276,31 +275,23 @@ def _threshold_exemplars(config, master_seed, cells, best):
 
 
 def run_threshold_experiment(
-    config: ExperimentConfig,
-    *,
-    master_seed: int | None = None,
-    trials: int | None = None,
-    workers: int = 1,
-    progress=None,
+    config: ExperimentConfig, *, workers: int = 1, progress=None
 ) -> SweepResult:
-    """Sweep every (method, stopping parameter) cell over repeated trials."""
-    master_seed = config.seed if master_seed is None else master_seed
-    trials = config.trials if trials is None else trials
+    """Sweep every (method, stopping parameter) cell over ``config.trials``
+    trials seeded from ``config.seed``."""
+    trials = config.trials
     cells = threshold_cells(config)
-    worker = functools.partial(
-        _threshold_trial, config=config, master_seed=master_seed, cells=cells
-    )
+    worker = functools.partial(_threshold_trial, config=config, cells=cells)
     per_trial = _map_trials(worker, trials, workers, progress)
     reports = tuple(
         tuple(per_trial[t][i] for t in range(trials)) for i in range(len(cells))
     )
     summaries = tuple(summarize(r) for r in reports)
     best = _pick_best(cells, summaries, config.methods)
-    exemplars = _threshold_exemplars(config, master_seed, cells, best)
+    exemplars = _threshold_exemplars(config, cells, best)
     return SweepResult(
         strategy="threshold",
         config=config,
-        master_seed=master_seed,
         cells=cells,
         reports=reports,
         summaries=summaries,
@@ -318,7 +309,6 @@ class UncertaintyResult:
 
     strategy: str
     config: ExperimentConfig
-    master_seed: int
     reports: dict  # method -> per-trial tuple of TrialReport
     summaries: dict  # method -> TrialSummary
     curves: dict  # method -> (labels, err_mean, err_se, mae_mean, mae_se)
@@ -362,21 +352,12 @@ def _uncertainty_curves(dynamics_per_trial):
 
 
 def run_uncertainty_experiment(
-    config: ExperimentConfig,
-    *,
-    master_seed: int | None = None,
-    trials: int | None = None,
-    workers: int = 1,
-    progress=None,
+    config: ExperimentConfig, *, workers: int = 1, progress=None
 ) -> UncertaintyResult:
-    """Run uncertainty sampling for each method over repeated trials."""
-    master_seed = config.seed if master_seed is None else master_seed
-    trials = config.trials if trials is None else trials
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    worker = functools.partial(
-        _uncertainty_trial, config=config, master_seed=master_seed
-    )
+    """Run uncertainty sampling for each method over ``config.trials``
+    trials seeded from ``config.seed``."""
+    trials = config.trials
+    worker = functools.partial(_uncertainty_trial, config=config)
     per_trial = _map_trials(worker, trials, workers, progress)
     outcomes, truth = per_trial[0][2]
     reports = {}
@@ -392,7 +373,6 @@ def run_uncertainty_experiment(
     return UncertaintyResult(
         strategy="uncertainty",
         config=config,
-        master_seed=master_seed,
         reports=reports,
         summaries=summaries,
         curves=curves,
@@ -456,7 +436,7 @@ def _summary_row(cell_type, cell_value, s: TrialSummary, best: bool):
 def _write_run_json(out_dir: Path, result) -> None:
     payload = {
         "strategy": result.strategy,
-        "master_seed": result.master_seed,
+        "master_seed": result.config.seed,
         "config": result.config.as_dict(),
     }
     write_json(out_dir / "run.json", payload)

@@ -301,7 +301,9 @@ class ExperimentConfig:
     oracle_accuracy: bool
 
     def replace(self, **kw) -> "ExperimentConfig":
-        return replace(self, **kw)
+        """A copy with the fields in ``kw`` changed, validated as
+        ``config_from_dict`` validates a config file."""
+        return config_from_dict(replace(self, **kw).as_dict())
 
     def as_dict(self) -> dict:
         """Plain-JSON form; feeding it back through config_from_dict yields
@@ -320,7 +322,6 @@ class ExperimentConfig:
 
 _ALLOWED_KEYS = {
     "strategy",
-    "method",
     "methods",
     "seed",
     "trials",
@@ -374,15 +375,13 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         )
         strategy = "threshold"
 
-    if "method" in raw and "methods" in raw:
-        problems.append("give either 'method' or 'methods', not both")
-    raw_methods = raw.get("methods", raw.get("method"))
-    if raw_methods is None:
-        raw_methods = [m.value for m in Method]
-    if isinstance(raw_methods, str):
-        raw_methods = [raw_methods]
+    raw_methods = raw.get("methods", [m.value for m in Method])
     methods: list[Method] = []
-    if not isinstance(raw_methods, Sequence) or not raw_methods:
+    if (
+        not isinstance(raw_methods, Sequence)
+        or isinstance(raw_methods, str)
+        or not raw_methods
+    ):
         problems.append(f"methods must be a non-empty list, got {raw_methods!r}")
     else:
         for m in raw_methods:

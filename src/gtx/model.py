@@ -11,8 +11,8 @@ Every aggregation rule is one sufficient-statistic kernel: two accumulators
 ``(s0, s1)``, each vote adding its labeler's increment pair for the value it
 gave (``LabelerEstimate.increments``), and a ``finalize(s0, s1, k) -> (label,
 confidence, soft_p1)`` over the ``k`` votes, with an array form that closes
-many examples at once (``kernel``).  ``aggregate``, both collection engines
-and ``log_likelihood`` all share them.
+many examples at once (``kernel``).  ``aggregate`` and both collection
+engines share them.
 
 Accuracy estimates must lie in [0, 1].  Exact 0 and 1 (from maximum
 likelihood on a small assessment) are clamped into [ACCURACY_FLOOR,
@@ -28,11 +28,11 @@ import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
+from typing import Callable, Hashable, NamedTuple
 
 import numpy as np
 
-from .errors import DuplicateLabeler, MissingEstimate
+from .errors import MissingEstimate
 
 __all__ = [
     "ACCURACY_CEIL",
@@ -41,13 +41,8 @@ __all__ = [
     "LabelRecord",
     "LabelerEstimate",
     "Method",
-    "PosteriorResult",
     "as_label",
-    "hard_label",
-    "log_likelihood",
     "log_odds",
-    "posterior",
-    "uncertainty",
 ]
 
 ACCURACY_FLOOR = 0.01
@@ -182,14 +177,6 @@ class ClassPrior:
 UNIFORM_PRIOR = ClassPrior.uniform()
 
 
-@dataclass(frozen=True)
-class PosteriorResult:
-    """Normalized posterior over the two classes for one example."""
-
-    p0: float
-    p1: float
-
-
 def log_odds(p: float) -> float:
     """log(p / (1-p)), computed as log(p) - log1p(-p).
 
@@ -209,18 +196,6 @@ def normalize(a0: float, a1: float) -> tuple[float, float]:
     e1 = math.exp(a1 - m)
     z = e0 + e1
     return e0 / z, e1 / z
-
-
-def _check_labels(labels: Iterable[LabelRecord]) -> list[LabelRecord]:
-    out = list(labels)
-    seen = set()
-    for rec in out:
-        if rec.labeler_id in seen:
-            raise DuplicateLabeler(
-                f"labeler {rec.labeler_id!r} voted twice on example {rec.example_id!r}"
-            )
-        seen.add(rec.labeler_id)
-    return out
 
 
 def increment_table(method: Method, labeler_ids, estimates) -> list:
@@ -368,43 +343,3 @@ def kernel(method: Method, prior: ClassPrior = UNIFORM_PRIOR) -> Kernel:
     if method is Method.GTX and prior is not UNIFORM_PRIOR:
         return _gtx_kernel(prior)
     return _KERNELS[method]
-
-
-def log_likelihood(
-    labels: Iterable[LabelRecord],
-    estimates: Mapping[Hashable, LabelerEstimate],
-) -> tuple[float, float]:
-    """Log-likelihood of the observed votes under each class.
-
-    Returns ``(log P(votes | class 0), log P(votes | class 1))``: the gtx
-    accumulators.  An empty vote set has likelihood 1 under both classes.
-    """
-    return accumulate(Method.GTX, _check_labels(labels), estimates)
-
-
-def posterior(
-    labels: Iterable[LabelRecord],
-    estimates: Mapping[Hashable, LabelerEstimate],
-    prior: ClassPrior = UNIFORM_PRIOR,
-) -> PosteriorResult:
-    """Posterior over the two classes given votes and accuracy estimates.
-
-    With no votes the posterior equals the prior.  A degenerate prior forces
-    its class regardless of the votes (the vote likelihood cannot resurrect a
-    class with zero prior mass).
-    """
-    ll0, ll1 = log_likelihood(labels, estimates)
-    lp0, lp1 = prior.logs
-    return PosteriorResult(*normalize(lp0 + ll0, lp1 + ll1))
-
-
-def hard_label(post: PosteriorResult) -> tuple[int, float]:
-    """Most probable class and its probability.  Exact ties go to class 0."""
-    if post.p0 >= post.p1:
-        return 0, post.p0
-    return 1, post.p1
-
-
-def uncertainty(post: PosteriorResult) -> float:
-    """1 - confidence; 0 for a certain posterior, 0.5 for a coin flip."""
-    return 1.0 - max(post.p0, post.p1)

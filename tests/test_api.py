@@ -22,7 +22,6 @@ PUBLIC = {
     "LabelerEstimate",
     "Method",
     "MissingEstimate",
-    "PosteriorResult",
     "SimConfig",
     "SimDataset",
     "SimLabeler",
@@ -36,14 +35,11 @@ PUBLIC = {
     "draw_assessment",
     "error_rate",
     "estimate_accuracy",
-    "hard_label",
     "init_simulation",
     "load_config",
-    "log_likelihood",
     "log_odds",
     "mean_absolute_error",
     "oracle_estimates",
-    "posterior",
     "read_assessment_set",
     "read_label_records",
     "run_assessment",
@@ -53,7 +49,6 @@ PUBLIC = {
     "run_uncertainty_sampling",
     "summarize",
     "trial_report",
-    "uncertainty",
     "write_event_log",
     "write_label_records",
     "write_results",

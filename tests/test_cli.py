@@ -104,6 +104,22 @@ class TestExperimentCommands:
         assert code == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "methods,needle",
+        [({"method": "gtx"}, "unknown config keys: method"),
+         ({"methods": "gtx"}, "methods must be a non-empty list, got 'gtx'")],
+    )
+    def test_methods_not_given_as_a_list_exit_one_with_one_line(
+        self, tmp_path, capsys, methods, needle
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"strategy": "threshold", **methods}))
+        code = main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ") and needle in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_two(self, tmp_path):
         code = main(
             ["threshold", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]

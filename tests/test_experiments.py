@@ -120,8 +120,8 @@ class TestThresholdExperiment:
 
     def test_earlier_trials_stable_as_count_grows(self):
         cfg = tiny_threshold_config()
-        small = run_threshold_experiment(cfg, trials=2)
-        big = run_threshold_experiment(cfg, trials=4)
+        small = run_threshold_experiment(cfg.replace(trials=2))
+        big = run_threshold_experiment(cfg.replace(trials=4))
         for i in range(len(small.cells)):
             assert big.reports[i][:2] == small.reports[i]
 
@@ -237,7 +237,7 @@ class TestUncertaintyExperiment:
 
     def test_zero_trials_is_a_config_error(self):
         with pytest.raises(ConfigError):
-            run_uncertainty_experiment(tiny_uncertainty_config(), trials=0)
+            tiny_uncertainty_config().replace(trials=0)
 
 
 # Four per-trial values whose squared deviations from their mean differ in
@@ -317,7 +317,7 @@ class TestWriteResults:
 
     def test_zero_budget_writes_headers_only_aggregates(self, tmp_path):
         cfg = tiny_threshold_config(budget=0, n_examples=10)
-        res = run_threshold_experiment(cfg, trials=1)
+        res = run_threshold_experiment(cfg.replace(trials=1))
         write_results(res, tmp_path)
         agg = (tmp_path / "aggregates.csv").read_text().splitlines()
         assert len(agg) == 1

@@ -29,7 +29,7 @@ from support import json_lines, json_values
 
 class TestConfigDefaults:
     def test_minimal_threshold_config(self):
-        cfg = config_from_dict({"strategy": "threshold", "method": "gtx"})
+        cfg = config_from_dict({"strategy": "threshold", "methods": ["gtx"]})
         assert cfg.budget == 15000
         assert cfg.n_examples == 15000
         assert cfg.n_labelers == 10
@@ -106,12 +106,28 @@ class TestConfigValidation:
             config_from_dict({"strategy": "threshold", key: values})
 
     def test_method_and_methods_conflict(self):
-        with pytest.raises(ConfigError, match="not both"):
+        # "methods" is the only spelling; "method" is an unknown key
+        with pytest.raises(ConfigError, match="unknown config keys: method$"):
             config_from_dict({"strategy": "threshold", "method": "mv", "methods": ["mv"]})
+
+    @pytest.mark.parametrize("methods", ["gtx", [], {"gtx": 1}])
+    def test_methods_must_be_a_non_empty_list(self, methods):
+        with pytest.raises(ConfigError, match="methods must be a non-empty list"):
+            config_from_dict({"strategy": "threshold", "methods": methods})
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError, match="unknown method"):
-            config_from_dict({"strategy": "threshold", "method": "em"})
+            config_from_dict({"strategy": "threshold", "methods": ["em"]})
+
+    def test_replace_validates(self):
+        cfg = config_from_dict({"strategy": "threshold", "kappa": 4})
+        assert cfg.replace(seed=3, trials=2) == config_from_dict(
+            {"strategy": "threshold", "kappa": 4, "seed": 3, "trials": 2}
+        )
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            cfg.replace(seed=-1)
+        with pytest.raises(ConfigError, match="fixed counts must be in 1..kappa"):
+            cfg.replace(kappa=2)
 
     def test_bool_is_not_an_int(self):
         with pytest.raises(ConfigError, match="trials"):
@@ -124,7 +140,6 @@ _methods = st.sampled_from([m.value for m in Method])
 # past the early checks and reach the defaults and the final construction
 _near = {
     "strategy": st.sampled_from(["threshold", "uncertainty"]),
-    "method": _methods,
     "methods": st.lists(_methods, max_size=4),
     "tau_grid": st.lists(st.floats(0.5, 1.0), min_size=1, max_size=4),
     "fixed_counts": st.lists(st.integers(1, 10**18), min_size=1, max_size=4),
@@ -167,7 +182,7 @@ class TestConfigFuzz:
 class TestLoadConfig(object):
     def test_loads_json_file(self, tmp_path):
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"strategy": "threshold", "method": "gtx"}))
+        p.write_text(json.dumps({"strategy": "threshold", "methods": ["gtx"]}))
         cfg = load_config(p)
         assert cfg.methods == (Method.GTX,)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtx.aggregators import aggregate
 from gtx.errors import DuplicateLabeler, MissingEstimate
 from gtx.model import (
     ACCURACY_CEIL,
@@ -14,14 +15,10 @@ from gtx.model import (
     LabelerEstimate,
     LabelRecord,
     Method,
-    PosteriorResult,
+    accumulate,
     as_label,
-    hard_label,
     kernel,
-    log_likelihood,
     log_odds,
-    posterior,
-    uncertainty,
 )
 
 from oracles import bayes_posterior
@@ -118,54 +115,37 @@ class TestPosterior:
     def test_two_agreeing_labelers(self):
         # two votes for class 1 at accuracies 0.9 and 0.8:
         # P(1) = 0.72 / (0.72 + 0.02) = 36/37
-        post = posterior([rec("a", 1), rec("b", 1)], {"a": LabelerEstimate("a", 0.9), "b": LabelerEstimate("b", 0.8)})
-        assert post.p1 == pytest.approx(36 / 37, abs=1e-12)
-        assert post.p0 + post.p1 == pytest.approx(1.0, abs=1e-12)
+        agg = aggregate(Method.GTX, [rec("a", 1), rec("b", 1)], {"a": LabelerEstimate("a", 0.9), "b": LabelerEstimate("b", 0.8)})
+        assert agg.soft_p1 == pytest.approx(36 / 37, abs=1e-12)
+        assert agg.label == 1 and agg.confidence == agg.soft_p1
 
     def test_single_label_confidence_equals_accuracy(self):
-        post = posterior([rec(0, 1)], est([0.85]))
-        label, conf = hard_label(post)
-        assert label == 1
-        assert conf == pytest.approx(0.85, abs=1e-12)
-
-    def test_empty_labels_return_prior(self):
-        prior = ClassPrior(0.3, 0.7)
-        post = posterior([], est([]), prior=prior)
-        assert post.p1 == pytest.approx(0.7, abs=1e-12)
+        agg = aggregate(Method.GTX, [rec(0, 1)], est([0.85]))
+        assert agg.label == 1
+        assert agg.confidence == pytest.approx(0.85, abs=1e-12)
 
     def test_zero_prior_wins_over_any_evidence(self):
         prior = ClassPrior(1.0, 0.0)
-        post = posterior([rec(i, 1) for i in range(6)], est([0.99] * 6), prior=prior)
-        assert post.p1 == 0.0
-        assert post.p0 == 1.0
+        agg = aggregate(Method.GTX, [rec(i, 1) for i in range(6)], est([0.99] * 6), prior=prior)
+        assert agg.soft_p1 == 0.0
+        assert (agg.label, agg.confidence) == (0, 1.0)
 
     def test_missing_estimate(self):
         with pytest.raises(MissingEstimate):
-            posterior([rec("ghost", 1)], {})
+            aggregate(Method.GTX, [rec("ghost", 1)], {})
 
     def test_duplicate_labeler(self):
         with pytest.raises(DuplicateLabeler):
-            posterior([rec("a", 1), rec("a", 0)], est([0.9]))
+            aggregate(Method.GTX, [rec("a", 1), rec("a", 0)], est([0.9]))
 
     def test_log_likelihood_matches_direct_sum(self):
         labels = [rec(0, 1), rec(1, 0), rec(2, 1)]
         accs = [0.9, 0.7, 0.6]
-        ll0, ll1 = log_likelihood(labels, est(accs))
+        ll0, ll1 = accumulate(Method.GTX, labels, est(accs))
         want0 = math.log(0.1) + math.log(0.7) + math.log(0.4)
         want1 = math.log(0.9) + math.log(0.3) + math.log(0.6)
         assert ll0 == pytest.approx(want0, abs=1e-12)
         assert ll1 == pytest.approx(want1, abs=1e-12)
-
-
-class TestHardLabel:
-    def test_tie_goes_to_class_zero(self):
-        label, conf = hard_label(PosteriorResult(0.5, 0.5))
-        assert label == 0
-        assert conf == 0.5
-
-    def test_uncertainty_is_one_minus_confidence(self):
-        post = PosteriorResult(0.2, 0.8)
-        assert uncertainty(post) == pytest.approx(0.2, abs=1e-15)
 
 
 class TestLogOdds:
@@ -193,10 +173,10 @@ class TestPosteriorProperties:
         accs = accs[: len(values)]
         clamped = [LabelerEstimate(i, a).accuracy for i, a in enumerate(accs)]
         labels = [rec(i, v) for i, v in enumerate(values)]
-        post = posterior(labels, est(accs), prior=prior)
+        agg = aggregate(Method.GTX, labels, est(accs), prior=prior)
         want0, want1 = bayes_posterior(values, clamped, prior.p0, prior.p1)
-        assert post.p0 == pytest.approx(want0, abs=1e-9)
-        assert post.p1 == pytest.approx(want1, abs=1e-9)
+        assert agg.soft_p1 == pytest.approx(want1, abs=1e-9)
+        assert agg.confidence == pytest.approx(max(want0, want1), abs=1e-9)
 
     @given(values=st.lists(st.integers(0, 1), min_size=1, max_size=12), data=st.data())
     def test_normalized_and_bounded(self, values, data):
@@ -208,13 +188,13 @@ class TestPosteriorProperties:
             )
         )
         labels = [rec(i, v) for i, v in enumerate(values)]
-        post = posterior(labels, est(accs))
-        assert 0.0 <= post.p0 <= 1.0
-        assert 0.0 <= post.p1 <= 1.0
-        assert post.p0 + post.p1 == pytest.approx(1.0, abs=1e-12)
-        _, conf = hard_label(post)
-        assert 0.5 <= conf <= 1.0
-        assert 0.0 <= uncertainty(post) <= 0.5
+        agg = aggregate(Method.GTX, labels, est(accs))
+        assert 0.0 <= agg.soft_p1 <= 1.0
+        assert 0.5 <= agg.confidence <= 1.0
+        # p0 + p1 == 1
+        assert agg.confidence == pytest.approx(
+            agg.soft_p1 if agg.label else 1.0 - agg.soft_p1, abs=1e-12
+        )
 
     @given(values=label_lists, data=st.data())
     def test_flipping_every_vote_swaps_classes_exactly(self, values, data):
@@ -226,11 +206,13 @@ class TestPosteriorProperties:
             )
         )
         estimates = est(accs)
-        straight = posterior([rec(i, v) for i, v in enumerate(values)], estimates)
-        flipped = posterior([rec(i, 1 - v) for i, v in enumerate(values)], estimates)
-        # each vote contributes the mirrored term, so this holds bit for bit
-        assert flipped.p0 == straight.p1
-        assert flipped.p1 == straight.p0
+        straight = aggregate(Method.GTX, [rec(i, v) for i, v in enumerate(values)], estimates)
+        flipped = aggregate(Method.GTX, [rec(i, 1 - v) for i, v in enumerate(values)], estimates)
+        # each vote contributes the mirrored term, so this holds bit for bit;
+        # an exact tie (p0 == p1) goes to class 0 both ways
+        assert flipped.confidence == straight.confidence
+        tie = straight.label == 0 and straight.confidence == straight.soft_p1
+        assert flipped.label == (0 if tie else 1 - straight.label)
 
     @settings(max_examples=50)
     @given(values=label_lists, data=st.data())
@@ -244,9 +226,9 @@ class TestPosteriorProperties:
         )
         estimates = est(accs)
         labels = [rec(i, v) for i, v in enumerate(values)]
-        post = posterior(labels, estimates)
-        rev = posterior(list(reversed(labels)), estimates)
-        assert rev.p1 == pytest.approx(post.p1, abs=1e-12)
+        agg = aggregate(Method.GTX, labels, estimates)
+        rev = aggregate(Method.GTX, list(reversed(labels)), estimates)
+        assert rev.soft_p1 == pytest.approx(agg.soft_p1, abs=1e-12)
 
 
 _finalizer_accuracies = st.sampled_from([0.0, 0.5, 0.6, 0.75, 0.9, 0.99, 1.0]) | st.floats(0, 1)
