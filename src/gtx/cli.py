@@ -9,6 +9,7 @@ stdout stays clean for piping; results land only in files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -74,12 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_experiment_config(args):
     config = load_config(args.config)
-    if args.seed is not None:
-        config = config.replace(seed=args.seed)
-    if args.trials is not None:
-        config = config.replace(trials=args.trials)
-    if args.oracle_accuracy:
-        config = config.replace(oracle_accuracy=True)
+    config = dataclasses.replace(
+        config,
+        seed=config.seed if args.seed is None else args.seed,
+        trials=config.trials if args.trials is None else args.trials,
+        oracle_accuracy=config.oracle_accuracy or args.oracle_accuracy,
+    )
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     return config

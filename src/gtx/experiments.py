@@ -85,12 +85,7 @@ def collection_rng(
 def build_trial_env(config: ExperimentConfig, master_seed: int, trial: int):
     """Simulate one trial's world: dataset, labelers, accuracy estimates."""
     rng = environment_rng(master_seed, trial)
-    sim = SimConfig(
-        n_examples=config.n_examples,
-        n_labelers=config.n_labelers,
-        accuracy_low=config.accuracy_low,
-        accuracy_high=config.accuracy_high,
-    )
+    sim = SimConfig(config.n_examples, config.n_labelers, *config.accuracy_interval)
     dataset, labelers = init_simulation(sim, rng)
     if config.oracle_accuracy:
         estimates = oracle_estimates(labelers)
@@ -236,20 +231,16 @@ def _map_trials(worker, trials: int, workers: int, progress=None):
 def _pick_best(cells, summaries, methods):
     """Lowest mean error per method; ties prefer fewer labels, then the
     smaller cell code so the choice never depends on float noise order."""
-    best: dict[Method, int] = {}
-    for method in methods:
-        candidates = [i for i, c in enumerate(cells) if c.method == method]
-        if not candidates:
-            continue
+    def rank(i):
+        s = summaries[i]
+        err = s.error_rate_mean if s.error_rate_mean is not None else float("inf")
+        avg = s.avg_k_mean if s.avg_k_mean is not None else float("inf")
+        return (err, avg, cells[i].code)
 
-        def rank(i):
-            s = summaries[i]
-            err = s.error_rate_mean if s.error_rate_mean is not None else float("inf")
-            avg = s.avg_k_mean if s.avg_k_mean is not None else float("inf")
-            return (err, avg, cells[i].code)
-
-        best[method] = min(candidates, key=rank)
-    return best
+    return {
+        method: min((i for i, c in enumerate(cells) if c.method == method), key=rank)
+        for method in methods
+    }
 
 
 @dataclass
@@ -446,11 +437,10 @@ def _write_exemplars(out_dir: Path, exemplars: dict, methods) -> None:
     """Trial-0 aggregates (one CSV, method column) and one event log per
     method; a combined log would repeat (example, labeler) pairs across
     methods and break the label-record schema."""
-    ordered = [m for m in methods if m in exemplars]
-    outcomes = [exemplars[m][0] for m in ordered]
-    truth = exemplars[ordered[0]][1] if ordered else None
+    outcomes = [exemplars[m][0] for m in methods]
+    truth = exemplars[methods[0]][1]
     write_aggregates_csv(out_dir / "aggregates.csv", outcomes, truth)
-    for method, outcome in zip(ordered, outcomes):
+    for method, outcome in zip(methods, outcomes):
         write_event_log(
             out_dir / f"events_{method}.jsonl", outcome.event_log or [], method
         )
@@ -482,8 +472,6 @@ def write_results(result, out_dir) -> None:
 
         def best_rows():
             for method in result.config.methods:
-                if method not in result.best:
-                    continue
                 i = result.best[method]
                 c, s = result.cells[i], result.summaries[i]
                 yield [

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -273,16 +273,31 @@ def write_aggregates_csv(path, outcomes, true_labels=None) -> None:
 # ---------------------------------------------------------------------------
 # experiment configuration
 
+_STRATEGIES = ("threshold", "uncertainty")
+# the least valid value of each integer field
+_INT_MINIMUMS = {"seed": 0, "trials": 1, "budget": 0, "n_examples": 1,
+                 "n_labelers": 1, "kappa": 1, "assessment_size": 1}
+_LISTS = (list, tuple, range)
+_INVALID = "invalid config: "
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, float) or _is_int(v)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully-resolved experiment description.
+    """Fully-resolved experiment description; its fields are the config
+    file's keys (``config_from_dict`` fills in the defaults).
 
-    Defaults (threshold strategy): budget 15,000 with n_examples equal to the
-    budget, 10 labelers, kappa 5, tau grid DEFAULT_TAU_GRID, fixed counts
-    1..kappa for MV/WMV, accuracies U(0.8, 1.0), assessment size 100, 100
-    trials.  The uncertainty strategy defaults to 5,000 examples, a budget of
-    3 * n_examples, and 10 trials.
+    Construction validates: building a config, directly or with
+    ``dataclasses.replace``, checks every field and raises one
+    ``ConfigError`` naming each problem.  A valid config holds tuples,
+    ``Method`` members, and float taus and accuracy bounds.
     """
 
     strategy: str
@@ -295,15 +310,86 @@ class ExperimentConfig:
     kappa: int
     tau_grid: tuple
     fixed_counts: tuple
-    accuracy_low: float
-    accuracy_high: float
+    accuracy_interval: tuple
     assessment_size: int
     oracle_accuracy: bool
 
-    def replace(self, **kw) -> "ExperimentConfig":
-        """A copy with the fields in ``kw`` changed, validated as
-        ``config_from_dict`` validates a config file."""
-        return config_from_dict(replace(self, **kw).as_dict())
+    def __post_init__(self):
+        problems: list[str] = []
+        if self.strategy not in _STRATEGIES:
+            problems.append(f"strategy must be one of {list(_STRATEGIES)}, got {self.strategy!r}")
+
+        valid = {}  # the fields of a valid form, so far
+        for key, least in _INT_MINIMUMS.items():
+            v = getattr(self, key)
+            if not _is_int(v):
+                problems.append(f"{key} must be an integer, got {v!r}")
+            elif v < least:
+                problems.append(f"{key} must be >= {least}, got {v}")
+            else:
+                valid[key] = v
+        for key in ("methods", "tau_grid", "fixed_counts"):
+            v = getattr(self, key)
+            if isinstance(v, _LISTS) and v:
+                valid[key] = v
+            else:
+                problems.append(f"{key} must be a non-empty list, got {v!r}")
+
+        methods: set[Method] = set()
+        for m in valid.get("methods", ()):
+            try:
+                method = Method(m)
+            except ValueError:
+                problems.append(f"unknown method {m!r}; choose from {[x.value for x in Method]}")
+                continue
+            if method in methods:
+                problems.append(f"duplicate method {method}")
+            methods.add(method)
+
+        kappa = valid.get("kappa")
+        if kappa is not None and kappa > valid.get("n_labelers", kappa):
+            problems.append(f"kappa ({kappa}) exceeds n_labelers ({self.n_labelers})")
+
+        codes: dict[int, float] = {}
+        for t in valid.get("tau_grid", ()):
+            if not _is_number(t):
+                problems.append(f"tau values must be numbers, got {t!r}")
+            elif not 0.5 < t <= 1.0:  # nan too
+                problems.append(f"tau must be in (0.5, 1], got {t}")
+            elif tau_code(t) in codes:
+                problems.append(f"taus {codes[tau_code(t)]} and {t} share the cell code "
+                                f"round(tau * 10000) = {tau_code(t)}")
+            else:
+                codes[tau_code(t)] = t
+
+        counts: set[int] = set()
+        for c in valid.get("fixed_counts", ()):
+            if not _is_int(c):
+                problems.append(f"fixed counts must be integers, got {c!r}")
+            elif not 1 <= c <= (kappa or c):  # no upper bound while kappa is invalid
+                problems.append(f"fixed counts must be in 1..kappa ({self.kappa}), got {c}")
+            elif c in counts:
+                problems.append(f"duplicate fixed count {c}")
+            else:
+                counts.add(c)
+
+        interval = self.accuracy_interval
+        if not (isinstance(interval, _LISTS) and len(interval) == 2
+                and all(map(_is_number, interval))):
+            problems.append(f"accuracy_interval must be a [low, high] pair, got {interval!r}")
+        elif not 0.0 <= interval[0] <= interval[1] <= 1.0:
+            problems.append(
+                f"accuracy_interval must satisfy 0 <= low <= high <= 1, got {interval!r}")
+
+        if not isinstance(self.oracle_accuracy, bool):
+            problems.append(f"oracle_accuracy must be true or false, got {self.oracle_accuracy!r}")
+
+        if problems:
+            raise ConfigError(_INVALID + "; ".join(problems))
+        object.__setattr__(self, "methods", tuple(map(Method, self.methods)))
+        object.__setattr__(self, "tau_grid", tuple(map(float, self.tau_grid)))
+        object.__setattr__(self, "fixed_counts", tuple(self.fixed_counts))
+        object.__setattr__(self, "accuracy_interval", tuple(map(float, interval)))
 
     def as_dict(self) -> dict:
         """Plain-JSON form; feeding it back through config_from_dict yields
@@ -314,29 +400,10 @@ class ExperimentConfig:
             if isinstance(v, tuple):
                 v = [str(x) if isinstance(x, Method) else x for x in v]
             out[f.name] = v
-        low = out.pop("accuracy_low")
-        high = out.pop("accuracy_high")
-        out["accuracy_interval"] = [low, high]
         return out
 
 
-_ALLOWED_KEYS = {
-    "strategy",
-    "methods",
-    "seed",
-    "trials",
-    "budget",
-    "n_examples",
-    "n_labelers",
-    "kappa",
-    "tau_grid",
-    "fixed_counts",
-    "accuracy_interval",
-    "assessment_size",
-    "oracle_accuracy",
-}
-
-_STRATEGIES = ("threshold", "uncertainty")
+_ALLOWED_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 # fixed_counts default to 1..kappa only up to here; a larger kappa lists them
 _MAX_DEFAULT_COUNTS = 10_000
 
@@ -347,19 +414,25 @@ def tau_code(tau: float) -> int:
     return round(tau * 10000)
 
 
-def _want_int(raw, key, problems, minimum, default):
+def _int_or(raw, key, default):
+    """``raw[key]`` when it is a valid value for that key, else ``default``:
+    the value other keys' defaults are derived from."""
     v = raw.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        problems.append(f"{key} must be an integer, got {v!r}")
-        return default
-    if v < minimum:
-        problems.append(f"{key} must be >= {minimum}, got {v}")
-        return default
-    return v
+    return v if _is_int(v) and v >= _INT_MINIMUMS[key] else default
 
 
 def config_from_dict(raw: Mapping) -> ExperimentConfig:
-    """Validate and resolve a raw config mapping, reporting every problem."""
+    """Resolve a raw config mapping, reporting every problem at once.
+
+    Every key is an ``ExperimentConfig`` field, which checks its value.
+    Unset keys get defaults.  Threshold strategy: budget 15,000 with
+    n_examples equal to the budget, 10 labelers, kappa 5, tau grid
+    DEFAULT_TAU_GRID, fixed counts 1..kappa for MV/WMV, accuracies
+    U(0.8, 1.0), assessment size 100, 100 trials, all four methods, seed 0.
+    The uncertainty strategy defaults to 5,000 examples, a budget of
+    3 * n_examples, and 10 trials.  A default derived from an invalid value
+    is derived from that key's default instead.
+    """
     if not isinstance(raw, Mapping):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     problems: list[str] = []
@@ -368,132 +441,43 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     if unknown:
         problems.append(f"unknown config keys: {', '.join(unknown)}")
 
-    strategy = raw.get("strategy")
-    if strategy not in _STRATEGIES:
-        problems.append(
-            f"strategy must be one of {list(_STRATEGIES)}, got {strategy!r}"
-        )
-        strategy = "threshold"
-
-    raw_methods = raw.get("methods", [m.value for m in Method])
-    methods: list[Method] = []
-    if (
-        not isinstance(raw_methods, Sequence)
-        or isinstance(raw_methods, str)
-        or not raw_methods
-    ):
-        problems.append(f"methods must be a non-empty list, got {raw_methods!r}")
-    else:
-        for m in raw_methods:
-            try:
-                methods.append(Method(m))
-            except ValueError:
-                problems.append(
-                    f"unknown method {m!r}; choose from "
-                    f"{[x.value for x in Method]}"
-                )
-
-    uncertainty = strategy == "uncertainty"
-    seed = _want_int(raw, "seed", problems, 0, 0)
-    trials = _want_int(raw, "trials", problems, 1, 10 if uncertainty else 100)
-    n_labelers = _want_int(raw, "n_labelers", problems, 1, 10)
-    kappa = _want_int(raw, "kappa", problems, 1, 5)
-    assessment_size = _want_int(raw, "assessment_size", problems, 1, 100)
-
+    uncertainty = raw.get("strategy") == "uncertainty"
     if uncertainty:
-        n_examples = _want_int(raw, "n_examples", problems, 1, 5000)
-        budget = _want_int(raw, "budget", problems, 0, 3 * n_examples)
+        n_examples = _int_or(raw, "n_examples", 5000)
+        budget = 3 * n_examples
     else:
-        budget = _want_int(raw, "budget", problems, 0, 15000)
-        n_examples = _want_int(raw, "n_examples", problems, 1, max(budget, 1))
-
-    if kappa > n_labelers:
-        problems.append(f"kappa ({kappa}) exceeds n_labelers ({n_labelers})")
-
-    tau_grid = raw.get("tau_grid", list(DEFAULT_TAU_GRID))
-    if not isinstance(tau_grid, Sequence) or isinstance(tau_grid, str) or not tau_grid:
-        problems.append(f"tau_grid must be a non-empty list, got {tau_grid!r}")
-    else:
-        codes: dict[int, float] = {}
-        for t in tau_grid:
-            if isinstance(t, bool) or not isinstance(t, (int, float)) or math.isnan(t):
-                problems.append(f"tau values must be numbers, got {t!r}")
-            elif not 0.5 < t <= 1.0:
-                problems.append(f"tau must be in (0.5, 1], got {t}")
-            elif tau_code(t) in codes:
-                problems.append(
-                    f"taus {codes[tau_code(t)]} and {t} share the cell code "
-                    f"round(tau * 10000) = {tau_code(t)}"
-                )
-            else:
-                codes[tau_code(t)] = t
-
-    fixed_counts = raw.get("fixed_counts")
-    if "fixed_counts" not in raw:  # 1..kappa, one sweep cell per count
-        fixed_counts = range(1, kappa + 1)
-        if n_labelers >= kappa > _MAX_DEFAULT_COUNTS:
-            problems.append(
-                f"kappa ({kappa}) exceeds {_MAX_DEFAULT_COUNTS}, the largest "
-                "default fixed_counts grid 1..kappa; list fixed_counts instead"
-            )
-    elif (
-        not isinstance(fixed_counts, Sequence)
-        or isinstance(fixed_counts, str)
-        or not fixed_counts
-    ):
-        problems.append(f"fixed_counts must be a non-empty list, got {fixed_counts!r}")
-    else:
-        counts: set[int] = set()
-        for c in fixed_counts:
-            if isinstance(c, bool) or not isinstance(c, int):
-                problems.append(f"fixed counts must be integers, got {c!r}")
-            elif not 1 <= c <= kappa:
-                problems.append(f"fixed counts must be in 1..kappa ({kappa}), got {c}")
-            elif c in counts:
-                problems.append(f"duplicate fixed count {c}")
-            else:
-                counts.add(c)
-
-    interval = raw.get("accuracy_interval", [0.8, 1.0])
-    if (
-        not isinstance(interval, Sequence)
-        or isinstance(interval, str)
-        or len(interval) != 2
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in interval)
-    ):
+        budget = _int_or(raw, "budget", 15000)
+        n_examples = max(budget, 1)
+    kappa = _int_or(raw, "kappa", 5)
+    if "fixed_counts" not in raw and kappa > _MAX_DEFAULT_COUNTS:
         problems.append(
-            f"accuracy_interval must be a [low, high] pair, got {interval!r}"
+            f"kappa ({kappa}) exceeds {_MAX_DEFAULT_COUNTS}, the largest "
+            "default fixed_counts grid 1..kappa; list fixed_counts instead"
         )
-    else:
-        low, high = float(interval[0]), float(interval[1])
-        if not (0.0 <= low <= high <= 1.0):
-            problems.append(
-                f"accuracy_interval must satisfy 0 <= low <= high <= 1, got {interval!r}"
-            )
 
-    oracle = raw.get("oracle_accuracy", False)
-    if not isinstance(oracle, bool):
-        problems.append(f"oracle_accuracy must be true or false, got {oracle!r}")
-
+    defaults = {
+        "strategy": None,
+        "methods": [m.value for m in Method],
+        "seed": 0,
+        "trials": 10 if uncertainty else 100,
+        "budget": budget,
+        "n_examples": n_examples,
+        "n_labelers": 10,
+        "kappa": 5,
+        "tau_grid": DEFAULT_TAU_GRID,
+        # one sweep cell per count, 1..kappa (past the cap, an error above)
+        "fixed_counts": range(1, min(kappa, _MAX_DEFAULT_COUNTS) + 1),
+        "accuracy_interval": (0.8, 1.0),
+        "assessment_size": 100,
+        "oracle_accuracy": False,
+    }
+    try:
+        config = ExperimentConfig(**{key: raw.get(key, v) for key, v in defaults.items()})
+    except ConfigError as exc:
+        problems.append(str(exc).removeprefix(_INVALID))
     if problems:
-        raise ConfigError("invalid config: " + "; ".join(problems))
-
-    return ExperimentConfig(
-        strategy=strategy,
-        methods=tuple(methods),
-        seed=seed,
-        trials=trials,
-        budget=budget,
-        n_examples=n_examples,
-        n_labelers=n_labelers,
-        kappa=kappa,
-        tau_grid=tuple(float(t) for t in tau_grid),
-        fixed_counts=tuple(int(c) for c in fixed_counts),
-        accuracy_low=low,
-        accuracy_high=high,
-        assessment_size=assessment_size,
-        oracle_accuracy=oracle,
-    )
+        raise ConfigError(_INVALID + "; ".join(problems))
+    return config
 
 
 def load_config(path) -> ExperimentConfig:

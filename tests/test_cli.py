@@ -120,6 +120,19 @@ class TestExperimentCommands:
         assert err.count("\n") == 1 and err.startswith("error: ") and needle in err
         assert not (tmp_path / "o").exists()
 
+    def test_repeated_methods_exit_one_with_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "strategy": "threshold", "methods": ["gtx", "gtx"], "trials": 1, "budget": 60,
+            "n_examples": 30, "n_labelers": 4, "kappa": 3, "tau_grid": [0.9],
+            "fixed_counts": [1],
+        }))
+        code = main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: invalid config: duplicate method gtx\n"
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_two(self, tmp_path):
         code = main(
             ["threshold", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]

@@ -1,9 +1,13 @@
+import dataclasses
+import tempfile
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gtx.experiments
 from gtx.aggregators import Method
@@ -19,7 +23,7 @@ from gtx.experiments import (
     threshold_cells,
     write_results,
 )
-from gtx.io import config_from_dict, read_label_records
+from gtx.io import ExperimentConfig, config_from_dict, read_label_records
 from gtx.metrics import mean_se
 from gtx.strategies import run_uncertainty_sampling
 
@@ -120,8 +124,8 @@ class TestThresholdExperiment:
 
     def test_earlier_trials_stable_as_count_grows(self):
         cfg = tiny_threshold_config()
-        small = run_threshold_experiment(cfg.replace(trials=2))
-        big = run_threshold_experiment(cfg.replace(trials=4))
+        small = run_threshold_experiment(dataclasses.replace(cfg, trials=2))
+        big = run_threshold_experiment(dataclasses.replace(cfg, trials=4))
         for i in range(len(small.cells)):
             assert big.reports[i][:2] == small.reports[i]
 
@@ -237,7 +241,81 @@ class TestUncertaintyExperiment:
 
     def test_zero_trials_is_a_config_error(self):
         with pytest.raises(ConfigError):
-            tiny_uncertainty_config().replace(trials=0)
+            dataclasses.replace(tiny_uncertainty_config(), trials=0)
+
+
+_RUNNERS = {"threshold": run_threshold_experiment, "uncertainty": run_uncertainty_experiment}
+# the property's base configs: every size as small as a run allows
+_BASES = {
+    "threshold": tiny_threshold_config(
+        trials=2, budget=30, n_examples=20, n_labelers=4, tau_grid=[0.9],
+        assessment_size=5,
+    ),
+    "uncertainty": tiny_uncertainty_config(
+        trials=2, budget=30, n_examples=10, n_labelers=4, kappa=3, assessment_size=5,
+    ),
+}
+_items = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.floats(), st.text(max_size=2),
+    st.sampled_from(list(Method)),
+)
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 0), st.floats(), st.text(max_size=3),
+    st.lists(_items, max_size=3), st.lists(_items, max_size=3).map(tuple),
+)
+# values of each field's own form, most of them valid
+_near = {
+    "strategy": st.sampled_from(list(_RUNNERS)),
+    "methods": st.lists(st.sampled_from(list(Method)), min_size=1, max_size=4, unique=True),
+    "tau_grid": st.lists(st.floats(0.5, 1.0), min_size=1, max_size=3),
+    "fixed_counts": st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True),
+    "accuracy_interval": st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+    "oracle_accuracy": st.booleans(),
+}
+
+
+def _changes(base):
+    """One or two fields of ``base`` set to any value: wrong types and
+    items, zeros and negatives, and sizes up to the base's own."""
+    def values(name):
+        own = getattr(base, name)
+        near = _near.get(name, st.integers(0, own) if type(own) is int else _junk)
+        return st.booleans().flatmap(lambda junk: _junk if junk else near)
+
+    names = [f.name for f in dataclasses.fields(base)]
+    return st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({k: values(k) for k in keys}))
+
+
+class TestConfigGate:
+    def test_replace_with_zero_trials_is_a_config_error(self):
+        for cfg, run in ((tiny_uncertainty_config(), run_uncertainty_experiment),
+                         (tiny_threshold_config(), run_threshold_experiment)):
+            with pytest.raises(ConfigError, match="trials must be >= 1, got 0"):
+                run(dataclasses.replace(cfg, trials=0))
+
+    def test_no_methods_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"methods must be a non-empty list, got \(\)"):
+            run_threshold_experiment(dataclasses.replace(tiny_threshold_config(), methods=()))
+
+    def test_built_directly_is_validated(self):
+        fields = dataclasses.asdict(tiny_threshold_config())
+        with pytest.raises(ConfigError, match="duplicate method gtx"):
+            ExperimentConfig(**{**fields, "methods": ("gtx", Method.GTX)})
+
+    @given(st.sampled_from(list(_BASES.values())), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_replace_is_a_config_error_or_a_complete_run(self, base, data):
+        changes = data.draw(_changes(base))
+        try:
+            cfg = dataclasses.replace(base, **changes)
+        except ConfigError as exc:
+            assert "\n" not in str(exc)
+            return
+        result = _RUNNERS[cfg.strategy](cfg)
+        assert result.config is cfg
+        with tempfile.TemporaryDirectory() as out:
+            write_results(result, out)
 
 
 # Four per-trial values whose squared deviations from their mean differ in
@@ -317,7 +395,7 @@ class TestWriteResults:
 
     def test_zero_budget_writes_headers_only_aggregates(self, tmp_path):
         cfg = tiny_threshold_config(budget=0, n_examples=10)
-        res = run_threshold_experiment(cfg.replace(trials=1))
+        res = run_threshold_experiment(dataclasses.replace(cfg, trials=1))
         write_results(res, tmp_path)
         agg = (tmp_path / "aggregates.csv").read_text().splitlines()
         assert len(agg) == 1

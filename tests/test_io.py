@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -37,7 +38,7 @@ class TestConfigDefaults:
         assert cfg.trials == 100
         assert cfg.tau_grid == DEFAULT_TAU_GRID
         assert cfg.fixed_counts == (1, 2, 3, 4, 5)
-        assert (cfg.accuracy_low, cfg.accuracy_high) == (0.8, 1.0)
+        assert cfg.accuracy_interval == (0.8, 1.0)
         assert cfg.assessment_size == 100
         assert cfg.methods == (Method.GTX,)
         assert cfg.oracle_accuracy is False
@@ -105,6 +106,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=needle):
             config_from_dict({"strategy": "threshold", key: values})
 
+    def test_repeated_methods_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate method gtx$"):
+            config_from_dict({"strategy": "threshold", "methods": ["gtx", "sv", "gtx"]})
+
     def test_method_and_methods_conflict(self):
         # "methods" is the only spelling; "method" is an unknown key
         with pytest.raises(ConfigError, match="unknown config keys: method$"):
@@ -121,13 +126,13 @@ class TestConfigValidation:
 
     def test_replace_validates(self):
         cfg = config_from_dict({"strategy": "threshold", "kappa": 4})
-        assert cfg.replace(seed=3, trials=2) == config_from_dict(
+        assert dataclasses.replace(cfg, seed=3, trials=2) == config_from_dict(
             {"strategy": "threshold", "kappa": 4, "seed": 3, "trials": 2}
         )
         with pytest.raises(ConfigError, match="seed must be >= 0"):
-            cfg.replace(seed=-1)
+            dataclasses.replace(cfg, seed=-1)
         with pytest.raises(ConfigError, match="fixed counts must be in 1..kappa"):
-            cfg.replace(kappa=2)
+            dataclasses.replace(cfg, kappa=2)
 
     def test_bool_is_not_an_int(self):
         with pytest.raises(ConfigError, match="trials"):
