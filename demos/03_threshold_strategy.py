@@ -67,13 +67,13 @@ print("easy examples and spends the savings on more examples and on the few")
 print("that genuinely need extra votes.")
 
 # where did the extra labels go? peek at the most expensive examples
+# (the outcome's columns are arrays indexed by example id)
 costly = sorted(
-    zip(adaptive.labels_per_example, adaptive.example_ids), reverse=True
+    zip(adaptive.labels_per_example.tolist(), range(adaptive.n_labeled)), reverse=True
 )[:5]
 print("\nmost expensive examples under the adaptive stopper:")
 for k, ex in costly:
-    agg = adaptive.aggregates[ex]
     print(
-        f"  example {ex}: {k} labels, final confidence {agg.confidence:.3f}, "
-        f"label {agg.label} (truth {int(truth[ex])})"
+        f"  example {ex}: {k} labels, final confidence {adaptive.confidences[ex]:.3f}, "
+        f"label {adaptive.labels[ex]} (truth {truth[ex]})"
     )

@@ -34,8 +34,8 @@ for method in (Method.MV, Method.WMV, Method.SV, Method.GTX):
         record_events=False,
         record_dynamics=True,
     )
-    curves[method] = out.dynamics
-    ks = np.asarray(out.labels_per_example)
+    curves[method] = out.dynamics  # (steps, errors, maes) arrays
+    ks = out.labels_per_example
     print(
         f"{str(method):>4}: final error {100 * error_rate(out, dataset.true_labels):5.2f}%   "
         f"deepest example took {ks.max():2d} labels   "
@@ -57,10 +57,8 @@ except ImportError:
     print("\nmatplotlib not installed; skipping the plot.")
 else:
     fig, ax = plt.subplots(figsize=(7, 4))
-    for method, dyn in curves.items():
-        steps = [s for s, _, _ in dyn]
-        errs = [100 * e for _, e, _ in dyn]
-        ax.plot(steps, errs, label=str(method))
+    for method, (steps, errors, _) in curves.items():
+        ax.plot(steps, 100 * errors, label=str(method))
     ax.set_xlabel("labels collected")
     ax.set_ylabel("error rate (%)")
     ax.set_title("uncertainty-sampling dynamics, one simulated world")

@@ -176,12 +176,8 @@ def _uncertainty_trial(trial, config):
             record_events=trial == 0, record_dynamics=True,
         )
         reports.append(trial_report(outcome, truth, "uncertainty", seed=trial))
-        # int64 steps, float64 error and MAE: 24 bytes per label, where
-        # the engine's tuples cost ~140 until every trial has finished
-        traj, outcome.dynamics = outcome.dynamics, None
-        dynamics.append((np.array([d[0] for d in traj], dtype=np.int64),
-                         np.array([d[1] for d in traj], dtype=float),
-                         np.array([d[2] for d in traj], dtype=float)))
+        dynamics.append(outcome.dynamics)
+        outcome.dynamics = None
         if trial == 0:
             outcomes.append(outcome)
     return reports, dynamics, (outcomes, truth) if trial == 0 else None

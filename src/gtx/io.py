@@ -254,18 +254,12 @@ def write_aggregates_csv(path, outcomes, true_labels=None) -> None:
 
     def rows():
         for out in outcomes:
-            for i, ex in enumerate(out.example_ids):
-                row = [
-                    str(out.method),
-                    ex,
-                    out.labels_per_example[i],
-                    out.labels[i],
-                    out.confidences[i],
-                    out.soft_p1s[i],
-                ]
-                if true_labels is not None:
-                    row.append(int(true_labels[ex]))
-                yield row
+            n = out.n_labeled
+            columns = [range(n), *(c.tolist() for c in (
+                out.labels_per_example, out.labels, out.confidences, out.soft_p1s))]
+            if true_labels is not None:
+                columns.append([int(true_labels[ex]) for ex in range(n)])
+            yield from zip(itertools.repeat(str(out.method)), *columns)
 
     write_csv(path, header, rows())
 

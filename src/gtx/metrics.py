@@ -30,20 +30,28 @@ __all__ = [
 ]
 
 
+def _truth(outcome: CollectionOutcome, true_labels) -> np.ndarray:
+    """The true labels of the labeled examples 0..n_labeled-1."""
+    truth = np.asarray(true_labels)
+    if len(truth) < outcome.n_labeled:
+        raise ValueError(
+            f"true_labels holds {len(truth)} labels; the outcome labeled "
+            f"{outcome.n_labeled} examples"
+        )
+    return truth[:outcome.n_labeled]
+
+
 def error_rate(outcome: CollectionOutcome, true_labels) -> float | None:
     """Fraction of labeled examples whose hard label is wrong.
 
-    ``true_labels`` is indexed by example id (an array or a sequence).
-    Returns None when no example was labeled.
+    ``true_labels`` is indexed by example id (an array or a sequence) and
+    must cover every labeled example.  Returns None when no example was
+    labeled.
     """
     n = outcome.n_labeled
     if n == 0:
         return None
-    truth = np.asarray(true_labels).tolist()
-    wrong = 0
-    for ex, label in zip(outcome.example_ids, outcome.labels):
-        wrong += label != truth[ex]
-    return float(wrong) / n
+    return int(np.count_nonzero(outcome.labels != _truth(outcome, true_labels))) / n
 
 
 def mean_absolute_error(outcome: CollectionOutcome, true_labels) -> float | None:
@@ -51,11 +59,9 @@ def mean_absolute_error(outcome: CollectionOutcome, true_labels) -> float | None
     n = outcome.n_labeled
     if n == 0:
         return None
-    truth = np.asarray(true_labels).tolist()
-    total = 0.0
-    for ex, soft in zip(outcome.example_ids, outcome.soft_p1s):
-        total += abs(truth[ex] - soft)
-    return float(total) / n
+    # accumulate adds left to right, as a loop does; np.sum adds pairwise
+    gaps = np.abs(_truth(outcome, true_labels) - outcome.soft_p1s)
+    return float(np.add.accumulate(gaps)[-1]) / n
 
 
 @dataclass(frozen=True)

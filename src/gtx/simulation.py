@@ -56,13 +56,14 @@ class SimDataset:
     true_labels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.true_labels, dtype=np.int8)
+        arr = np.asarray(self.true_labels)
         if arr.ndim != 1:
             raise ValueError("true_labels must be one-dimensional")
+        # checked before the cast, which would turn 0.7 into 0
         bad = (arr != 0) & (arr != 1)
         if bad.any():
             raise ValueError("true labels must be 0 or 1")
-        object.__setattr__(self, "true_labels", arr)
+        object.__setattr__(self, "true_labels", arr.astype(np.int8, copy=False))
 
     @property
     def n_examples(self) -> int:

@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .aggregators import AggregateLabel, Method
+from .aggregators import Method
 from .errors import ConfigError
 from .model import ClassPrior, UNIFORM_PRIOR, increment_table, kernel
 from .simulation import SimDataset, SimLabeler, UniformStream
@@ -130,43 +129,29 @@ class LabelEvent(NamedTuple):
 class CollectionOutcome:
     """Result of one collection run.
 
-    ``aggregates`` maps example_id to the final :class:`AggregateLabel` for
-    every example that received at least one label.  It is materialized
-    lazily from compact parallel arrays so that large sweeps can skip the
-    cost.  ``event_log`` is None when the run was made with
-    ``record_events=False``; when present it holds one event per spent label
-    in chronological order.  ``dynamics`` (uncertainty sampling only, opt-in)
-    holds ``(labels_collected, error_rate, mae)`` triples recorded after
-    every label from the moment full coverage is reached.
+    The examples that received labels are always 0..n_labeled-1, and each
+    column is a numpy array indexed by example id: int64 ``labels`` and
+    ``labels_per_example``, float64 ``confidences`` and ``soft_p1s``, the
+    final aggregate of each example.  ``event_log`` is None when the run
+    was made with ``record_events=False``; when present it holds one event
+    per spent label in chronological order.  ``dynamics`` (uncertainty
+    sampling only, opt-in) holds three equal-length arrays ``(steps,
+    errors, maes)``: the labels collected, and the dataset-wide error rate
+    and MAE after each label from the moment full coverage is reached.
     """
 
     method: Method
     ledger: BudgetLedger
-    example_ids: list
-    labels: list
-    confidences: list
-    soft_p1s: list
-    labels_per_example: list
+    labels: np.ndarray
+    confidences: np.ndarray
+    soft_p1s: np.ndarray
+    labels_per_example: np.ndarray
     event_log: list | None = None
-    dynamics: list | None = None
+    dynamics: tuple | None = None
 
     @property
     def n_labeled(self) -> int:
-        return len(self.example_ids)
-
-    @cached_property
-    def aggregates(self) -> dict:
-        return {
-            ex: AggregateLabel(
-                example_id=ex,
-                method=self.method,
-                label=self.labels[i],
-                confidence=self.confidences[i],
-                soft_p1=self.soft_p1s[i],
-                n_labels=self.labels_per_example[i],
-            )
-            for i, ex in enumerate(self.example_ids)
-        }
+        return len(self.labels)
 
 
 def _sorted_pool(labelers: Sequence[SimLabeler]):
@@ -327,7 +312,9 @@ def run_confidence_threshold(
     stride = 1 if reached is not None else kmax
 
     events = [] if record_events else None
-    labels, confidences, soft_p1s, ks = [], [], [], []
+    # per window, its examples' (labels, confidences, soft_p1s, label counts);
+    # the empty first entry sets the dtypes when no window runs
+    closed = [(np.empty(0, np.int64), np.empty(0), np.empty(0), np.empty(0, np.int64))]
     i = o = 0  # the next example and the offset of its first label
     u, got = np.empty(0), 0  # the draws of labels o.., all draws taken
     while i < n and o < budget:
@@ -364,9 +351,8 @@ def run_confidence_threshold(
             y, starts, kk = y[:c], starts[:c], kk[:c]
             i, o = i0 + c, o + kmax * (c - 1) + int(kk[-1])
         # the example starting at offset p closes with the sums after its kk-th label
-        closed = kern.finalize_array(hist[kk - 1, y, starts], hist[kk - 1, 1 - y, starts], kk)
-        for out, x in zip((labels, confidences, soft_p1s, ks), (*closed, kk)):
-            out += x.tolist()
+        s0, s1 = hist[kk - 1, y, starts], hist[kk - 1, 1 - y, starts]
+        closed.append((*kern.finalize_array(s0, s1, kk), kk))
         if record_events:
             events += _window_events(w0, stride, i0, starts, kk, y, hist, picked, ids,
                                      kern.finalize_array)
@@ -375,8 +361,8 @@ def run_confidence_threshold(
         u = u[2 * (o - w0):]
     if o > got // 2:
         raise ValueError(f"the draw stream ended after {got} draws; {o} labels need {2 * o}")
-    return CollectionOutcome(method, BudgetLedger(budget, o), list(range(i)), labels,
-                             confidences, soft_p1s, ks, event_log=events)
+    return CollectionOutcome(method, BudgetLedger(budget, o),
+                             *map(np.concatenate, zip(*closed)), event_log=events)
 
 
 def _window_events(w0, stride, i0, starts, ks, y, hist, picked, ids, finalize_array):
@@ -414,15 +400,16 @@ def run_uncertainty_sampling(
     toward the lowest example id.  The run ends when the budget is spent or
     every example has used all of its labelers.
 
-    With ``record_dynamics=True`` the outcome carries dataset-wide
-    ``(labels_collected, error_rate, mae)`` snapshots after every label,
-    starting at the label that completes full coverage.
+    With ``record_dynamics=True`` the outcome carries the dataset-wide
+    error rate and MAE after every label, starting at the label that
+    completes full coverage, as ``(steps, errors, maes)`` arrays.
     """
     method = Method(method)
     budget = _check_budget(budget)
     pool, ids = _sorted_pool(labelers)
     L = len(pool)
-    finalize = kernel(method, prior).finalize
+    kern = kernel(method, prior)
+    finalize = kern.finalize
     inc = increment_table(method, ids, estimates)
     acc_true = [lab.accuracy for lab in pool]
     rand = (rng if isinstance(rng, UniformStream) else UniformStream(rng)).random
@@ -430,7 +417,6 @@ def run_uncertainty_sampling(
     n = dataset.n_examples
 
     events = [] if record_events else None
-    dynamics = [] if record_dynamics else None
 
     # per-example mutable state; cur[i] is (label, confidence, soft_p1)
     unused = [None] * n
@@ -466,13 +452,15 @@ def run_uncertainty_sampling(
 
     err_sum = 0
     mae_sum = 0.0
-    track = dynamics is not None and covered == n
+    errors, maes = [], []  # after each label from full coverage on
+    track = record_dynamics and covered == n
     if track:
         for i in range(n):
             lab, _, soft = cur[i]
             err_sum += lab != truth[i]
             mae_sum += abs(truth[i] - soft)
-        dynamics.append((spent, err_sum / n, mae_sum / n))
+        errors.append(err_sum / n)
+        maes.append(mae_sum / n)
 
     if covered == n and spent < budget:
         # an entry is stale once its example has more labels than it records
@@ -493,10 +481,12 @@ def run_uncertainty_sampling(
             if track:
                 err_sum += (lab != truth[i]) - old_err
                 mae_sum += abs(truth[i] - soft) - old_mae
-                dynamics.append((spent, err_sum / n, mae_sum / n))
+                errors.append(err_sum / n)
+                maes.append(mae_sum / n)
 
-    labels, confidences, soft_p1s = ([f[j] for f in cur[:covered]] for j in range(3))
-    return CollectionOutcome(
-        method, BudgetLedger(budget, spent), list(range(covered)), labels,
-        confidences, soft_p1s, kcount[:covered], event_log=events, dynamics=dynamics,
-    )
+    ks = np.array(kcount[:covered], dtype=np.int64)
+    closed = kern.finalize_array(np.array(s0[:covered]), np.array(s1[:covered]), ks)
+    dynamics = ((np.arange(n, n + len(errors)), np.array(errors), np.array(maes))
+                if record_dynamics else None)
+    return CollectionOutcome(method, BudgetLedger(budget, spent), *closed, ks,
+                             event_log=events, dynamics=dynamics)

@@ -6,6 +6,8 @@ versions earn their keep.  ``select_labeler`` and ``elicit_label`` are the
 spec of one collected label that both collection engines replay exactly,
 and ``confidence_threshold`` is the one-label-at-a-time loop that the
 offset-parallel threshold engine must equal bit for bit.
+``error_rate`` and ``mean_absolute_error`` are the scoring loops, one
+example at a time, that the numpy scoring of ``gtx.metrics`` must equal.
 ``read_label_records`` is the label-file reader as a plain ``json.loads``
 loop, the spec of the one-scan reader in ``gtx.io``.
 """
@@ -13,6 +15,8 @@ loop, the spec of the one-scan reader in ``gtx.io``.
 import json
 import math
 from pathlib import Path
+
+import numpy as np
 
 from gtx.errors import AlreadyLabeled
 from gtx.model import LabelRecord, Method, increment_table, kernel, log_odds
@@ -163,9 +167,36 @@ def confidence_threshold(dataset, labelers, estimates, config, budget, method,
         ks.append(k)
     labels, confidences, soft_p1s = ([f[j] for f in finals] for j in range(3))
     return CollectionOutcome(
-        method, BudgetLedger(budget, spent), list(range(len(finals))), labels,
-        confidences, soft_p1s, ks, event_log=events,
+        method, BudgetLedger(budget, spent), np.array(labels, dtype=np.int64),
+        np.array(confidences, dtype=np.float64), np.array(soft_p1s, dtype=np.float64),
+        np.array(ks, dtype=np.int64), event_log=events,
     )
+
+
+def error_rate(outcome, true_labels):
+    """Wrong hard labels over the labeled examples 0..n-1, counted one at a
+    time; None when nothing was labeled."""
+    n = outcome.n_labeled
+    if n == 0:
+        return None
+    truth = np.asarray(true_labels).tolist()
+    wrong = 0
+    for ex, label in enumerate(outcome.labels.tolist()):
+        wrong += label != truth[ex]
+    return float(wrong) / n
+
+
+def mean_absolute_error(outcome, true_labels):
+    """|true label - soft class-1 score| summed left to right over the
+    labeled examples, over their count; None when nothing was labeled."""
+    n = outcome.n_labeled
+    if n == 0:
+        return None
+    truth = np.asarray(true_labels).tolist()
+    total = 0.0
+    for ex, soft in enumerate(outcome.soft_p1s.tolist()):
+        total += abs(truth[ex] - soft)
+    return float(total) / n
 
 
 _RECORD_KEYS = {"example_id", "labeler_id", "step", "value"}

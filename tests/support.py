@@ -1,11 +1,13 @@
-"""Shared helpers for driving the collection engines in tests, and a
-Hypothesis strategy for arbitrary JSON-lines input."""
+"""Shared helpers for driving the collection engines and reading their
+outcomes in tests, and a Hypothesis strategy for arbitrary JSON-lines
+input."""
 
 import json
 
 import numpy as np
 from hypothesis import strategies as st
 
+from gtx.aggregators import AggregateLabel
 from gtx.model import LabelerEstimate
 from gtx.simulation import SimDataset, SimLabeler, UniformStream
 
@@ -52,6 +54,15 @@ def make_estimates(accuracies):
         i: LabelerEstimate(labeler_id=i, accuracy=a)
         for i, a in enumerate(accuracies)
     }
+
+
+def finals(outcome):
+    """Each labeled example's final aggregate, keyed by example id, from the
+    outcome's array columns."""
+    columns = (outcome.labels, outcome.confidences, outcome.soft_p1s,
+               outcome.labels_per_example)
+    rows = zip(*(c.tolist() for c in columns))
+    return {ex: AggregateLabel(ex, outcome.method, *row) for ex, row in enumerate(rows)}
 
 
 WRONG = 0.9999  # correctness draw that fails any clamped accuracy

@@ -344,7 +344,7 @@ def check_budget_conservation(out, budget, n, L, kind):
     assert spent == len(out.event_log)
     assert spent == sum(out.labels_per_example)
     assert Counter(ev.example_id for ev in out.event_log) == dict(
-        zip(out.example_ids, out.labels_per_example)
+        enumerate(out.labels_per_example.tolist())
     )
     if spent < budget:
         if kind == "uncertainty":
@@ -364,8 +364,8 @@ def check_threshold_stopping(out, stopping, estimates, budget, kind):
     for ev in out.event_log:
         per_example.setdefault(ev.example_id, []).append(ev)
     cut_candidate = (
-        out.example_ids[-1]
-        if out.example_ids and out.ledger.spent == budget
+        out.n_labeled - 1
+        if out.n_labeled and out.ledger.spent == budget
         else None
     )
     for ex, events in per_example.items():
@@ -433,8 +433,8 @@ def check_monotone_coverage(kind, dataset, labelers, estimates, budget, seed, st
     big_events = [(e.example_id, e.labeler_id, e.value) for e in out.event_log]
     small_events = [(e.example_id, e.labeler_id, e.value) for e in smaller.event_log]
     assert big_events[: len(small_events)] == small_events
-    small_k = dict(zip(smaller.example_ids, smaller.labels_per_example))
-    big_k = dict(zip(out.example_ids, out.labels_per_example))
+    small_k = dict(enumerate(smaller.labels_per_example.tolist()))
+    big_k = dict(enumerate(out.labels_per_example.tolist()))
     assert set(small_k) <= set(big_k)
     for ex, k in small_k.items():
         assert big_k[ex] >= k
@@ -567,9 +567,9 @@ class TestCriterion9:
                     rng,
                     record_events=False,
                 )
-                for i, ex in enumerate(out.example_ids):
-                    confs.append(out.confidences[i])
-                    hits.append(1.0 if out.labels[i] == truth[ex] else 0.0)
+                for conf, label, y in zip(out.confidences.tolist(), out.labels.tolist(), truth):
+                    confs.append(conf)
+                    hits.append(1.0 if label == y else 0.0)
         return confs, hits
 
     def test_confidence_is_calibrated(self):

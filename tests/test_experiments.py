@@ -27,6 +27,8 @@ from gtx.io import ExperimentConfig, config_from_dict, read_label_records
 from gtx.metrics import mean_se
 from gtx.strategies import run_uncertainty_sampling
 
+from support import finals
+
 
 def tiny_threshold_config(**extra):
     raw = {
@@ -235,7 +237,7 @@ class TestUncertaintyExperiment:
                 collection_rng(cfg.seed, 0, method, 0), record_events=True,
             )
             assert outcome.event_log and outcome.event_log == fresh.event_log
-            assert outcome.aggregates == fresh.aggregates
+            assert finals(outcome) == finals(fresh)
             assert outcome.dynamics is None
             assert np.array_equal(truth, dataset.true_labels)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtx.aggregators import Method
@@ -20,6 +20,7 @@ from gtx.strategies import (
     run_confidence_threshold,
 )
 
+import oracles
 from support import make_estimates
 
 
@@ -30,12 +31,30 @@ def outcome(rows):
     return CollectionOutcome(
         Method.GTX,
         BudgetLedger(total=n, spent=n),
-        list(range(n)),
-        [label for label, _ in rows],
-        [max(soft, 1 - soft) for _, soft in rows],
-        [soft for _, soft in rows],
-        [1] * n,
+        np.array([label for label, _ in rows], dtype=np.int64),
+        np.array([max(soft, 1 - soft) for _, soft in rows], dtype=np.float64),
+        np.array([soft for _, soft in rows], dtype=np.float64),
+        np.ones(n, dtype=np.int64),
     )
+
+
+@st.composite
+def scored_runs(draw):
+    """A one-label-per-example outcome of 1..20,000 examples and a truth of
+    at least that many labels, as an int8 array or a list.  Soft scores are
+    uniform in [0, 1] with exact 0.0 and 1.0 mixed in, and the first up to
+    20 are drawn by Hypothesis."""
+    n = draw(st.integers(1, 20) | st.integers(1, 20_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    soft = rng.random(n)
+    soft[rng.random(n) < 0.05] = 0.0
+    soft[rng.random(n) < 0.05] = 1.0
+    head = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), max_size=min(n, 20)))
+    soft[:len(head)] = head
+    labels = rng.random(n) < soft
+    truth = (rng.random(n + draw(st.integers(0, 3))) < 0.5).astype(np.int8)
+    out = outcome(list(zip(labels.tolist(), soft.tolist())))
+    return out, truth.tolist() if draw(st.booleans()) else truth
 
 
 def small_outcome(seed=0, budget=40):
@@ -63,6 +82,16 @@ class TestErrorRate:
     def test_none_when_nothing_labeled(self):
         assert error_rate(outcome([]), []) is None
 
+    def test_short_truth_is_a_value_error(self):
+        # numpy would broadcast a one-label truth over all five examples
+        out = outcome([(1, 0.9)] * 5)
+        for score in (error_rate, mean_absolute_error):
+            with pytest.raises(ValueError, match="true_labels holds 1 labels"):
+                score(out, [1])
+            with pytest.raises(ValueError, match="true_labels holds 4 labels"):
+                score(out, np.ones(4, dtype=np.int8))
+        assert error_rate(out, [1] * 5) == 0.0
+
     def test_zero_budget_outcome(self):
         out, ds = small_outcome(budget=0)
         assert error_rate(out, ds.true_labels) is None
@@ -81,6 +110,15 @@ class TestMeanAbsoluteError:
         out = outcome([(1 if soft > 0.5 else 0, soft) for _, soft in rows])
         truth = np.array([t for t, _ in rows], dtype=np.int8)
         assert error_rate(out, truth) <= 2 * mean_absolute_error(out, truth) + 1e-12
+
+
+class TestAgainstOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(run=scored_runs())
+    def test_scores_equal_the_loops_bit_for_bit(self, run):
+        out, truth = run
+        assert repr(error_rate(out, truth)) == repr(oracles.error_rate(out, truth))
+        assert repr(mean_absolute_error(out, truth)) == repr(oracles.mean_absolute_error(out, truth))
 
 
 class TestMeanSe:

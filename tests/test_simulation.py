@@ -34,6 +34,18 @@ class TestSimDataset:
         with pytest.raises(ValueError):
             SimDataset(true_labels=np.array([0, 2], dtype=np.int8))
 
+    @pytest.mark.parametrize("labels", [[0.7, 1, 0.2], [1, 0.5], [257], [-1], [np.nan]])
+    def test_values_checked_before_the_int8_cast(self, labels):
+        # the cast alone would read 0.7 as 0 and 257 as 1
+        with pytest.raises(ValueError, match="0 or 1"):
+            SimDataset(labels)
+
+    def test_exact_binary_values_of_any_type_are_kept(self):
+        for labels in ([1.0, 0.0], [True, False], np.array([1, 0])):
+            ds = SimDataset(labels)
+            assert ds.true_labels.dtype == np.int8
+            assert ds.true_labels.tolist() == [1, 0]
+
     def test_counts(self):
         ds = SimDataset(true_labels=np.array([0, 1, 1], dtype=np.int8))
         assert ds.n_examples == 3

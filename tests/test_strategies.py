@@ -17,7 +17,9 @@ from gtx.strategies import (
 )
 
 from oracles import confidence_threshold, elicit_label, select_labeler
-from support import FIRST, RIGHT, WRONG, Script, make_dataset, make_estimates, make_labelers
+from support import (
+    FIRST, RIGHT, WRONG, Script, finals, make_dataset, make_estimates, make_labelers,
+)
 
 
 def records_by_example(outcome):
@@ -76,8 +78,8 @@ class TestThresholdStopping:
             method=Method.GTX,
             rng=Script([FIRST, RIGHT]),
         )
-        assert out.labels_per_example == [1]
-        assert out.labels == [1]
+        assert out.labels_per_example.tolist() == [1]
+        assert out.labels.tolist() == [1]
         assert out.confidences[0] == pytest.approx(0.9, abs=1e-12)
         assert out.ledger.spent == 1
 
@@ -94,8 +96,8 @@ class TestThresholdStopping:
             method=Method.GTX,
             rng=Script([FIRST, RIGHT, FIRST, WRONG, FIRST, RIGHT]),
         )
-        assert out.labels_per_example == [3]
-        assert out.labels == [1]
+        assert out.labels_per_example.tolist() == [3]
+        assert out.labels.tolist() == [1]
         assert out.confidences[0] == pytest.approx(0.9, abs=1e-12)
 
     def test_two_agreeing_votes_clear_high_bar(self):
@@ -111,7 +113,7 @@ class TestThresholdStopping:
             rng=Script([FIRST, RIGHT, FIRST, RIGHT]),
         )
         # 0.81 / (0.81 + 0.01)
-        assert out.labels_per_example == [2]
+        assert out.labels_per_example.tolist() == [2]
         assert out.confidences[0] == pytest.approx(0.81 / 0.82, abs=1e-12)
 
     def test_tau_of_one_never_stops_early(self):
@@ -126,7 +128,7 @@ class TestThresholdStopping:
             method=Method.GTX,
             rng=Script([FIRST, RIGHT] * 4),
         )
-        assert out.labels_per_example == [4]
+        assert out.labels_per_example.tolist() == [4]
 
     def test_identical_high_accuracies_stop_after_one_label(self):
         # estimated accuracy equal to tau stops immediately, so every
@@ -142,7 +144,7 @@ class TestThresholdStopping:
             method=Method.GTX,
             rng=np.random.default_rng(0),
         )
-        assert out.labels_per_example == [1, 1, 1, 1]
+        assert out.labels_per_example.tolist() == [1, 1, 1, 1]
         assert out.n_labeled == 4
         assert out.ledger.spent == 4
 
@@ -159,7 +161,7 @@ class TestThresholdStopping:
             method=Method.SV,
             rng=Script([FIRST, RIGHT]),
         )
-        assert out.labels_per_example == [1]
+        assert out.labels_per_example.tolist() == [1]
         assert out.confidences[0] == pytest.approx(0.8, abs=1e-12)
 
     def test_sv_plateau_runs_to_kappa(self):
@@ -176,7 +178,7 @@ class TestThresholdStopping:
             method=Method.SV,
             rng=Script([FIRST, RIGHT] * 3),
         )
-        assert out.labels_per_example == [3]
+        assert out.labels_per_example.tolist() == [3]
         assert out.confidences[0] == pytest.approx(0.8, abs=1e-12)
 
     def test_degenerate_prior_is_certain_immediately(self):
@@ -192,8 +194,8 @@ class TestThresholdStopping:
             rng=Script([FIRST, RIGHT]),
             prior=ClassPrior(1.0, 0.0),
         )
-        assert out.labels_per_example == [1]
-        assert out.labels == [0]
+        assert out.labels_per_example.tolist() == [1]
+        assert out.labels.tolist() == [0]
         assert out.confidences[0] == 1.0
 
     def test_script_one_draw_short_raises(self):
@@ -225,7 +227,7 @@ class TestThresholdBudget:
             method=Method.MV,
             rng=np.random.default_rng(0),
         )
-        assert out.labels_per_example == [2, 2, 2]
+        assert out.labels_per_example.tolist() == [2, 2, 2]
         assert out.ledger.spent == 6
         assert out.ledger.remaining == 94
 
@@ -241,7 +243,7 @@ class TestThresholdBudget:
             method=Method.MV,
             rng=np.random.default_rng(0),
         )
-        assert out.labels_per_example == [2, 1]
+        assert out.labels_per_example.tolist() == [2, 1]
         assert out.ledger.spent == 3
         assert out.n_labeled == 2
 
@@ -259,7 +261,7 @@ class TestThresholdBudget:
         )
         assert out.n_labeled == 0
         assert out.ledger.spent == 0
-        assert out.aggregates == {}
+        assert finals(out) == {}
         assert out.event_log == []
 
     def test_examples_visited_in_id_order(self):
@@ -274,7 +276,7 @@ class TestThresholdBudget:
             method=Method.MV,
             rng=np.random.default_rng(0),
         )
-        assert out.example_ids == [0, 1, 2, 3]
+        assert list(range(out.n_labeled)) == [0, 1, 2, 3]
         assert [ev.example_id for ev in out.event_log] == [0, 1, 2, 3]
 
     def test_spent_equals_event_count_and_per_example_sum(self):
@@ -362,10 +364,11 @@ class TestAgainstAggregators:
             rng=np.random.default_rng(99),
         )
         groups = records_by_example(out)
-        assert sorted(groups) == out.example_ids
+        assert sorted(groups) == list(range(out.n_labeled))
+        got = finals(out)
         for ex, recs in groups.items():
             want = aggregate(method, recs, estimates)
-            assert out.aggregates[ex] == want  # bit-exact, not approximate
+            assert got[ex] == want  # bit-exact, not approximate
 
     @pytest.mark.parametrize("method", list(Method))
     def test_uncertainty_finals_match_aggregate(self, method):
@@ -381,9 +384,10 @@ class TestAgainstAggregators:
             rng=np.random.default_rng(17),
         )
         groups = records_by_example(out)
+        got = finals(out)
         for ex, recs in groups.items():
             want = aggregate(method, recs, estimates)
-            assert out.aggregates[ex] == want
+            assert got[ex] == want
 
     def test_event_confidence_matches_aggregate_of_prefix(self):
         cfg = SimConfig(8, 5, 0.6, 0.9)
@@ -441,8 +445,8 @@ def _threshold_runs(draw):
 
 
 def _outcome_fields(out):
-    return (out.method, out.ledger, out.example_ids, out.labels, out.confidences,
-            out.soft_p1s, out.labels_per_example, out.event_log)
+    columns = (out.labels, out.confidences, out.soft_p1s, out.labels_per_example)
+    return (out.method, out.ledger, [(c.tolist(), c.dtype) for c in columns], out.event_log)
 
 
 class TestThresholdAgainstOracle:
@@ -537,7 +541,7 @@ class TestDeterminismAndMonotonicity:
             for _ in range(2)
         ]
         assert event_triples(outs[0]) == event_triples(outs[1])
-        assert outs[0].confidences == outs[1].confidences
+        assert outs[0].confidences.tolist() == outs[1].confidences.tolist()
 
     @pytest.mark.parametrize("runner_kind", ["threshold", "uncertainty"])
     def test_smaller_budget_is_a_prefix(self, runner_kind):
@@ -568,11 +572,35 @@ class TestDeterminismAndMonotonicity:
         small, big = run(12), run(25)
         assert event_triples(big)[:12] == event_triples(small)
         # coverage and per-example counts only grow with budget
-        assert set(small.example_ids) <= set(big.example_ids)
-        small_k = dict(zip(small.example_ids, small.labels_per_example))
-        big_k = dict(zip(big.example_ids, big.labels_per_example))
+        assert small.n_labeled <= big.n_labeled
+        small_k = dict(enumerate(small.labels_per_example.tolist()))
+        big_k = dict(enumerate(big.labels_per_example.tolist()))
         for ex, k in small_k.items():
             assert big_k[ex] >= k
+
+
+class TestOutcomeColumns:
+    @pytest.mark.parametrize("budget", [0, 7, 30])
+    @pytest.mark.parametrize("runner_kind", ["threshold", "uncertainty"])
+    def test_columns_are_typed_arrays_indexed_by_example(self, runner_kind, budget):
+        cfg = SimConfig(12, 4, 0.55, 0.95)
+        ds, labelers = init_simulation(cfg, np.random.default_rng(3))
+        estimates = make_estimates([lab.accuracy for lab in labelers])
+        if runner_kind == "threshold":
+            out = run_confidence_threshold(
+                ds, labelers, estimates, ThresholdConfig(tau=0.95, kappa=4),
+                budget=budget, method=Method.GTX, rng=np.random.default_rng(17),
+            )
+        else:
+            out = run_uncertainty_sampling(
+                ds, labelers, estimates, budget=budget, method=Method.GTX,
+                rng=np.random.default_rng(17),
+            )
+        columns = (out.labels, out.confidences, out.soft_p1s, out.labels_per_example)
+        assert [c.dtype for c in columns] == [np.int64, np.float64, np.float64, np.int64]
+        assert {len(c) for c in columns} == {out.n_labeled}
+        assert out.n_labeled == len({ev.example_id for ev in out.event_log})
+        assert not hasattr(out, "example_ids") and not hasattr(out, "aggregates")
 
 
 class TestUncertaintySampling:
@@ -588,7 +616,7 @@ class TestUncertaintySampling:
             rng=np.random.default_rng(0),
         )
         assert [ev.example_id for ev in out.event_log] == [0, 1, 2, 3]
-        assert out.labels_per_example == [1, 1, 1, 1]
+        assert out.labels_per_example.tolist() == [1, 1, 1, 1]
 
     def test_extra_label_goes_to_most_uncertain(self):
         # first pass leaves example 1 with the least confident aggregate
@@ -608,7 +636,7 @@ class TestUncertaintySampling:
         )
         assert [ev.example_id for ev in out.event_log] == [0, 1, 2, 1]
         assert [ev.labeler_id for ev in out.event_log] == [0, 2, 1, 0]
-        assert out.labels_per_example == [1, 2, 1]
+        assert out.labels_per_example.tolist() == [1, 2, 1]
 
     def test_uncertainty_ties_break_toward_lowest_id(self):
         ds = make_dataset([1, 1, 1])
@@ -636,7 +664,7 @@ class TestUncertaintySampling:
             rng=np.random.default_rng(0),
         )
         assert out.ledger.spent == 2
-        assert out.labels_per_example == [1, 1]
+        assert out.labels_per_example.tolist() == [1, 1]
 
     def test_budget_below_coverage_stops_mid_pass(self):
         ds = make_dataset([1, 0, 1])
@@ -651,8 +679,8 @@ class TestUncertaintySampling:
             record_dynamics=True,
         )
         assert out.n_labeled == 2
-        assert out.example_ids == [0, 1]
-        assert out.dynamics == []  # coverage never completed
+        assert list(range(out.n_labeled)) == [0, 1]
+        assert [d.tolist() for d in out.dynamics] == [[], [], []]  # coverage never completed
 
     def test_dynamics_single_point_when_budget_equals_coverage(self):
         ds = make_dataset([1, 0, 1])
@@ -666,8 +694,9 @@ class TestUncertaintySampling:
             rng=np.random.default_rng(0),
             record_dynamics=True,
         )
-        assert len(out.dynamics) == 1
-        assert out.dynamics[0][0] == 3
+        steps, errors, maes = out.dynamics
+        assert len(steps) == len(errors) == len(maes) == 1
+        assert steps[0] == 3
 
     def test_dynamics_track_every_label_and_end_consistent(self):
         from gtx.metrics import error_rate, mean_absolute_error
@@ -684,9 +713,11 @@ class TestUncertaintySampling:
             rng=np.random.default_rng(14),
             record_dynamics=True,
         )
-        steps = [d[0] for d in out.dynamics]
-        assert steps == list(range(25, 61))
+        steps, errors, maes = out.dynamics
+        assert [d.dtype for d in out.dynamics] == [np.int64, np.float64, np.float64]
+        assert steps.tolist() == list(range(25, 61))
+        assert len(errors) == len(maes) == len(steps)
         err_final = error_rate(out, ds.true_labels)
         mae_final = mean_absolute_error(out, ds.true_labels)
-        assert out.dynamics[-1][1] == pytest.approx(err_final, abs=1e-9)
-        assert out.dynamics[-1][2] == pytest.approx(mae_final, abs=1e-9)
+        assert errors[-1] == pytest.approx(err_final, abs=1e-9)
+        assert maes[-1] == pytest.approx(mae_final, abs=1e-9)
