@@ -10,8 +10,9 @@ seed.  The documented draw order for one simulated trial is:
    order, items in assessment order),
 5. collection draws (two uniforms per collected label: labeler selection,
    then correctness).  Label j of a collection run uses draws 2j and
-   2j + 1.  The uncertainty engine takes exactly two draws per label; the
-   threshold engine takes them in blocks and may draw past its last label.
+   2j + 1.  Both engines take the draws in blocks.  The uncertainty engine
+   takes exactly two per label; the threshold engine may draw past its last
+   label.
 
 Steps 1-4 use the trial's environment stream; step 5 uses a separate
 collection stream so that different collection cells can share one
@@ -106,10 +107,9 @@ class UniformStream:
 
     Behaves like ``rng.random()`` per call (same underlying bit stream,
     consumed in blocks, as plain Python floats) but with far less per-call
-    overhead, and like ``rng.random(n)`` through ``take``.  The uncertainty
-    engine takes collection draws one at a time through ``random``; the
-    threshold engine takes blocks through ``take`` (or straight from a
-    Generator).
+    overhead, and like ``rng.random(n)`` through ``take``.  Both collection
+    engines take blocks through ``take`` (or straight from a Generator);
+    ``random`` serves the one-label-at-a-time reference loops of the tests.
     """
 
     __slots__ = ("_rng", "_buf", "_pos")

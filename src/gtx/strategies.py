@@ -25,22 +25,23 @@ floating point; SV stops on its winning share.
 Each label takes two uniform draws: selection indexes the ascending list of
 unused labeler ids, then correctness is compared against the labeler's true
 accuracy.  Label j of a run uses draws 2j and 2j + 1, whichever example it
-goes to.  The uncertainty engine takes them one at a time from a
-block-buffered :class:`gtx.simulation.UniformStream`.  The threshold engine
-takes them in blocks for a window of start offsets at a time: it simulates
-in numpy the labels an example starting at each offset would take, under
-both truths, then chains the real example starts through the window and
-closes all examples with the kernel's array finalizer.  The one-label
-select and elicit oracles in ``tests/oracles.py`` are the spec both engines
-replay exactly, and the one-label-at-a-time threshold loop there is the
-reference the threshold engine equals bit for bit.
+goes to.  Both engines take the draws in blocks.  The uncertainty engine
+runs its first pass, where example i takes label i, in numpy, and hands its
+later draws to the heap loop as Python floats a block at a time.  The
+threshold engine takes them for a window of start offsets at a time: it
+simulates in numpy the labels an example starting at each offset would
+take, under both truths, then chains the real example starts through the
+window and closes all examples with the kernel's array finalizer.  The
+one-label select and elicit oracles in ``tests/oracles.py`` are the spec
+both engines replay exactly, and the one-label-at-a-time threshold and
+uncertainty loops there are the references the engines equal bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -380,6 +381,15 @@ def _window_events(w0, stride, i0, starts, ks, y, hist, picked, ids, finalize_ar
     return map(tuple.__new__, repeat(LabelEvent), fields)
 
 
+def _draws(take, lo, hi, total):
+    """The draws of labels lo..hi-1 of a run that spends ``total`` labels."""
+    u = take(2 * (hi - lo))
+    if len(u) < 2 * (hi - lo):
+        raise ValueError(f"the draw stream ended after {2 * lo + len(u)} draws; "
+                         f"{total} labels need {2 * total}")
+    return u
+
+
 def run_uncertainty_sampling(
     dataset: SimDataset,
     labelers: Sequence[SimLabeler],
@@ -394,11 +404,18 @@ def run_uncertainty_sampling(
 ) -> CollectionOutcome:
     """First pass in id order, then always label the most uncertain example.
 
-    Uncertainty is 1 - aggregate confidence and is recomputed only for the
-    example just labeled, so a lazy max-heap (stale entries skipped by a
-    version counter) gives the exact argmax at every step.  Exact ties break
-    toward the lowest example id.  The run ends when the budget is spent or
-    every example has used all of its labelers.
+    The run spends ``min(budget, n_examples * pool size)`` labels: it ends
+    when the budget is spent or every example has used all of its labelers.
+    In the first pass example i takes label i, from draws 2i and 2i + 1, so
+    the pass runs in numpy and one call of the kernel's array finalizer
+    closes it.  After it, uncertainty is 1 - aggregate confidence and is
+    recomputed only for the example just labeled, so a lazy max-heap (stale
+    entries skipped by a version counter) gives the exact argmax at every
+    step.  Each new priority goes in with ``heappushpop``, which hands the
+    example straight back when it is still the most uncertain.  Exact ties
+    break toward the lowest example id.  An example's unused labelers are
+    listed when the heap first picks it.  The draws are taken a block at a
+    time; a stream that ends before the run does is a ``ValueError``.
 
     With ``record_dynamics=True`` the outcome carries the dataset-wide
     error rate and MAE after every label, starting at the label that
@@ -409,84 +426,95 @@ def run_uncertainty_sampling(
     pool, ids = _sorted_pool(labelers)
     L = len(pool)
     kern = kernel(method, prior)
-    finalize = kern.finalize
     inc = increment_table(method, ids, estimates)
-    acc_true = [lab.accuracy for lab in pool]
-    rand = (rng if isinstance(rng, UniformStream) else UniformStream(rng)).random
-    truth = dataset.true_labels.tolist()
+    acc = [lab.accuracy for lab in pool]
+    take = rng.take if isinstance(rng, UniformStream) else rng.random
+    truth = dataset.true_labels
     n = dataset.n_examples
+    total = min(budget, n * L)
+    c = min(budget, n)  # the examples covered by the first pass
 
-    events = [] if record_events else None
+    # first pass: example i takes label i
+    u = _draws(take, 0, c, total)
+    pos = (u[0::2] * L).astype(np.intp)
+    y = truth[:c]
+    v = np.where(u[1::2] < np.array(acc, dtype=float)[pos], y, 1 - y)
+    # 0.0 + d, as a sum starting at 0.0 adds its first increment
+    tab = np.array([[inc[p][w][j] for p in range(L) for w in (0, 1)] for j in (0, 1)],
+                   dtype=float)
+    s0, s1 = 0.0 + tab[:, 2 * pos + v]
+    first = kern.finalize_array(s0, s1, np.ones(c, np.int64))
+    events = None
+    if record_events:
+        events = list(map(tuple.__new__, repeat(LabelEvent), zip(
+            range(1, c + 1), range(c), map(ids.__getitem__, pos.tolist()), v.tolist(),
+            first[1].tolist())))
 
-    # per-example mutable state; cur[i] is (label, confidence, soft_p1)
-    unused = [None] * n
-    kcount = [0] * n
-    s0 = [0.0] * n
-    s1 = [0.0] * n
-    cur = [None] * n
-    spent = 0
-
-    def add_label(i: int) -> None:
-        """One select+elicit+update step for example i.  Two draws."""
-        nonlocal spent
-        yi = truth[i]
-        un = unused[i]
-        pos = un.pop(int(rand() * len(un)))
-        v = yi if rand() < acc_true[pos] else 1 - yi
-        k = kcount[i] = kcount[i] + 1
-        spent += 1
-        d0, d1 = inc[pos][v]
-        a0 = s0[i] = s0[i] + d0
-        a1 = s1[i] = s1[i] + d1
-        cur[i] = now = finalize(a0, a1, k)
-        if events is not None:
-            events.append(LabelEvent(spent, i, ids[pos], v, now[1]))
-    # first pass: one label per example, id order
-    covered = 0
-    for i in range(n):
-        if spent >= budget:
-            break
-        unused[i] = list(range(L))
-        add_label(i)
-        covered += 1
-
-    err_sum = 0
-    mae_sum = 0.0
     errors, maes = [], []  # after each label from full coverage on
-    track = record_dynamics and covered == n
+    track = record_dynamics and c == n
     if track:
-        for i in range(n):
-            lab, _, soft = cur[i]
-            err_sum += lab != truth[i]
-            mae_sum += abs(truth[i] - soft)
+        miss = first[0] != truth
+        dev = np.abs(truth - first[2])
+        err_sum = int(np.count_nonzero(miss))
+        mae_sum = float(np.add.accumulate(dev)[-1])  # left to right, as a loop adds
         errors.append(err_sum / n)
         maes.append(mae_sum / n)
+        miss, dev = miss.tolist(), dev.tolist()
 
-    if covered == n and spent < budget:
+    ks, closed = np.ones(c, np.int64), first
+    if c < total:  # then every example is covered and has unused labelers
+        finalize = kern.finalize
+        ys = truth.tolist()
+        firsts = pos.tolist()
+        unused = [None] * n
+        kcount = [1] * n
+        s0, s1 = s0.tolist(), s1.tolist()
+        spent = c
+        heappop, heappushpop = heapq.heappop, heapq.heappushpop
         # an entry is stale once its example has more labels than it records
-        heap = [(-(1.0 - cur[i][1]), i, 1) for i in range(n) if unused[i]]
+        heap = list(zip((-(1.0 - first[1])).tolist(), range(n), repeat(1)))
         heapq.heapify(heap)
-        while spent < budget and heap:
-            neg_u, i, k = heapq.heappop(heap)
-            if k != kcount[i]:
-                continue  # stale priority
+        entry = heappop(heap)
+        # the draws of labels c.. as Python floats, a block at a time
+        half = UniformStream.BLOCK // 2
+        draws = chain.from_iterable(_draws(take, lo, min(lo + half, total), total).tolist()
+                                    for lo in range(c, total, half))
+        for r0, r1 in zip(draws, draws):
+            _, i, k = entry
+            while k != kcount[i]:
+                _, i, k = entry = heappop(heap)
+            un = unused[i]
+            if un is None:
+                un = unused[i] = list(range(L))
+                del un[firsts[i]]
+            p = un.pop(int(r0 * len(un)))
+            yi = ys[i]
+            w = yi if r1 < acc[p] else 1 - yi
+            k = kcount[i] = k + 1
+            spent += 1
+            d0, d1 = inc[p][w]
+            a0 = s0[i] = s0[i] + d0
+            a1 = s1[i] = s1[i] + d1
+            lab, conf, soft = finalize(a0, a1, k)
+            if events is not None:
+                events.append(tuple.__new__(LabelEvent, (spent, i, ids[p], w, conf)))
             if track:
-                lab, _, soft = cur[i]
-                old_err = lab != truth[i]
-                old_mae = abs(truth[i] - soft)
-            add_label(i)
-            lab, conf, soft = cur[i]
-            if unused[i]:
-                heapq.heappush(heap, (-(1.0 - conf), i, k + 1))
-            if track:
-                err_sum += (lab != truth[i]) - old_err
-                mae_sum += abs(truth[i] - soft) - old_mae
+                wrong = lab != yi
+                err_sum += wrong - miss[i]
+                miss[i] = wrong
+                d = abs(yi - soft)
+                mae_sum += d - dev[i]
+                dev[i] = d
                 errors.append(err_sum / n)
                 maes.append(mae_sum / n)
+            if un:
+                entry = heappushpop(heap, (-(1.0 - conf), i, k))
+            elif heap:
+                entry = heappop(heap)
+        ks = np.array(kcount, dtype=np.int64)
+        closed = kern.finalize_array(np.array(s0), np.array(s1), ks)
 
-    ks = np.array(kcount[:covered], dtype=np.int64)
-    closed = kern.finalize_array(np.array(s0[:covered]), np.array(s1[:covered]), ks)
     dynamics = ((np.arange(n, n + len(errors)), np.array(errors), np.array(maes))
                 if record_dynamics else None)
-    return CollectionOutcome(method, BudgetLedger(budget, spent), *closed, ks,
+    return CollectionOutcome(method, BudgetLedger(budget, total), *closed, ks,
                              event_log=events, dynamics=dynamics)

@@ -4,14 +4,17 @@ Everything here is deliberately naive: plain probability space, no logs, no
 incremental state.  If the package and these functions agree, the clever
 versions earn their keep.  ``select_labeler`` and ``elicit_label`` are the
 spec of one collected label that both collection engines replay exactly,
-and ``confidence_threshold`` is the one-label-at-a-time loop that the
-offset-parallel threshold engine must equal bit for bit.
+``confidence_threshold`` is the one-label-at-a-time loop that the
+offset-parallel threshold engine must equal bit for bit, and
+``uncertainty_sampling`` the one-label-at-a-time heap loop that the
+uncertainty engine must equal bit for bit.
 ``error_rate`` and ``mean_absolute_error`` are the scoring loops, one
 example at a time, that the numpy scoring of ``gtx.metrics`` must equal.
 ``read_label_records`` is the label-file reader as a plain ``json.loads``
 loop, the spec of the one-scan reader in ``gtx.io``.
 """
 
+import heapq
 import json
 import math
 from pathlib import Path
@@ -19,7 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from gtx.errors import AlreadyLabeled
-from gtx.model import LabelRecord, Method, increment_table, kernel, log_odds
+from gtx.model import (
+    LabelRecord, Method, UNIFORM_PRIOR, increment_table, kernel, log_odds,
+)
 from gtx.simulation import UniformStream
 from gtx.strategies import BudgetLedger, CollectionOutcome, LabelEvent
 
@@ -171,6 +176,109 @@ def confidence_threshold(dataset, labelers, estimates, config, budget, method,
         np.array(confidences, dtype=np.float64), np.array(soft_p1s, dtype=np.float64),
         np.array(ks, dtype=np.int64), event_log=events,
     )
+
+
+def uncertainty_sampling(dataset, labelers, estimates, budget, method, rng, *,
+                         prior=UNIFORM_PRIOR, record_events=True, record_dynamics=False):
+    """The uncertainty-sampling run, one label at a time, for valid inputs:
+    first pass in id order, then always label the most uncertain example.
+
+    Uncertainty is 1 - aggregate confidence and is recomputed only for the
+    example just labeled, so a lazy max-heap (stale entries skipped by a
+    version counter) gives the exact argmax at every step.  Exact ties break
+    toward the lowest example id.  The run ends when the budget is spent or
+    every example has used all of its labelers.
+
+    With ``record_dynamics=True`` the outcome carries the dataset-wide
+    error rate and MAE after every label, starting at the label that
+    completes full coverage, as ``(steps, errors, maes)`` arrays.
+    """
+    method = Method(method)
+    pool = sorted(labelers, key=lambda lab: lab.labeler_id)
+    ids = [lab.labeler_id for lab in pool]
+    L = len(pool)
+    kern = kernel(method, prior)
+    finalize = kern.finalize
+    inc = increment_table(method, ids, estimates)
+    acc_true = [lab.accuracy for lab in pool]
+    rand = (rng if isinstance(rng, UniformStream) else UniformStream(rng)).random
+    truth = dataset.true_labels.tolist()
+    n = dataset.n_examples
+
+    events = [] if record_events else None
+
+    # per-example mutable state; cur[i] is (label, confidence, soft_p1)
+    unused = [None] * n
+    kcount = [0] * n
+    s0 = [0.0] * n
+    s1 = [0.0] * n
+    cur = [None] * n
+    spent = 0
+
+    def add_label(i: int) -> None:
+        """One select+elicit+update step for example i.  Two draws."""
+        nonlocal spent
+        yi = truth[i]
+        un = unused[i]
+        pos = un.pop(int(rand() * len(un)))
+        v = yi if rand() < acc_true[pos] else 1 - yi
+        k = kcount[i] = kcount[i] + 1
+        spent += 1
+        d0, d1 = inc[pos][v]
+        a0 = s0[i] = s0[i] + d0
+        a1 = s1[i] = s1[i] + d1
+        cur[i] = now = finalize(a0, a1, k)
+        if events is not None:
+            events.append(LabelEvent(spent, i, ids[pos], v, now[1]))
+    # first pass: one label per example, id order
+    covered = 0
+    for i in range(n):
+        if spent >= budget:
+            break
+        unused[i] = list(range(L))
+        add_label(i)
+        covered += 1
+
+    err_sum = 0
+    mae_sum = 0.0
+    errors, maes = [], []  # after each label from full coverage on
+    track = record_dynamics and covered == n
+    if track:
+        for i in range(n):
+            lab, _, soft = cur[i]
+            err_sum += lab != truth[i]
+            mae_sum += abs(truth[i] - soft)
+        errors.append(err_sum / n)
+        maes.append(mae_sum / n)
+
+    if covered == n and spent < budget:
+        # an entry is stale once its example has more labels than it records
+        heap = [(-(1.0 - cur[i][1]), i, 1) for i in range(n) if unused[i]]
+        heapq.heapify(heap)
+        while spent < budget and heap:
+            neg_u, i, k = heapq.heappop(heap)
+            if k != kcount[i]:
+                continue  # stale priority
+            if track:
+                lab, _, soft = cur[i]
+                old_err = lab != truth[i]
+                old_mae = abs(truth[i] - soft)
+            add_label(i)
+            lab, conf, soft = cur[i]
+            if unused[i]:
+                heapq.heappush(heap, (-(1.0 - conf), i, k + 1))
+            if track:
+                err_sum += (lab != truth[i]) - old_err
+                mae_sum += abs(truth[i] - soft) - old_mae
+                errors.append(err_sum / n)
+                maes.append(mae_sum / n)
+
+    ks = np.array(kcount[:covered], dtype=np.int64)
+    closed = kern.finalize_array(np.array(s0[:covered]), np.array(s1[:covered]), ks)
+    dynamics = ((np.arange(n, n + len(errors)), np.array(errors), np.array(maes))
+                if record_dynamics else None)
+    return CollectionOutcome(method, BudgetLedger(budget, spent), *closed, ks,
+                             event_log=events, dynamics=dynamics)
 
 
 def error_rate(outcome, true_labels):

@@ -11,12 +11,13 @@ from gtx.model import ClassPrior, LabelerEstimate, LabelRecord, UNIFORM_PRIOR
 from gtx.simulation import SimConfig, SimLabeler, UniformStream, init_simulation
 from gtx.strategies import (
     BudgetLedger,
+    LabelEvent,
     ThresholdConfig,
     run_confidence_threshold,
     run_uncertainty_sampling,
 )
 
-from oracles import confidence_threshold, elicit_label, select_labeler
+from oracles import confidence_threshold, elicit_label, select_labeler, uncertainty_sampling
 from support import (
     FIRST, RIGHT, WRONG, Script, finals, make_dataset, make_estimates, make_labelers,
 )
@@ -484,6 +485,43 @@ class TestThresholdAgainstOracle:
         assert _outcome_fields(got) == _outcome_fields(want)
 
 
+@st.composite
+def _uncertainty_runs(draw):
+    """A dataset, a pool, estimates, a rule, a prior, the record flags and a
+    budget from 0 past what the dataset can take: below, at and above the
+    example count, and enough to use up every pool."""
+    n_labelers = draw(st.integers(1, 6))
+    truth = draw(st.lists(st.integers(0, 1), min_size=1, max_size=60))
+    accs = draw(st.lists(_accuracies, min_size=n_labelers, max_size=n_labelers))
+    ests = draw(st.lists(_accuracies, min_size=n_labelers, max_size=n_labelers))
+    ids = draw(st.permutations(range(0, 3 * n_labelers, 3)))
+    return dict(
+        dataset=make_dataset(truth), labelers=[SimLabeler(i, a) for i, a in zip(ids, accs)],
+        estimates={i: LabelerEstimate(i, a) for i, a in zip(ids, ests)},
+        budget=draw(st.integers(0, len(truth) * n_labelers + 3)),
+        method=draw(st.sampled_from(list(Method))), prior=draw(_priors),
+        record_events=draw(st.booleans()), record_dynamics=draw(st.booleans()),
+    )
+
+
+def _uncertainty_fields(out):
+    dynamics = None if out.dynamics is None else [(d.tolist(), d.dtype) for d in out.dynamics]
+    return _outcome_fields(out), dynamics
+
+
+class TestUncertaintyAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(run=_uncertainty_runs(), seed=st.integers(0, 2**32 - 1))
+    def test_engine_equals_one_label_heap_loop(self, run, seed):
+        want = uncertainty_sampling(**run, rng=np.random.default_rng(seed))
+        got = run_uncertainty_sampling(**run, rng=np.random.default_rng(seed))
+        # repr tells -0.0 from 0.0 and an int from a numpy int
+        assert repr(_uncertainty_fields(got)) == repr(_uncertainty_fields(want))
+        for ev in got.event_log or ():
+            assert type(ev) is LabelEvent
+            assert ev == (ev.step, ev.example_id, ev.labeler_id, ev.value, ev.confidence)
+
+
 class TestReplayAgainstPublicApi:
     @pytest.mark.parametrize("runner_kind", ["threshold", "uncertainty"])
     def test_engine_draws_equal_select_plus_elicit(self, runner_kind):
@@ -681,6 +719,19 @@ class TestUncertaintySampling:
         assert out.n_labeled == 2
         assert list(range(out.n_labeled)) == [0, 1]
         assert [d.tolist() for d in out.dynamics] == [[], [], []]  # coverage never completed
+
+    @pytest.mark.parametrize("draws,budget,message", [
+        (5, 3, "ended after 5 draws; 3 labels need 6"),  # short in the first pass
+        (7, 10, "ended after 7 draws; 6 labels need 12"),  # short after it
+    ])
+    def test_short_draw_stream_raises(self, draws, budget, message):
+        ds = make_dataset([1, 0, 1])
+        labelers = make_labelers([0.8, 0.8])
+        with pytest.raises(ValueError, match=message):
+            run_uncertainty_sampling(
+                ds, labelers, make_estimates([0.8, 0.8]), budget=budget,
+                method=Method.GTX, rng=Script(([FIRST, RIGHT] * 6)[:draws]),
+            )
 
     def test_dynamics_single_point_when_budget_equals_coverage(self):
         ds = make_dataset([1, 0, 1])
