@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -42,7 +41,7 @@ from .io import (
     write_event_log,
     write_json,
 )
-from .metrics import TrialSummary, summarize, trial_report
+from .metrics import TrialSummary, mean_se, summarize, trial_report
 from .simulation import SimConfig, draw_assessment, init_simulation
 from .strategies import (
     ThresholdConfig,
@@ -114,10 +113,6 @@ class Cell:
         return self.fixed_count
 
     @property
-    def params(self) -> dict:
-        return {self.kind: self.value}
-
-    @property
     def kind(self) -> str:
         return "tau" if self.tau is not None else "count"
 
@@ -154,10 +149,7 @@ def _threshold_run(config, env, cell, trial, record_events):
 def _threshold_trial(trial, config, cells):
     env = build_trial_env(config, config.seed, trial)
     return [
-        trial_report(
-            _threshold_run(config, env, cell, trial, False),
-            env[0].true_labels, "threshold", params=cell.params, seed=trial,
-        )
+        trial_report(_threshold_run(config, env, cell, trial, False), env[0].true_labels)
         for cell in cells
     ]
 
@@ -175,7 +167,7 @@ def _uncertainty_trial(trial, config):
             collection_rng(config.seed, trial, method, 0),
             record_events=trial == 0, record_dynamics=True,
         )
-        reports.append(trial_report(outcome, truth, "uncertainty", seed=trial))
+        reports.append(trial_report(outcome, truth))
         dynamics.append(outcome.dynamics)
         outcome.dynamics = None
         if trial == 0:
@@ -241,7 +233,6 @@ def _pick_best(cells, summaries, methods):
 
 @dataclass
 class SweepResult:
-    strategy: str
     config: ExperimentConfig
     cells: tuple
     reports: tuple  # reports[i] is the per-trial tuple for cells[i]
@@ -277,7 +268,6 @@ def run_threshold_experiment(
     best = _pick_best(cells, summaries, config.methods)
     exemplars = _threshold_exemplars(config, cells, best)
     return SweepResult(
-        strategy="threshold",
         config=config,
         cells=cells,
         reports=reports,
@@ -291,36 +281,14 @@ def run_threshold_experiment(
 class UncertaintyResult:
     """``curves[method]`` is five equal-length arrays: the running label
     count (int64) and, at each count, the across-trial mean and standard
-    error of the error rate and of the MAE (float64), each equal bit for
-    bit to ``metrics.mean_se`` of that count's per-trial values."""
+    error of the error rate and of the MAE (float64), by ``metrics.mean_se``
+    over the trials' arrays."""
 
-    strategy: str
     config: ExperimentConfig
     reports: dict  # method -> per-trial tuple of TrialReport
     summaries: dict  # method -> TrialSummary
     curves: dict  # method -> (labels, err_mean, err_se, mae_mean, mae_se)
     exemplars: dict  # method -> (CollectionOutcome of trial 0, truth)
-
-
-def _column_mean_se(rows):
-    """``mean_se`` of every column of the equal-length float rows.
-
-    The same operations in the same order as ``mean_se``: sums accumulate
-    row by row from 0.0 (not numpy's pairwise ``sum``), and squares go
-    through ``np.float_power``, which calls libm ``pow`` as CPython's
-    ``x ** 2`` does, where ``x * x`` (``np.square``) can differ in the
-    last bit."""
-    n = len(rows)
-    total = 0.0
-    for row in rows:
-        total = total + row
-    mean = total / n
-    if n == 1:
-        return mean, np.zeros_like(mean)
-    squares = 0.0
-    for row in rows:
-        squares = squares + np.float_power(row - mean, 2.0)
-    return mean, np.sqrt(squares / (n - 1)) / math.sqrt(n)
 
 
 def _uncertainty_curves(dynamics_per_trial):
@@ -333,8 +301,8 @@ def _uncertainty_curves(dynamics_per_trial):
     for other, _, _ in dynamics_per_trial[1:]:
         if not np.array_equal(other, steps):
             raise ValueError("trials recorded dynamics at different label counts")
-    err_mean, err_se = _column_mean_se([errs for _, errs, _ in dynamics_per_trial])
-    mae_mean, mae_se = _column_mean_se([maes for _, _, maes in dynamics_per_trial])
+    err_mean, err_se = mean_se([errs for _, errs, _ in dynamics_per_trial])
+    mae_mean, mae_se = mean_se([maes for _, _, maes in dynamics_per_trial])
     return steps, err_mean, err_se, mae_mean, mae_se
 
 
@@ -358,7 +326,6 @@ def run_uncertainty_experiment(
         exemplars[method] = (outcomes[mi], truth)
     summaries = {m: summarize(r) for m, r in reports.items()}
     return UncertaintyResult(
-        strategy="uncertainty",
         config=config,
         reports=reports,
         summaries=summaries,
@@ -422,7 +389,7 @@ def _summary_row(cell_type, cell_value, s: TrialSummary, best: bool):
 
 def _write_run_json(out_dir: Path, result) -> None:
     payload = {
-        "strategy": result.strategy,
+        "strategy": result.config.strategy,
         "master_seed": result.config.seed,
         "config": result.config.as_dict(),
     }

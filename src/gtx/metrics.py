@@ -1,17 +1,19 @@
-"""Evaluation metrics and per-trial reporting.
+"""Evaluation metrics, per-trial reports and trial means.
 
 Error rate and mean absolute error are computed over the examples that
 actually received labels (never the full dataset size), and are absent
 (None) rather than zero when nothing was labeled.  MAE compares the true
 label against each method's own class-1 soft score, so probability-blind
-methods like MV are scored on their vote shares.
+methods like MV are scored on their vote shares.  ``mean_se`` is the one
+mean and standard error over trials: ``summarize`` uses it on each report
+field, and the uncertainty harness on each label count of the dynamics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,12 +68,9 @@ def mean_absolute_error(outcome: CollectionOutcome, true_labels) -> float | None
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Metrics of one collection run plus enough context to group runs."""
+    """Metrics of one collection run."""
 
     method: Method
-    strategy: str
-    params: tuple  # sorted (key, value) pairs identifying the sweep cell
-    seed: int | None
     n_labeled: int
     spent: int
     avg_k: float | None
@@ -79,21 +78,12 @@ class TrialReport:
     mae: float | None
 
 
-def trial_report(
-    outcome: CollectionOutcome,
-    true_labels,
-    strategy: str,
-    params: Mapping | None = None,
-    seed: int | None = None,
-) -> TrialReport:
+def trial_report(outcome: CollectionOutcome, true_labels) -> TrialReport:
     """Evaluate one outcome.  avg_k is spent labels per labeled example."""
     n = outcome.n_labeled
     spent = outcome.ledger.spent
     return TrialReport(
         method=outcome.method,
-        strategy=strategy,
-        params=tuple(sorted((params or {}).items())),
-        seed=seed,
         n_labeled=n,
         spent=spent,
         avg_k=(spent / n) if n > 0 else None,
@@ -102,17 +92,34 @@ def trial_report(
     )
 
 
-def mean_se(values: Sequence[float]) -> tuple[float | None, float | None]:
-    """Mean and standard error (sample stddev / sqrt(n)); SE is 0 for n == 1."""
-    vals = [v for v in values if v is not None]
-    n = len(vals)
+def mean_se(rows: Sequence) -> tuple:
+    """Mean and standard error (sample stddev / sqrt(n)) over trials.
+
+    Each row is one trial's float or one trial's float array, all of one
+    length; None rows are skipped.  No rows give (None, None), one an SE of
+    0; floats give plain floats, arrays arrays.  Sums run row by row from
+    0.0, left to right (neither numpy's pairwise ``sum`` nor Python 3.12's
+    compensated ``sum``), and squares go through ``np.float_power``: libm
+    ``pow``, as ``x ** 2`` uses, where ``x * x`` can differ in the last bit.
+    """
+    rows = [r for r in rows if r is not None]
+    n = len(rows)
     if n == 0:
         return None, None
-    mean = sum(vals) / n
+    total = 0.0
+    for row in rows:
+        total = total + row
+    mean = total / n
     if n == 1:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in vals) / (n - 1)
-    return mean, math.sqrt(var) / math.sqrt(n)
+        se = np.zeros_like(mean)
+    else:
+        squares = 0.0
+        for row in rows:
+            squares = squares + np.float_power(row - mean, 2.0)
+        se = np.sqrt(squares / (n - 1)) / math.sqrt(n)
+    if np.ndim(mean) == 0:
+        return float(mean), float(se)
+    return mean, se
 
 
 @dataclass(frozen=True)
@@ -120,8 +127,6 @@ class TrialSummary:
     """Mean and standard error of each metric across repeated trials."""
 
     method: Method
-    strategy: str
-    params: tuple
     trials: int
     avg_k_mean: float | None
     avg_k_se: float | None
@@ -136,21 +141,19 @@ class TrialSummary:
 def summarize(reports: Sequence[TrialReport]) -> TrialSummary:
     """Collapse repeated trials of one sweep cell into means and SEs.
 
-    All reports must share method, strategy, and cell parameters; mixing
-    cells would average apples and oranges, so it is a ConfigError.
+    Every report must be of one method; mixing methods would average
+    apples and oranges, so it is a ConfigError.
     """
     if not reports:
         raise ConfigError("cannot summarize zero trial reports")
-    head = reports[0]
-    key = (head.method, head.strategy, head.params)
+    method = reports[0].method
     for rep in reports[1:]:
-        if (rep.method, rep.strategy, rep.params) != key:
+        if rep.method != method:
             raise ConfigError(
-                f"summarize() needs homogeneous reports; got {key} and "
-                f"{(rep.method, rep.strategy, rep.params)}"
+                f"summarize() needs reports of one method; got {method} and {rep.method}"
             )
     return TrialSummary(  # each mean_se pair fills a field's (mean, se)
-        *key,
+        method,
         len(reports),
         *mean_se([r.avg_k for r in reports]),
         *mean_se([float(r.n_labeled) for r in reports]),

@@ -40,6 +40,7 @@ uncertainty loops there are the references the engines equal bit for bit.
 from __future__ import annotations
 
 import heapq
+import numbers
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Hashable, Mapping, NamedTuple, Sequence
@@ -166,7 +167,9 @@ def _sorted_pool(labelers: Sequence[SimLabeler]):
 
 
 def _check_budget(budget) -> int:
-    if budget is None or budget < 0 or int(budget) != budget:
+    whole = (isinstance(budget, numbers.Integral) and not isinstance(budget, bool)
+             or isinstance(budget, (float, np.floating)) and budget.is_integer())
+    if not whole or budget < 0:
         raise ConfigError(f"budget must be a non-negative integer, got {budget!r}")
     return int(budget)
 
@@ -409,10 +412,10 @@ def run_uncertainty_sampling(
     In the first pass example i takes label i, from draws 2i and 2i + 1, so
     the pass runs in numpy and one call of the kernel's array finalizer
     closes it.  After it, uncertainty is 1 - aggregate confidence and is
-    recomputed only for the example just labeled, so a lazy max-heap (stale
-    entries skipped by a version counter) gives the exact argmax at every
-    step.  Each new priority goes in with ``heappushpop``, which hands the
-    example straight back when it is still the most uncertain.  Exact ties
+    recomputed only for the example just labeled, so a max-heap that holds
+    one entry per example with unused labelers gives the exact argmax at
+    every step.  Each new priority goes in with ``heappushpop``, which hands
+    the example straight back when it is still the most uncertain.  Exact ties
     break toward the lowest example id.  An example's unused labelers are
     listed when the heap first picks it.  The draws are taken a block at a
     time; a stream that ends before the run does is a ``ValueError``.
@@ -451,7 +454,7 @@ def run_uncertainty_sampling(
             first[1].tolist())))
 
     errors, maes = [], []  # after each label from full coverage on
-    track = record_dynamics and c == n
+    track = record_dynamics and 0 < c == n
     if track:
         miss = first[0] != truth
         dev = np.abs(truth - first[2])
@@ -471,8 +474,7 @@ def run_uncertainty_sampling(
         s0, s1 = s0.tolist(), s1.tolist()
         spent = c
         heappop, heappushpop = heapq.heappop, heapq.heappushpop
-        # an entry is stale once its example has more labels than it records
-        heap = list(zip((-(1.0 - first[1])).tolist(), range(n), repeat(1)))
+        heap = list(zip((-(1.0 - first[1])).tolist(), range(n)))
         heapq.heapify(heap)
         entry = heappop(heap)
         # the draws of labels c.. as Python floats, a block at a time
@@ -480,9 +482,7 @@ def run_uncertainty_sampling(
         draws = chain.from_iterable(_draws(take, lo, min(lo + half, total), total).tolist()
                                     for lo in range(c, total, half))
         for r0, r1 in zip(draws, draws):
-            _, i, k = entry
-            while k != kcount[i]:
-                _, i, k = entry = heappop(heap)
+            i = entry[1]
             un = unused[i]
             if un is None:
                 un = unused[i] = list(range(L))
@@ -490,7 +490,7 @@ def run_uncertainty_sampling(
             p = un.pop(int(r0 * len(un)))
             yi = ys[i]
             w = yi if r1 < acc[p] else 1 - yi
-            k = kcount[i] = k + 1
+            k = kcount[i] = kcount[i] + 1
             spent += 1
             d0, d1 = inc[p][w]
             a0 = s0[i] = s0[i] + d0
@@ -508,7 +508,7 @@ def run_uncertainty_sampling(
                 errors.append(err_sum / n)
                 maes.append(mae_sum / n)
             if un:
-                entry = heappushpop(heap, (-(1.0 - conf), i, k))
+                entry = heappushpop(heap, (-(1.0 - conf), i))
             elif heap:
                 entry = heappop(heap)
         ks = np.array(kcount, dtype=np.int64)

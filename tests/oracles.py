@@ -9,7 +9,10 @@ offset-parallel threshold engine must equal bit for bit, and
 ``uncertainty_sampling`` the one-label-at-a-time heap loop that the
 uncertainty engine must equal bit for bit.
 ``error_rate`` and ``mean_absolute_error`` are the scoring loops, one
-example at a time, that the numpy scoring of ``gtx.metrics`` must equal.
+example at a time, that the numpy scoring of ``gtx.metrics`` must equal,
+and ``mean_se`` the scalar trial mean and standard error that
+``gtx.metrics.mean_se`` must equal on floats and, element by element, on
+arrays.
 ``read_label_records`` is the label-file reader as a plain ``json.loads``
 loop, the spec of the one-scan reader in ``gtx.io``.
 """
@@ -305,6 +308,26 @@ def mean_absolute_error(outcome, true_labels):
     for ex, soft in enumerate(outcome.soft_p1s.tolist()):
         total += abs(truth[ex] - soft)
     return float(total) / n
+
+
+def mean_se(values):
+    """Mean and standard error (sample stddev / sqrt(n)) of the non-None
+    values, each sum added left to right from 0.0; (None, None) for no
+    values, an SE of 0.0 for one."""
+    vals = [v for v in values if v is not None]
+    n = len(vals)
+    if n == 0:
+        return None, None
+    total = 0.0
+    for v in vals:
+        total += v
+    mean = total / n
+    if n == 1:
+        return mean, 0.0
+    squares = 0.0
+    for v in vals:
+        squares += (v - mean) ** 2
+    return mean, math.sqrt(squares / (n - 1)) / math.sqrt(n)
 
 
 _RECORD_KEYS = {"example_id", "labeler_id", "step", "value"}

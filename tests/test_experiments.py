@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gtx.experiments
@@ -24,9 +24,10 @@ from gtx.experiments import (
     write_results,
 )
 from gtx.io import ExperimentConfig, config_from_dict, read_label_records
-from gtx.metrics import mean_se
+from gtx.metrics import TrialReport, summarize
 from gtx.strategies import run_uncertainty_sampling
 
+import oracles
 from support import finals
 
 
@@ -214,7 +215,6 @@ class TestUncertaintyExperiment:
             assert labels[-1] == cfg.budget
             assert len(labels) == cfg.budget - cfg.n_examples + 1
             assert all(len(col) == len(labels) for col in res.curves[method])
-            assert res.summaries[method].strategy == "uncertainty"
 
     def test_workers_do_not_change_results(self):
         cfg = tiny_uncertainty_config()
@@ -332,8 +332,8 @@ class TestUncertaintyCurves:
         steps = np.arange(50, 850, dtype=np.int64)
         dynamics = [(steps, rng.random(800), rng.random(800) / 3) for _ in range(trials)]
         curve = _uncertainty_curves(dynamics)
-        err = [mean_se(col) for col in zip(*(e.tolist() for _, e, _ in dynamics))]
-        mae = [mean_se(col) for col in zip(*(m.tolist() for _, _, m in dynamics))]
+        err = [oracles.mean_se(col) for col in zip(*(e.tolist() for _, e, _ in dynamics))]
+        mae = [oracles.mean_se(col) for col in zip(*(m.tolist() for _, _, m in dynamics))]
         expected = (steps, *(np.array(c) for c in zip(*err)), *(np.array(c) for c in zip(*mae)))
         assert _bits(curve) == _bits(expected)
 
@@ -343,7 +343,58 @@ class TestUncertaintyCurves:
         assert [d ** 2 for d in deviations] != [d * d for d in deviations]
         dynamics = [(np.array([7]), np.array([v]), np.array([v])) for v in _POW_SENSITIVE]
         _, err_mean, err_se, _, _ = _uncertainty_curves(dynamics)
-        assert (err_mean[0], err_se[0]) == mean_se(_POW_SENSITIVE)
+        assert (err_mean[0], err_se[0]) == oracles.mean_se(_POW_SENSITIVE)
+
+
+# per-trial figures: any rate, or one of the values that tell x ** 2 from x * x
+_rates = st.sampled_from(_POW_SENSITIVE) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _trial_reports(draw):
+    """A report of one trial; n_labeled 0 leaves avg_k, error rate and MAE
+    None, the rows that trial means skip."""
+    n = draw(st.integers(0, 3) | st.integers(1, 20_000))
+    if n == 0:
+        return TrialReport(Method.GTX, 0, 0, None, None, None)
+    avg_k = draw(st.floats(1.0, 8.0) | st.sampled_from([1.0, 2.5, 3.0]))
+    return TrialReport(Method.GTX, n, round(avg_k * n), avg_k, draw(_rates), draw(_rates))
+
+
+def _same(got, expected):
+    return [repr(x) for x in got] == [repr(x) for x in expected]
+
+
+class TestTrialMeansAgainstOracle:
+    """``summarize`` and ``_uncertainty_curves`` average trials through
+    ``metrics.mean_se``; both must equal the scalar loop of the oracle."""
+
+    @given(st.lists(_trial_reports(), min_size=1, max_size=8))
+    @example([TrialReport(Method.GTX, 3, 6, 2.0, v, v) for v in _POW_SENSITIVE])
+    @settings(max_examples=200, deadline=None)
+    def test_summary_figures(self, reports):
+        s = summarize(reports)
+        expected = [oracles.mean_se([getattr(r, f) for r in reports])
+                    for f in ("avg_k", "n_labeled", "error_rate", "mae")]
+        assert s.trials == len(reports)
+        assert _same([s.avg_k_mean, s.avg_k_se, s.n_labeled_mean, s.n_labeled_se,
+                      s.error_rate_mean, s.error_rate_se, s.mae_mean, s.mae_se],
+                     [x for pair in expected for x in pair])
+
+    @given(st.lists(st.lists(st.tuples(_rates, _rates), min_size=4, max_size=4),
+                    min_size=1, max_size=8))
+    @example([[(v, v)] * 4 for v in _POW_SENSITIVE])
+    @settings(max_examples=200, deadline=None)
+    def test_curve_columns(self, trials):
+        steps = np.arange(10, 14)
+        dynamics = [(steps, np.array([e for e, _ in t]), np.array([m for _, m in t]))
+                    for t in trials]
+        _, err_mean, err_se, mae_mean, mae_se = _uncertainty_curves(dynamics)
+        for j in range(len(steps)):
+            err = oracles.mean_se([t[j][0] for t in trials])
+            mae = oracles.mean_se([t[j][1] for t in trials])
+            assert _same([err_mean[j].item(), err_se[j].item(),
+                          mae_mean[j].item(), mae_se[j].item()], [*err, *mae])
 
 
 class TestWriteResults:

@@ -5,9 +5,13 @@ over both accuracy cohorts, and of a small ``gtx assess`` run (its input
 files included), is hashed and compared with the hashes recorded before the
 event-log fast path landed.  The ``repr`` of every ``aggregate`` of the
 assess run's label file, under each rule with the estimates it wrote, is
-hashed too (recorded before the one-scan reader and the fused vote checks).  A speedup that changes any byte of any result
-file fails here; a deliberate format change must re-record the table and say
-why.
+hashed too (recorded before the one-scan reader and the fused vote checks).
+The trial means and standard errors of a threshold and an uncertainty run
+at five trials are hashed as well (recorded while ``summarize`` still used
+builtin ``sum``): with two trials a compensated sum equals the plain one, so
+only three or more trials show the order of the sums.  A speedup that
+changes any byte of any result file fails here; a deliberate format change
+must re-record the table and say why.
 """
 
 import csv
@@ -73,6 +77,16 @@ GOLDEN = {
     },
 }
 
+FIVE_TRIAL_GOLDEN = {
+    ("threshold", "noisy"): {
+        "summary.csv": "6447a6996cc9c3b3a8b957ecc2cee8e5a2f70ea2f942d0e078005469f1865a20",
+    },
+    ("uncertainty", "accurate"): {
+        "dynamics.csv": "8161e2744a5c3c2ace31ce8cc18c97db03cf3fe9449d8f66eb4f53a2b5d26357",
+        "summary.csv": "8ada055e2b65acfe024fa2f7f134dc67f665a0d2c22994d8759a9368de5f51db",
+    },
+}
+
 AGGREGATE_GOLDEN = {
     "mv": "0d46b340a9fefdf0fe32e41368f146f6a9edae33fb245bf1b9a33538c4223bb0",
     "wmv": "a98c073f635ba27291b8d0a631cf7231c98d75d38653b81e05a2ab10ce292d09",
@@ -88,8 +102,8 @@ def _hashes(out_dir):
     }
 
 
-def _run_experiment(tmp_path, strategy, cohort):
-    cfg = {"strategy": strategy, "seed": 11, "trials": 2, "n_labelers": 8,
+def _run_experiment(tmp_path, strategy, cohort, trials=2):
+    cfg = {"strategy": strategy, "seed": 11, "trials": trials, "n_labelers": 8,
            "accuracy_interval": COHORTS[cohort]}
     if strategy == "threshold":
         cfg.update(budget=900, n_examples=300)
@@ -128,6 +142,13 @@ def _run_assess(tmp_path):
 @pytest.mark.parametrize("strategy", ["threshold", "uncertainty"])
 def test_experiment_files_match_golden(tmp_path, strategy, cohort):
     assert _run_experiment(tmp_path, strategy, cohort) == GOLDEN[strategy, cohort]
+
+
+@pytest.mark.parametrize("strategy,cohort", sorted(FIVE_TRIAL_GOLDEN))
+def test_five_trial_means_match_golden(tmp_path, strategy, cohort):
+    hashes = _run_experiment(tmp_path, strategy, cohort, trials=5)
+    golden = FIVE_TRIAL_GOLDEN[strategy, cohort]
+    assert {name: hashes[name] for name in golden} == golden
 
 
 def test_assess_files_match_golden(tmp_path):

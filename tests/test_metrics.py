@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,46 +128,61 @@ class TestMeanSe:
         mean, se = mean_se([0.1, 0.2])
         assert mean == pytest.approx(0.15)
         assert se == pytest.approx(0.05)
+        assert (mean, se) == oracles.mean_se([0.1, 0.2])
 
     def test_single_value_has_zero_se(self):
         assert mean_se([0.7]) == (0.7, 0.0)
 
     def test_empty(self):
         assert mean_se([]) == (None, None)
+        assert mean_se([None, None]) == (None, None)
 
     def test_nones_are_skipped(self):
         mean, se = mean_se([0.1, None, 0.2])
         assert mean == pytest.approx(0.15)
         assert se == pytest.approx(0.05)
+        assert (mean, se) == oracles.mean_se([0.1, None, 0.2])
+
+    @pytest.mark.parametrize("rows", [[0.7], [0.1, 0.2, 0.4], [np.float64(0.3), 1, 2.5]])
+    def test_float_rows_give_plain_floats(self, rows):
+        # summary.csv writes plain floats through its template
+        assert [type(x) for x in mean_se(rows)] == [float, float]
+
+    def test_array_rows_are_averaged_element_by_element(self):
+        rows = [np.array([0.1, 0.5]), None, np.array([0.2, 0.9]), np.array([0.4, 0.3])]
+        mean, se = mean_se(rows)
+        expected = [oracles.mean_se(col) for col in ([0.1, 0.2, 0.4], [0.5, 0.9, 0.3])]
+        assert list(zip(mean.tolist(), se.tolist())) == expected
+
+    def test_one_array_row_has_zero_se(self):
+        mean, se = mean_se([np.array([0.25, 0.5])])
+        assert mean.tolist() == [0.25, 0.5]
+        assert se.tolist() == [0.0, 0.0]
 
 
 class TestTrialReportAndSummary:
     def test_report_fields(self):
         out, ds = small_outcome()
-        rep = trial_report(out, ds.true_labels, "threshold", params={"tau": 0.9}, seed=3)
+        rep = trial_report(out, ds.true_labels)
         assert rep.method is Method.GTX
-        assert rep.params == (("tau", 0.9),)
         assert rep.spent == out.ledger.spent
         assert rep.avg_k == pytest.approx(rep.spent / rep.n_labeled)
 
     def test_summary_means(self):
         out0, ds0 = small_outcome(seed=1)
         out1, ds1 = small_outcome(seed=2)
-        reps = [
-            trial_report(out0, ds0.true_labels, "threshold", params={"tau": 0.9}),
-            trial_report(out1, ds1.true_labels, "threshold", params={"tau": 0.9}),
-        ]
+        reps = [trial_report(out0, ds0.true_labels), trial_report(out1, ds1.true_labels)]
         summ = summarize(reps)
         assert summ.trials == 2
         assert summ.error_rate_mean == pytest.approx(
             (reps[0].error_rate + reps[1].error_rate) / 2
         )
 
-    def test_summarize_rejects_mixed_cells(self):
+    def test_summarize_rejects_mixed_methods(self):
         out, ds = small_outcome()
-        a = trial_report(out, ds.true_labels, "threshold", params={"tau": 0.9})
-        b = trial_report(out, ds.true_labels, "threshold", params={"tau": 0.95})
-        with pytest.raises(ConfigError):
+        a = trial_report(out, ds.true_labels)
+        b = dataclasses.replace(a, method=Method.SV)
+        with pytest.raises(ConfigError, match="got gtx and sv"):
             summarize([a, b])
 
     def test_summarize_rejects_empty(self):

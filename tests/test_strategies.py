@@ -341,6 +341,38 @@ class TestThresholdValidation:
             )
 
 
+def _run_engine(kind, budget):
+    ds = make_dataset([1, 0, 1])
+    labelers = make_labelers([0.8, 0.8])
+    estimates = make_estimates([0.8, 0.8])
+    if kind == "threshold":
+        return run_confidence_threshold(
+            ds, labelers, estimates, ThresholdConfig(tau=0.9, kappa=2),
+            budget=budget, method=Method.GTX, rng=np.random.default_rng(0),
+        )
+    return run_uncertainty_sampling(
+        ds, labelers, estimates, budget=budget, method=Method.GTX,
+        rng=np.random.default_rng(0),
+    )
+
+
+@pytest.mark.parametrize("kind", ["threshold", "uncertainty"])
+class TestBudgetValidation:
+    @pytest.mark.parametrize("budget,shown", [
+        (float("nan"), "nan"), (float("inf"), "inf"), ("5", "'5'"), (True, "True"),
+        (-1, "-1"), (2.5, "2.5"), (None, "None"),
+    ])
+    def test_bad_budget_is_a_config_error_naming_it(self, kind, budget, shown):
+        with pytest.raises(ConfigError, match=f"budget must be a non-negative integer, got {shown}$"):
+            _run_engine(kind, budget)
+
+    @pytest.mark.parametrize("budget", [4, np.int64(4), 4.0, np.float64(4.0)])
+    def test_whole_numbers_run(self, kind, budget):
+        out = _run_engine(kind, budget)
+        assert out.ledger.total == 4 and type(out.ledger.total) is int
+        assert out.ledger.spent == len(out.event_log) == 4
+
+
 class TestAgainstAggregators:
     @pytest.mark.parametrize(
         "method,stopping",
@@ -732,6 +764,17 @@ class TestUncertaintySampling:
                 ds, labelers, make_estimates([0.8, 0.8]), budget=budget,
                 method=Method.GTX, rng=Script(([FIRST, RIGHT] * 6)[:draws]),
             )
+
+    @pytest.mark.parametrize("budget", [0, 5])
+    def test_empty_dataset_with_dynamics(self, budget):
+        out = run_uncertainty_sampling(
+            make_dataset([]), make_labelers([0.8, 0.8]), make_estimates([0.8, 0.8]),
+            budget=budget, method=Method.GTX, rng=np.random.default_rng(0),
+            record_dynamics=True,
+        )
+        assert out.n_labeled == 0 and out.ledger.spent == 0 and out.event_log == []
+        assert [d.dtype for d in out.dynamics] == [np.int64, np.float64, np.float64]
+        assert [d.tolist() for d in out.dynamics] == [[], [], []]
 
     def test_dynamics_single_point_when_budget_equals_coverage(self):
         ds = make_dataset([1, 0, 1])
