@@ -9,7 +9,9 @@ budget; nothing in this module touches a budget ledger.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
+
+import numpy as np
 
 from .errors import EmptyAssessment, IncompleteAssessment
 from .model import LabelerEstimate, as_label
@@ -88,19 +90,17 @@ def run_assessment(labelers, assessment: AssessmentSet, rng) -> dict:
     ``labelers`` is an iterable of objects with ``labeler_id`` and true
     ``accuracy`` attributes (see :class:`gtx.simulation.SimLabeler`).  Draw
     order: one uniform per (labeler, item), labelers in the given order,
-    items in assessment order.
+    items in assessment order, taken as one row-major block.  A response is
+    right when its draw is below the labeler's accuracy, so each estimate is
+    the share of its labeler's draws below its accuracy, whatever the items'
+    labels.
     """
-    estimates = {}
-    for labeler in labelers:
-        acc = labeler.accuracy
-        responses = {}
-        for item_id, truth in assessment.items():
-            correct = rng.random() < acc
-            responses[item_id] = truth if correct else 1 - truth
-        estimates[labeler.labeler_id] = estimate_accuracy(
-            labeler.labeler_id, responses, assessment
-        )
-    return estimates
+    labelers = list(labelers)
+    size = len(assessment)
+    acc = np.array([lab.accuracy for lab in labelers], dtype=float)
+    right = np.count_nonzero(rng.random((len(labelers), size)) < acc[:, None], axis=1)
+    return {lab.labeler_id: LabelerEstimate(lab.labeler_id, c / size, size)
+            for lab, c in zip(labelers, right.tolist())}
 
 
 def oracle_estimates(labelers) -> dict:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type rules of the
+config values that raise ``ConfigError``."""
 
 
 class GtxError(Exception):
@@ -31,3 +32,13 @@ class AlreadyLabeled(GtxError):
 
 class ConfigError(GtxError):
     """Invalid configuration; the message lists every violation found."""
+
+
+def is_int(v) -> bool:
+    """An integer config value: a Python int, and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_number(v) -> bool:
+    """A real config value: a float or an integer, and not a bool."""
+    return isinstance(v, float) or is_int(v)

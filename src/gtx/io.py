@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .aggregators import Method
 from .assessment import AssessmentSet
-from .errors import AlreadyLabeled, ConfigError
+from .errors import AlreadyLabeled, ConfigError, is_int, is_number
 from .model import LabelRecord
 from .strategies import LabelEvent
 
@@ -275,14 +275,6 @@ _LISTS = (list, tuple, range)
 _INVALID = "invalid config: "
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, float) or _is_int(v)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully-resolved experiment description; its fields are the config
@@ -316,7 +308,7 @@ class ExperimentConfig:
         valid = {}  # the fields of a valid form, so far
         for key, least in _INT_MINIMUMS.items():
             v = getattr(self, key)
-            if not _is_int(v):
+            if not is_int(v):
                 problems.append(f"{key} must be an integer, got {v!r}")
             elif v < least:
                 problems.append(f"{key} must be >= {least}, got {v}")
@@ -346,7 +338,7 @@ class ExperimentConfig:
 
         codes: dict[int, float] = {}
         for t in valid.get("tau_grid", ()):
-            if not _is_number(t):
+            if not is_number(t):
                 problems.append(f"tau values must be numbers, got {t!r}")
             elif not 0.5 < t <= 1.0:  # nan too
                 problems.append(f"tau must be in (0.5, 1], got {t}")
@@ -358,7 +350,7 @@ class ExperimentConfig:
 
         counts: set[int] = set()
         for c in valid.get("fixed_counts", ()):
-            if not _is_int(c):
+            if not is_int(c):
                 problems.append(f"fixed counts must be integers, got {c!r}")
             elif not 1 <= c <= (kappa or c):  # no upper bound while kappa is invalid
                 problems.append(f"fixed counts must be in 1..kappa ({self.kappa}), got {c}")
@@ -369,7 +361,7 @@ class ExperimentConfig:
 
         interval = self.accuracy_interval
         if not (isinstance(interval, _LISTS) and len(interval) == 2
-                and all(map(_is_number, interval))):
+                and all(map(is_number, interval))):
             problems.append(f"accuracy_interval must be a [low, high] pair, got {interval!r}")
         elif not 0.0 <= interval[0] <= interval[1] <= 1.0:
             problems.append(
@@ -412,7 +404,7 @@ def _int_or(raw, key, default):
     """``raw[key]`` when it is a valid value for that key, else ``default``:
     the value other keys' defaults are derived from."""
     v = raw.get(key, default)
-    return v if _is_int(v) and v >= _INT_MINIMUMS[key] else default
+    return v if is_int(v) and v >= _INT_MINIMUMS[key] else default
 
 
 def config_from_dict(raw: Mapping) -> ExperimentConfig:

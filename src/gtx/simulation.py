@@ -10,9 +10,10 @@ seed.  The documented draw order for one simulated trial is:
    order, items in assessment order),
 5. collection draws (two uniforms per collected label: labeler selection,
    then correctness).  Label j of a collection run uses draws 2j and
-   2j + 1.  Both engines take the draws in blocks.  The uncertainty engine
-   takes exactly two per label; the threshold engine may draw past its last
-   label.
+   2j + 1.  Both engines take the draws in blocks with ``rng.random(n)``,
+   which reads the same doubles as that many ``rng.random()`` calls.  The
+   uncertainty engine takes exactly two per label; the threshold engine may
+   draw past its last label.
 
 Steps 1-4 use the trial's environment stream; step 5 uses a separate
 collection stream so that different collection cells can share one
@@ -26,13 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assessment import AssessmentSet
-from .errors import ConfigError
+from .errors import ConfigError, is_int, is_number
 
 __all__ = [
     "SimConfig",
     "SimDataset",
     "SimLabeler",
-    "UniformStream",
     "draw_assessment",
     "init_simulation",
 ]
@@ -85,60 +85,22 @@ class SimConfig:
 
     def __post_init__(self):
         problems = []
-        if self.n_examples < 1:
-            problems.append(f"n_examples must be >= 1, got {self.n_examples}")
-        if self.n_labelers < 1:
-            problems.append(f"n_labelers must be >= 1, got {self.n_labelers}")
-        if not 0.0 <= self.accuracy_low <= 1.0:
-            problems.append(f"accuracy_low must be in [0, 1], got {self.accuracy_low}")
-        if not 0.0 <= self.accuracy_high <= 1.0:
-            problems.append(f"accuracy_high must be in [0, 1], got {self.accuracy_high}")
-        if self.accuracy_low > self.accuracy_high:
-            problems.append(
-                f"accuracy_low ({self.accuracy_low}) exceeds "
-                f"accuracy_high ({self.accuracy_high})"
-            )
+        for key in ("n_examples", "n_labelers"):
+            v = getattr(self, key)
+            if not is_int(v):
+                problems.append(f"{key} must be an integer, got {v!r}")
+            elif v < 1:
+                problems.append(f"{key} must be >= 1, got {v}")
+        lo, hi = self.accuracy_low, self.accuracy_high
+        for key, v in (("accuracy_low", lo), ("accuracy_high", hi)):
+            if not is_number(v):
+                problems.append(f"{key} must be a number, got {v!r}")
+            elif not 0.0 <= v <= 1.0:  # nan too
+                problems.append(f"{key} must be in [0, 1], got {v}")
+        if is_number(lo) and is_number(hi) and lo > hi:
+            problems.append(f"accuracy_low ({lo}) exceeds accuracy_high ({hi})")
         if problems:
             raise ConfigError("; ".join(problems))
-
-
-class UniformStream:
-    """Block-buffered uniform draws over a numpy Generator.
-
-    Behaves like ``rng.random()`` per call (same underlying bit stream,
-    consumed in blocks, as plain Python floats) but with far less per-call
-    overhead, and like ``rng.random(n)`` through ``take``.  Both collection
-    engines take blocks through ``take`` (or straight from a Generator);
-    ``random`` serves the one-label-at-a-time reference loops of the tests.
-    """
-
-    __slots__ = ("_rng", "_buf", "_pos")
-
-    BLOCK = 1 << 14
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buf = rng.random(self.BLOCK).tolist()
-        self._pos = 0
-
-    def random(self) -> float:
-        buf = self._buf
-        pos = self._pos
-        if pos >= len(buf):
-            buf = self._rng.random(self.BLOCK).tolist()
-            self._buf = buf
-            pos = 0
-        self._pos = pos + 1
-        return buf[pos]
-
-    def take(self, n: int) -> np.ndarray:
-        """The next ``n`` draws as a float64 array, continuing the stream."""
-        pos = self._pos
-        head = self._buf[pos:pos + n]
-        self._pos = pos + len(head)
-        if len(head) == n:
-            return np.array(head, dtype=float)
-        return np.concatenate((head, self._rng.random(n - len(head))))
 
 
 def init_simulation(config: SimConfig, rng) -> tuple[SimDataset, list[SimLabeler]]:
@@ -152,7 +114,7 @@ def init_simulation(config: SimConfig, rng) -> tuple[SimDataset, list[SimLabeler
 
 def draw_assessment(size: int, rng) -> AssessmentSet:
     """Draw ``size`` assessment items with uniformly random true labels."""
-    if size < 1:
-        raise ConfigError(f"assessment size must be >= 1, got {size}")
+    if not is_int(size) or size < 1:
+        raise ConfigError(f"assessment size must be an integer >= 1, got {size!r}")
     labels = tuple(int(v) for v in (rng.random(size) < 0.5))
     return AssessmentSet(example_ids=tuple(range(size)), true_labels=labels)

@@ -48,9 +48,9 @@ from typing import Hashable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .aggregators import Method
-from .errors import ConfigError
+from .errors import ConfigError, is_int, is_number
 from .model import ClassPrior, UNIFORM_PRIOR, increment_table, kernel
-from .simulation import SimDataset, SimLabeler, UniformStream
+from .simulation import SimDataset, SimLabeler
 
 __all__ = [
     "BudgetLedger",
@@ -77,21 +77,27 @@ class ThresholdConfig:
 
     def __post_init__(self):
         problems = []
-        if self.kappa < 1:
-            problems.append(f"kappa must be >= 1, got {self.kappa}")
-        if self.tau is not None and not 0.5 < self.tau <= 1.0:
-            problems.append(f"tau must be in (0.5, 1], got {self.tau}")
-        if self.tau is None and self.fixed_count is None:
+        tau, kappa, count = self.tau, self.kappa, self.fixed_count
+        if not is_int(kappa):
+            problems.append(f"kappa must be an integer, got {kappa!r}")
+        elif kappa < 1:
+            problems.append(f"kappa must be >= 1, got {kappa}")
+        if tau is not None:
+            if not is_number(tau):
+                problems.append(f"tau must be a number, got {tau!r}")
+            elif not 0.5 < tau <= 1.0:  # nan too
+                problems.append(f"tau must be in (0.5, 1], got {tau}")
+        if tau is None and count is None:
             problems.append("either tau or fixed_count must be set")
-        if self.tau is not None and self.fixed_count is not None:
+        if tau is not None and count is not None:
             problems.append("tau and fixed_count are mutually exclusive")
-        if self.fixed_count is not None:
-            if self.fixed_count < 1:
-                problems.append(f"fixed_count must be >= 1, got {self.fixed_count}")
-            elif self.kappa >= 1 and self.fixed_count > self.kappa:
-                problems.append(
-                    f"fixed_count ({self.fixed_count}) exceeds kappa ({self.kappa})"
-                )
+        if count is not None:
+            if not is_int(count):
+                problems.append(f"fixed_count must be an integer, got {count!r}")
+            elif count < 1:
+                problems.append(f"fixed_count must be >= 1, got {count}")
+            elif is_int(kappa) and 1 <= kappa < count:
+                problems.append(f"fixed_count ({count}) exceeds kappa ({kappa})")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -273,9 +279,9 @@ def run_confidence_threshold(
 
     Examples are visited in ascending id order; the run ends when the budget
     is spent or the dataset is exhausted.  At most the final example is cut
-    mid-collection, and its partial labels are kept.  ``rng`` may be a numpy
-    Generator or an already-positioned UniformStream; the run may take draws
-    past its last label.
+    mid-collection, and its partial labels are kept.  ``rng`` is a numpy
+    Generator, or anything whose ``random(n)`` gives its next ``n`` draws as
+    an array; the run may take draws past its last label.
 
     Label j of the run uses draws 2j and 2j + 1 whichever example it goes
     to, so the labels an example would take from each start offset are
@@ -304,7 +310,6 @@ def run_confidence_threshold(
     # a right vote on an example of truth 0 is 0
     tab = np.array([[inc[pos][1 - right][j] for pos in range(L) for right in (0, 1)]
                     for j in (0, 1)], dtype=float)
-    take = rng.take if isinstance(rng, UniformStream) else rng.random
     truth = dataset.true_labels
     ys = truth.tolist()
     n = dataset.n_examples
@@ -327,7 +332,7 @@ def run_confidence_threshold(
         span = stride * (m - 1) + kmax  # the labels the window reads
         if len(u) < 2 * span:
             # draws for labels up to the budget; zeros after it are never kept
-            new = take(max(0, 2 * min(span, budget - o) - len(u)))
+            new = rng.random(max(0, 2 * min(span, budget - o) - len(u)))
             got += len(new)
             u = np.concatenate((u, new, np.zeros(2 * span - len(u) - len(new))))
         k, hist, picked = _simulate_offsets(
@@ -384,13 +389,17 @@ def _window_events(w0, stride, i0, starts, ks, y, hist, picked, ids, finalize_ar
     return map(tuple.__new__, repeat(LabelEvent), fields)
 
 
-def _draws(take, lo, hi, total):
+def _draws(rng, lo, hi, total):
     """The draws of labels lo..hi-1 of a run that spends ``total`` labels."""
-    u = take(2 * (hi - lo))
+    u = rng.random(2 * (hi - lo))
     if len(u) < 2 * (hi - lo):
         raise ValueError(f"the draw stream ended after {2 * lo + len(u)} draws; "
                          f"{total} labels need {2 * total}")
     return u
+
+
+# The heap loop takes the draws of this many labels at a time.
+_HEAP_BLOCK = 8192
 
 
 def run_uncertainty_sampling(
@@ -431,14 +440,13 @@ def run_uncertainty_sampling(
     kern = kernel(method, prior)
     inc = increment_table(method, ids, estimates)
     acc = [lab.accuracy for lab in pool]
-    take = rng.take if isinstance(rng, UniformStream) else rng.random
     truth = dataset.true_labels
     n = dataset.n_examples
     total = min(budget, n * L)
     c = min(budget, n)  # the examples covered by the first pass
 
     # first pass: example i takes label i
-    u = _draws(take, 0, c, total)
+    u = _draws(rng, 0, c, total)
     pos = (u[0::2] * L).astype(np.intp)
     y = truth[:c]
     v = np.where(u[1::2] < np.array(acc, dtype=float)[pos], y, 1 - y)
@@ -478,9 +486,9 @@ def run_uncertainty_sampling(
         heapq.heapify(heap)
         entry = heappop(heap)
         # the draws of labels c.. as Python floats, a block at a time
-        half = UniformStream.BLOCK // 2
-        draws = chain.from_iterable(_draws(take, lo, min(lo + half, total), total).tolist()
-                                    for lo in range(c, total, half))
+        draws = chain.from_iterable(
+            _draws(rng, lo, min(lo + _HEAP_BLOCK, total), total).tolist()
+            for lo in range(c, total, _HEAP_BLOCK))
         for r0, r1 in zip(draws, draws):
             i = entry[1]
             un = unused[i]

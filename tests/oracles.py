@@ -8,6 +8,9 @@ spec of one collected label that both collection engines replay exactly,
 offset-parallel threshold engine must equal bit for bit, and
 ``uncertainty_sampling`` the one-label-at-a-time heap loop that the
 uncertainty engine must equal bit for bit.
+``run_assessment`` answers the assessment one draw at a time and estimates
+each labeler from its responses, the spec of the one-block
+``gtx.assessment.run_assessment``.
 ``error_rate`` and ``mean_absolute_error`` are the scoring loops, one
 example at a time, that the numpy scoring of ``gtx.metrics`` must equal,
 and ``mean_se`` the scalar trial mean and standard error that
@@ -24,11 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
+from gtx.assessment import estimate_accuracy
 from gtx.errors import AlreadyLabeled
 from gtx.model import (
     LabelRecord, Method, UNIFORM_PRIOR, increment_table, kernel, log_odds,
 )
-from gtx.simulation import UniformStream
 from gtx.strategies import BudgetLedger, CollectionOutcome, LabelEvent
 
 
@@ -111,6 +114,22 @@ def elicit_label(labeler, example_id, true_label, rng):
     return LabelRecord(example_id=example_id, labeler_id=labeler.labeler_id, value=value)
 
 
+def run_assessment(labelers, assessment, rng):
+    """Every labeler answers every assessment item, one draw per response
+    (labelers in the given order, items in assessment order), and is
+    estimated from its responses."""
+    estimates = {}
+    for labeler in labelers:
+        responses = {}
+        for item_id, truth in assessment.items():
+            correct = rng.random() < labeler.accuracy
+            responses[item_id] = truth if correct else 1 - truth
+        estimates[labeler.labeler_id] = estimate_accuracy(
+            labeler.labeler_id, responses, assessment
+        )
+    return estimates
+
+
 def _reached(method, prior, tau):
     """The scalar tau stop test of sv and gtx; None for mv and wmv."""
     if method is Method.SV:
@@ -146,7 +165,7 @@ def confidence_threshold(dataset, labelers, estimates, config, budget, method,
     inc = increment_table(method, ids, estimates)
     acc_true = [lab.accuracy for lab in pool]
     kap = config.kappa
-    rand = (rng if isinstance(rng, UniformStream) else UniformStream(rng)).random
+    rand = rng.random
     truth = dataset.true_labels.tolist()
 
     events = [] if record_events else None
@@ -204,7 +223,7 @@ def uncertainty_sampling(dataset, labelers, estimates, budget, method, rng, *,
     finalize = kern.finalize
     inc = increment_table(method, ids, estimates)
     acc_true = [lab.accuracy for lab in pool]
-    rand = (rng if isinstance(rng, UniformStream) else UniformStream(rng)).random
+    rand = rng.random
     truth = dataset.true_labels.tolist()
     n = dataset.n_examples
 

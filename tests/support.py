@@ -9,29 +9,30 @@ from hypothesis import strategies as st
 
 from gtx.aggregators import AggregateLabel
 from gtx.model import LabelerEstimate
-from gtx.simulation import SimDataset, SimLabeler, UniformStream
+from gtx.simulation import SimDataset, SimLabeler
 
 
-class Script(UniformStream):
-    """A UniformStream that plays back a fixed list of draws.
+class Script:
+    """A draw source that plays back a fixed list of draws.
 
     Lets a test decide exactly which labeler is selected and whether each
     elicited label is correct (draw order per label: selection, then
-    correctness).  Running past the script is a test bug: ``random`` raises,
-    and ``take`` returns only the draws left, so an engine that keeps a
-    label without both of its draws raises.
+    correctness).  ``random()`` returns one draw and ``random(n)`` an array
+    of the next ``n``, as a numpy Generator does.  Running past the script
+    is a test bug: ``random()`` raises, and ``random(n)`` returns only the
+    draws left, so an engine that keeps a label without both of its draws
+    raises.
     """
 
     def __init__(self, values):
         self._vals = [float(v) for v in values]
         self._i = 0
 
-    def random(self):
-        v = self._vals[self._i]
-        self._i += 1
-        return v
-
-    def take(self, n):
+    def random(self, n=None):
+        if n is None:
+            v = self._vals[self._i]
+            self._i += 1
+            return v
         vals = self._vals[self._i:self._i + n]
         self._i += len(vals)
         return np.array(vals, dtype=float)

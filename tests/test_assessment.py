@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtx.assessment import (
     AssessmentSet,
@@ -10,6 +11,8 @@ from gtx.assessment import (
 from gtx.errors import EmptyAssessment, IncompleteAssessment
 from gtx.model import ACCURACY_CEIL, ACCURACY_FLOOR
 from gtx.simulation import SimLabeler
+
+import oracles
 
 
 def assessment(labels):
@@ -87,6 +90,25 @@ class TestRunAssessment:
         for lid, e in out.items():
             assert e.labeler_id == lid
             assert e.n_assessed == 3
+
+
+class TestRunAssessmentAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        accuracies=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), max_size=12),
+        labels=st.lists(st.integers(0, 1), min_size=1, max_size=200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_equals_per_draw_loop(self, accuracies, labels, seed):
+        labelers = [SimLabeler(i, a) for i, a in enumerate(accuracies)]
+        a = assessment(labels)
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = oracles.run_assessment(labelers, a, want_rng)
+        got = run_assessment(labelers, a, got_rng)
+        # repr tells a float from a numpy float and an int from a numpy int
+        assert repr(got) == repr(want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestOracleEstimates:

@@ -1,6 +1,7 @@
-"""Every walkthrough in ``demos/`` runs to the end.
+"""Every walkthrough in ``demos/``, and the python block of README's
+"Library quick start", runs to the end.
 
-Each demo runs in a fresh interpreter with the test's temporary directory as
+Each runs in a fresh interpreter with the test's temporary directory as
 its working directory, since the experiment-harness demo writes
 ``demo_results/`` there."""
 
@@ -13,15 +14,26 @@ import pytest
 
 import gtx
 
-DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
+
+
+def readme_quick_start():
+    """The python block of README's "Library quick start" section."""
+    section = README.read_text().split("## Library quick start\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
 def test_demos_are_found():
     assert len(DEMOS) >= 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+@pytest.mark.parametrize("demo", [*DEMOS, README], ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
+    if demo == README:
+        demo = tmp_path / "quick_start.py"
+        demo.write_text(readme_quick_start())
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(gtx.__file__).parents[1]),
                                                         os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,

@@ -6,7 +6,6 @@ from gtx.simulation import (
     SimConfig,
     SimDataset,
     SimLabeler,
-    UniformStream,
     draw_assessment,
     init_simulation,
 )
@@ -19,6 +18,7 @@ class TestSimConfig:
     def test_accepts_sane_values(self):
         cfg = SimConfig(n_examples=10, n_labelers=3, accuracy_low=0.6, accuracy_high=0.9)
         assert cfg.n_examples == 10
+        assert SimConfig(10, 3, 0, 1).accuracy_high == 1  # integer bounds
 
     def test_reports_every_violation_at_once(self):
         with pytest.raises(ConfigError) as exc:
@@ -27,6 +27,20 @@ class TestSimConfig:
         assert "n_examples" in msg
         assert "n_labelers" in msg
         assert "accuracy" in msg
+
+    @pytest.mark.parametrize("args, key", [
+        (("10", 3, 0.6, 0.9), "n_examples"),
+        ((10.0, 3, 0.6, 0.9), "n_examples"),
+        ((True, 3, 0.6, 0.9), "n_examples"),
+        ((10, 3.0, 0.6, 0.9), "n_labelers"),
+        ((10, 3, "0.6", 0.9), "accuracy_low"),
+        ((10, 3, 0.6, None), "accuracy_high"),
+        ((10, 3, False, 0.9), "accuracy_low"),
+        ((10, 3, 0.6, float("nan")), "accuracy_high"),
+    ])
+    def test_bad_types_are_config_errors(self, args, key):
+        with pytest.raises(ConfigError, match=key):
+            SimConfig(*args)
 
 
 class TestSimDataset:
@@ -87,6 +101,11 @@ class TestDrawAssessment:
         with pytest.raises(ConfigError):
             draw_assessment(0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("size", [2.5, 7.0, "7", True, None])
+    def test_size_must_be_an_integer(self, size):
+        with pytest.raises(ConfigError, match="assessment size"):
+            draw_assessment(size, np.random.default_rng(0))
+
 
 class TestSelectLabeler:
     def test_uniform_over_unused_in_id_order(self):
@@ -135,29 +154,3 @@ class TestElicitLabel:
         hits = sum(elicit_label(lab, i, 1, rng).value == 1 for i in range(2000))
         assert abs(hits / 2000 - 0.8) < 0.03
 
-
-class TestUniformStream:
-    def test_same_bits_as_generator(self):
-        a = UniformStream(np.random.default_rng(9))
-        b = np.random.default_rng(9)
-        ours = [a.random() for _ in range(100)]
-        theirs = list(b.random(100))
-        assert ours == theirs
-
-    def test_refills_past_block_boundary(self):
-        stream = UniformStream(np.random.default_rng(1))
-        n = UniformStream.BLOCK + 10
-        vals = [stream.random() for _ in range(n)]
-        assert len(set(vals)) > n // 2
-        assert all(0.0 <= v < 1.0 for v in vals)
-
-    def test_take_continues_the_stream(self):
-        # draws handed out one at a time and in blocks, across a refill,
-        # follow the generator's own sequence
-        stream = UniformStream(np.random.default_rng(3))
-        got = [stream.random() for _ in range(5)]
-        got += stream.take(UniformStream.BLOCK).tolist()
-        got += [stream.random() for _ in range(3)]
-        got += stream.take(7).tolist()
-        want = np.random.default_rng(3).random(UniformStream.BLOCK + 15).tolist()
-        assert got == want

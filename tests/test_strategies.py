@@ -8,7 +8,7 @@ from gtx import strategies
 from gtx.aggregators import Method, aggregate
 from gtx.errors import ConfigError
 from gtx.model import ClassPrior, LabelerEstimate, LabelRecord, UNIFORM_PRIOR
-from gtx.simulation import SimConfig, SimLabeler, UniformStream, init_simulation
+from gtx.simulation import SimConfig, SimLabeler, init_simulation
 from gtx.strategies import (
     BudgetLedger,
     LabelEvent,
@@ -50,12 +50,29 @@ class TestThresholdConfig:
         with pytest.raises(ConfigError):
             ThresholdConfig(tau=1.01, kappa=3)
         assert ThresholdConfig(tau=1.0, kappa=3).tau == 1.0
+        assert ThresholdConfig(tau=1, kappa=3).tau == 1
 
     def test_fixed_count_within_kappa(self):
         with pytest.raises(ConfigError):
             ThresholdConfig(tau=None, kappa=3, fixed_count=4)
         with pytest.raises(ConfigError):
             ThresholdConfig(tau=None, kappa=3, fixed_count=0)
+
+    @pytest.mark.parametrize("kwargs, key", [
+        (dict(tau=0.9, kappa=2.5), "kappa"),
+        (dict(tau=0.9, kappa=3.0), "kappa"),
+        (dict(tau=0.9, kappa=True), "kappa"),
+        (dict(tau=0.9, kappa="3"), "kappa"),
+        (dict(tau=None, kappa=3, fixed_count=2.5), "fixed_count"),
+        (dict(tau=None, kappa=3, fixed_count=True), "fixed_count"),
+        (dict(tau=None, kappa=3.0, fixed_count=2), "kappa"),
+        (dict(tau="0.9", kappa=3), "tau"),
+        (dict(tau=True, kappa=3), "tau"),
+        (dict(tau=float("nan"), kappa=3), "tau"),
+    ])
+    def test_bad_types_are_config_errors(self, kwargs, key):
+        with pytest.raises(ConfigError, match=key):
+            ThresholdConfig(**kwargs)
 
 
 class TestBudgetLedger:
@@ -582,7 +599,7 @@ class TestReplayAgainstPublicApi:
             )
         # replaying the event sequence through the one-step oracles of
         # tests/oracles.py with the same stream must reproduce every pick
-        stream = UniformStream(np.random.default_rng(seed))
+        stream = np.random.default_rng(seed)
         used = {}
         truth = ds.true_labels.tolist()
         for ev in out.event_log:
