@@ -32,7 +32,6 @@ for method in (Method.MV, Method.WMV, Method.SV, Method.GTX):
         method,
         np.random.default_rng(22),
         record_events=False,
-        record_dynamics=True,
     )
     curves[method] = out.dynamics  # (steps, errors, maes) arrays
     ks = out.labels_per_example

@@ -9,7 +9,6 @@ stdout stays clean for piping; results land only in files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -31,15 +30,8 @@ from .io import (
 def _add_experiment_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="JSON experiment config")
     sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--seed", type=int, default=None, help="override the master seed")
-    sub.add_argument("--trials", type=int, default=None, help="override the trial count")
     sub.add_argument(
         "--workers", type=int, default=1, help="worker processes (default 1)"
-    )
-    sub.add_argument(
-        "--oracle-accuracy",
-        action="store_true",
-        help="use true labeler accuracies instead of assessment estimates",
     )
 
 
@@ -73,19 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_experiment_config(args):
-    config = load_config(args.config)
-    config = dataclasses.replace(
-        config,
-        seed=config.seed if args.seed is None else args.seed,
-        trials=config.trials if args.trials is None else args.trials,
-        oracle_accuracy=config.oracle_accuracy or args.oracle_accuracy,
-    )
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    return config
-
-
 def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -97,7 +76,9 @@ _RUNNERS = {
 
 
 def _cmd_experiment(args) -> int:
-    config = _load_experiment_config(args)
+    config = load_config(args.config)
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     if config.strategy != args.command:
         raise ConfigError(
             f"config has strategy {config.strategy!r} but the "

@@ -165,7 +165,7 @@ def _uncertainty_trial(trial, config):
         outcome = run_uncertainty_sampling(
             dataset, labelers, estimates, config.budget, method,
             collection_rng(config.seed, trial, method, 0),
-            record_events=trial == 0, record_dynamics=True,
+            record_events=trial == 0,
         )
         reports.append(trial_report(outcome, truth))
         dynamics.append(outcome.dynamics)

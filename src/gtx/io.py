@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
@@ -137,15 +138,21 @@ def _write_rows(path, template: str, rows) -> None:
 
 
 def write_label_records(path, records: Sequence[LabelRecord], steps=None) -> None:
-    """Write records as JSONL; steps default to 1..n and must be increasing."""
+    """Write records as JSONL; steps default to 1..n and must be strictly
+    increasing integers, as ``read_label_records`` requires.  Numpy integers
+    are written as ints; any other step is a ``ValueError``, raised before
+    the file is opened."""
     steps = list(range(1, len(records) + 1) if steps is None else steps)
     if len(steps) != len(records):
         raise ValueError("steps and records differ in length")
     for last, step in zip([0] + steps, steps):
+        if isinstance(step, bool) or not isinstance(step, numbers.Integral):
+            raise ValueError(f"steps must be integers, got {step!r}")
         if step <= last:
             raise ValueError(f"steps must be strictly increasing, got {step} after {last}")
     template = '{"example_id":%s,"labeler_id":%s,"step":%s,"value":%s}\n'
-    _write_rows(path, template, ((ex, lab, step, v) for step, (ex, lab, v) in zip(steps, records)))
+    _write_rows(path, template,
+                ((ex, lab, int(step), v) for step, (ex, lab, v) in zip(steps, records)))
 
 
 _RECORD_KEYS = {"example_id", "labeler_id", "step", "value"}

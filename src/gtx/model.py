@@ -27,12 +27,12 @@ import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Hashable, NamedTuple
 
 import numpy as np
 
-from .errors import MissingEstimate
+from .errors import MissingEstimate, is_number
 
 __all__ = [
     "ACCURACY_CEIL",
@@ -155,6 +155,8 @@ class ClassPrior:
     p1: float
 
     def __post_init__(self):
+        if not (is_number(self.p0) and is_number(self.p1)):
+            raise ValueError(f"prior probabilities must be numbers, got {self.p0!r}, {self.p1!r}")
         if not (0.0 <= self.p0 <= 1.0 and 0.0 <= self.p1 <= 1.0):
             raise ValueError(
                 f"prior probabilities must lie in [0, 1], got {self.p0!r}, {self.p1!r}"
@@ -288,7 +290,6 @@ def _weight_finalize_array(s0, s1, k):
     return label.astype(int), np.where(label, s1, s0) / total, s1 / total
 
 
-@lru_cache(maxsize=64)
 def _gtx_kernel(prior: ClassPrior) -> Kernel:
     lp0, lp1 = prior.logs
 
@@ -338,8 +339,9 @@ def kernel(method: Method, prior: ClassPrior = UNIFORM_PRIOR) -> Kernel:
 
     Exact ties go to class 0 under every rule.  MV and WMV reach confidence
     1.0 after a single vote, so they stop at fixed counts only.  The uniform
-    prior's gtx kernel is a constant; other priors' are cached.
+    prior's gtx kernel is a constant, which both collection engines use;
+    ``aggregate`` builds the kernel of any other prior per call.
     """
-    if method is Method.GTX and prior is not UNIFORM_PRIOR:
+    if method is Method.GTX and prior is not UNIFORM_PRIOR and prior != UNIFORM_PRIOR:
         return _gtx_kernel(prior)
     return _KERNELS[method]

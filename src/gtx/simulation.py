@@ -46,6 +46,8 @@ class SimLabeler:
     accuracy: float
 
     def __post_init__(self):
+        if not is_number(self.accuracy):
+            raise ValueError(f"true accuracy must be a number, got {self.accuracy!r}")
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(f"true accuracy must be in [0, 1], got {self.accuracy}")
 

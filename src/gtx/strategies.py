@@ -15,9 +15,12 @@ assessment labels are charged elsewhere):
 
 Both engines stop mid-example when the budget runs out and keep the partial
 labels: they are paid for.  Neither engine knows any rule: each run looks up
-the rule's increment pairs per labeler once and keeps two accumulators per
-example, and the kernel of :mod:`gtx.model` supplies the finalizers (whose
-confidence is also the event-log confidence) and the tau stop test.  GTX
+the rule's increment pairs per labeler once, in one table that both engines
+share, and keeps two accumulators per example, and the kernel of
+:mod:`gtx.model` supplies the finalizers (whose confidence is also the
+event-log confidence) and the tau stop test.  The engines take no class
+prior (GTX runs under the uniform one; ``aggregate`` takes any other), so a
+run under mv, wmv or gtx is the same whichever class is called 1.  GTX
 stops in log-odds space against ``log_odds(tau)``, so that a vote from a
 labeler whose estimate equals tau exactly meets the threshold even in
 floating point; SV stops on its winning share.
@@ -49,7 +52,7 @@ import numpy as np
 
 from .aggregators import Method
 from .errors import ConfigError, is_int, is_number
-from .model import ClassPrior, UNIFORM_PRIOR, increment_table, kernel
+from .model import increment_table, kernel
 from .simulation import SimDataset, SimLabeler
 
 __all__ = [
@@ -143,9 +146,9 @@ class CollectionOutcome:
     final aggregate of each example.  ``event_log`` is None when the run
     was made with ``record_events=False``; when present it holds one event
     per spent label in chronological order.  ``dynamics`` (uncertainty
-    sampling only, opt-in) holds three equal-length arrays ``(steps,
-    errors, maes)``: the labels collected, and the dataset-wide error rate
-    and MAE after each label from the moment full coverage is reached.
+    sampling only) holds three equal-length arrays ``(steps, errors,
+    maes)``: the labels collected, and the dataset-wide error rate and MAE
+    after each label from the moment full coverage is reached.
     """
 
     method: Method
@@ -162,22 +165,28 @@ class CollectionOutcome:
         return len(self.labels)
 
 
-def _sorted_pool(labelers: Sequence[SimLabeler]):
+def _setup(labelers, estimates, budget, method):
+    """What both engines check and look up first: the rule and its kernel,
+    the budget, the pool's ids in ascending order, each pool position's
+    increment pairs and true accuracy, and ``tab[:, 2 * pos + right]``, the
+    pair of a vote from position pos that is right (1) or not (0) on an
+    example of truth 0, where a right vote is 0."""
+    method = Method(method)
+    whole = (isinstance(budget, numbers.Integral) and not isinstance(budget, bool)
+             or isinstance(budget, (float, np.floating)) and budget.is_integer())
+    if not whole or budget < 0:
+        raise ConfigError(f"budget must be a non-negative integer, got {budget!r}")
     if not labelers:
         raise ConfigError("labeler pool is empty")
     pool = sorted(labelers, key=lambda lab: lab.labeler_id)
     ids = [lab.labeler_id for lab in pool]
     if len(set(ids)) != len(ids):
         raise ConfigError("labeler ids must be unique")
-    return pool, ids
-
-
-def _check_budget(budget) -> int:
-    whole = (isinstance(budget, numbers.Integral) and not isinstance(budget, bool)
-             or isinstance(budget, (float, np.floating)) and budget.is_integer())
-    if not whole or budget < 0:
-        raise ConfigError(f"budget must be a non-negative integer, got {budget!r}")
-    return int(budget)
+    inc = increment_table(method, ids, estimates)
+    acc = np.array([lab.accuracy for lab in pool])
+    tab = np.array([[inc[pos][1 - right][j] for pos in range(len(ids)) for right in (0, 1)]
+                    for j in (0, 1)], dtype=float)
+    return method, int(budget), ids, kernel(method), inc, acc, tab
 
 
 # A threshold window simulates _WINDOW // kmax start offsets, and at most
@@ -272,7 +281,6 @@ def run_confidence_threshold(
     method: Method,
     rng,
     *,
-    prior: ClassPrior = UNIFORM_PRIOR,
     record_events: bool = True,
 ) -> CollectionOutcome:
     """Collect labels example-by-example until confidence or count says stop.
@@ -290,13 +298,9 @@ def run_confidence_threshold(
     examples take kmax labels each, in numpy.  One call of the kernel's
     array finalizer closes the examples that start in a window.
     """
-    method = Method(method)
-    budget = _check_budget(budget)
-    pool, ids = _sorted_pool(labelers)
-    L = len(pool)
-    if config.kappa > L:
-        raise ConfigError(f"kappa ({config.kappa}) exceeds pool size ({L})")
-    kern = kernel(method, prior)
+    method, budget, ids, kern, _, acc, tab = _setup(labelers, estimates, budget, method)
+    if config.kappa > len(ids):
+        raise ConfigError(f"kappa ({config.kappa}) exceeds pool size ({len(ids)})")
     kmax, reached = config.fixed_count, None
     if kmax is None:
         if kern.stop is None:
@@ -305,11 +309,6 @@ def run_confidence_threshold(
                 "use fixed_count instead of tau"
             )
         kmax, reached = config.kappa, kern.stop(config.tau)
-    inc = increment_table(method, ids, estimates)
-    acc = np.array([lab.accuracy for lab in pool])
-    # a right vote on an example of truth 0 is 0
-    tab = np.array([[inc[pos][1 - right][j] for pos in range(L) for right in (0, 1)]
-                    for j in (0, 1)], dtype=float)
     truth = dataset.true_labels
     ys = truth.tolist()
     n = dataset.n_examples
@@ -410,9 +409,7 @@ def run_uncertainty_sampling(
     method: Method,
     rng,
     *,
-    prior: ClassPrior = UNIFORM_PRIOR,
     record_events: bool = True,
-    record_dynamics: bool = False,
 ) -> CollectionOutcome:
     """First pass in id order, then always label the most uncertain example.
 
@@ -429,17 +426,13 @@ def run_uncertainty_sampling(
     listed when the heap first picks it.  The draws are taken a block at a
     time; a stream that ends before the run does is a ``ValueError``.
 
-    With ``record_dynamics=True`` the outcome carries the dataset-wide
-    error rate and MAE after every label, starting at the label that
-    completes full coverage, as ``(steps, errors, maes)`` arrays.
+    The outcome's ``dynamics`` are the dataset-wide error rate and MAE
+    after every label, starting at the label that completes full coverage,
+    as ``(steps, errors, maes)`` arrays; all three are empty when the first
+    pass does not cover the dataset.
     """
-    method = Method(method)
-    budget = _check_budget(budget)
-    pool, ids = _sorted_pool(labelers)
-    L = len(pool)
-    kern = kernel(method, prior)
-    inc = increment_table(method, ids, estimates)
-    acc = [lab.accuracy for lab in pool]
+    method, budget, ids, kern, inc, acc, tab = _setup(labelers, estimates, budget, method)
+    L = len(ids)
     truth = dataset.true_labels
     n = dataset.n_examples
     total = min(budget, n * L)
@@ -449,11 +442,9 @@ def run_uncertainty_sampling(
     u = _draws(rng, 0, c, total)
     pos = (u[0::2] * L).astype(np.intp)
     y = truth[:c]
-    v = np.where(u[1::2] < np.array(acc, dtype=float)[pos], y, 1 - y)
+    v = np.where(u[1::2] < acc[pos], y, 1 - y)
     # 0.0 + d, as a sum starting at 0.0 adds its first increment
-    tab = np.array([[inc[p][w][j] for p in range(L) for w in (0, 1)] for j in (0, 1)],
-                   dtype=float)
-    s0, s1 = 0.0 + tab[:, 2 * pos + v]
+    s0, s1 = 0.0 + tab[:, 2 * pos + 1 - v]
     first = kern.finalize_array(s0, s1, np.ones(c, np.int64))
     events = None
     if record_events:
@@ -462,7 +453,7 @@ def run_uncertainty_sampling(
             first[1].tolist())))
 
     errors, maes = [], []  # after each label from full coverage on
-    track = record_dynamics and 0 < c == n
+    track = 0 < c == n
     if track:
         miss = first[0] != truth
         dev = np.abs(truth - first[2])
@@ -475,6 +466,7 @@ def run_uncertainty_sampling(
     ks, closed = np.ones(c, np.int64), first
     if c < total:  # then every example is covered and has unused labelers
         finalize = kern.finalize
+        acc = acc.tolist()
         ys = truth.tolist()
         firsts = pos.tolist()
         unused = [None] * n
@@ -522,7 +514,6 @@ def run_uncertainty_sampling(
         ks = np.array(kcount, dtype=np.int64)
         closed = kern.finalize_array(np.array(s0), np.array(s1), ks)
 
-    dynamics = ((np.arange(n, n + len(errors)), np.array(errors), np.array(maes))
-                if record_dynamics else None)
+    dynamics = np.arange(n, n + len(errors)), np.array(errors), np.array(maes)
     return CollectionOutcome(method, BudgetLedger(budget, total), *closed, ks,
                              event_log=events, dynamics=dynamics)

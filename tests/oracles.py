@@ -30,7 +30,7 @@ import numpy as np
 from gtx.assessment import estimate_accuracy
 from gtx.errors import AlreadyLabeled
 from gtx.model import (
-    LabelRecord, Method, UNIFORM_PRIOR, increment_table, kernel, log_odds,
+    LabelRecord, Method, increment_table, kernel, log_odds,
 )
 from gtx.strategies import BudgetLedger, CollectionOutcome, LabelEvent
 
@@ -130,7 +130,7 @@ def run_assessment(labelers, assessment, rng):
     return estimates
 
 
-def _reached(method, prior, tau):
+def _reached(method, tau):
     """The scalar tau stop test of sv and gtx; None for mv and wmv."""
     if method is Method.SV:
         def reached(s0, s1, k):
@@ -138,19 +138,17 @@ def _reached(method, prior, tau):
             return (s1 if s1 >= m0 else m0) / k >= tau
         return reached
     if method is Method.GTX:
-        lp0, lp1 = prior.logs
-        dprior = lp1 - lp0
         thr = math.inf if tau == 1.0 else log_odds(tau)
 
         def reached(s0, s1, k):
-            d = dprior + s1 - s0
+            d = s1 - s0
             return d >= thr or -d >= thr
         return reached
     return None
 
 
 def confidence_threshold(dataset, labelers, estimates, config, budget, method,
-                         rng, prior, record_events=True):
+                         rng, record_events=True):
     """The confidence-threshold run, one label at a time, for valid inputs.
 
     Each label pops ``int(u * len(unused))`` from the ascending unused pool
@@ -159,9 +157,9 @@ def confidence_threshold(dataset, labelers, estimates, config, budget, method,
     pool = sorted(labelers, key=lambda lab: lab.labeler_id)
     ids = [lab.labeler_id for lab in pool]
     L = len(pool)
-    finalize = kernel(method, prior).finalize
+    finalize = kernel(method).finalize
     c_stop = config.fixed_count
-    reached = None if c_stop is not None else _reached(method, prior, config.tau)
+    reached = None if c_stop is not None else _reached(method, config.tau)
     inc = increment_table(method, ids, estimates)
     acc_true = [lab.accuracy for lab in pool]
     kap = config.kappa
@@ -201,7 +199,7 @@ def confidence_threshold(dataset, labelers, estimates, config, budget, method,
 
 
 def uncertainty_sampling(dataset, labelers, estimates, budget, method, rng, *,
-                         prior=UNIFORM_PRIOR, record_events=True, record_dynamics=False):
+                         record_events=True):
     """The uncertainty-sampling run, one label at a time, for valid inputs:
     first pass in id order, then always label the most uncertain example.
 
@@ -211,15 +209,15 @@ def uncertainty_sampling(dataset, labelers, estimates, budget, method, rng, *,
     toward the lowest example id.  The run ends when the budget is spent or
     every example has used all of its labelers.
 
-    With ``record_dynamics=True`` the outcome carries the dataset-wide
-    error rate and MAE after every label, starting at the label that
-    completes full coverage, as ``(steps, errors, maes)`` arrays.
+    The outcome carries the dataset-wide error rate and MAE after every
+    label, starting at the label that completes full coverage, as
+    ``(steps, errors, maes)`` arrays.
     """
     method = Method(method)
     pool = sorted(labelers, key=lambda lab: lab.labeler_id)
     ids = [lab.labeler_id for lab in pool]
     L = len(pool)
-    kern = kernel(method, prior)
+    kern = kernel(method)
     finalize = kern.finalize
     inc = increment_table(method, ids, estimates)
     acc_true = [lab.accuracy for lab in pool]
@@ -264,7 +262,7 @@ def uncertainty_sampling(dataset, labelers, estimates, budget, method, rng, *,
     err_sum = 0
     mae_sum = 0.0
     errors, maes = [], []  # after each label from full coverage on
-    track = record_dynamics and covered == n
+    track = 0 < covered == n
     if track:
         for i in range(n):
             lab, _, soft = cur[i]
@@ -297,8 +295,7 @@ def uncertainty_sampling(dataset, labelers, estimates, budget, method, rng, *,
 
     ks = np.array(kcount[:covered], dtype=np.int64)
     closed = kern.finalize_array(np.array(s0[:covered]), np.array(s1[:covered]), ks)
-    dynamics = ((np.arange(n, n + len(errors)), np.array(errors), np.array(maes))
-                if record_dynamics else None)
+    dynamics = np.arange(n, n + len(errors)), np.array(errors), np.array(maes)
     return CollectionOutcome(method, BudgetLedger(budget, spent), *closed, ks,
                              event_log=events, dynamics=dynamics)
 

@@ -1,7 +1,14 @@
-"""The public surface: ``gtx.__all__`` is pinned, so that adding or removing
-a public name is a deliberate change to this list."""
+"""The public surface: ``gtx.__all__``, the engines' keyword-only options
+and the experiment commands' flags are pinned, so that adding or removing
+one is a deliberate change to these lists."""
+
+import argparse
+import inspect
+
+import pytest
 
 import gtx
+from gtx.cli import build_parser
 
 PUBLIC = {
     "AggregateLabel",
@@ -64,3 +71,18 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in gtx.__all__:
         assert hasattr(gtx, name), name
+
+
+@pytest.mark.parametrize("engine", [gtx.run_confidence_threshold, gtx.run_uncertainty_sampling])
+def test_engine_keyword_options_are_pinned(engine):
+    # the config sets every other run parameter; aggregate takes the prior
+    params = inspect.signature(engine).parameters.values()
+    assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == ["record_events"]
+
+
+@pytest.mark.parametrize("command", ["threshold", "uncertainty"])
+def test_experiment_command_flags_are_pinned(command):
+    # seed, trials and oracle_accuracy are config keys, with no flag beside them
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {s for a in subs.choices[command]._actions for s in a.option_strings}
+    assert flags == {"--config", "--out", "--workers", "-h", "--help"}

@@ -146,49 +146,13 @@ class TestExperimentCommands:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
-    def test_seed_override_lands_in_run_json(self, tmp_path, threshold_config):
-        out = tmp_path / "out"
-        main(["threshold", "--config", str(threshold_config), "--out", str(out), "--seed", "7"])
-        run = json.loads((out / "run.json").read_text())
-        assert run["master_seed"] == 7
-        assert run["config"]["seed"] == 7
-
-    def test_trials_override(self, tmp_path, threshold_config):
-        out = tmp_path / "out"
-        main(
-            ["threshold", "--config", str(threshold_config), "--out", str(out), "--trials", "3"]
-        )
-        run = json.loads((out / "run.json").read_text())
-        assert run["config"]["trials"] == 3
-
-    def test_oracle_flag_overrides_config(self, tmp_path, threshold_config):
-        out = tmp_path / "out"
-        main(
-            [
-                "threshold",
-                "--config",
-                str(threshold_config),
-                "--out",
-                str(out),
-                "--oracle-accuracy",
-            ]
-        )
-        run = json.loads((out / "run.json").read_text())
-        assert run["config"]["oracle_accuracy"] is True
-
-    def test_bad_seed_value_exits_one(self, tmp_path, threshold_config):
-        code = main(
-            [
-                "threshold",
-                "--config",
-                str(threshold_config),
-                "--out",
-                str(tmp_path / "o"),
-                "--seed",
-                "-3",
-            ]
-        )
+    def test_bad_seed_value_exits_one(self, tmp_path, threshold_config, capsys):
+        config = json.loads(threshold_config.read_text())
+        threshold_config.write_text(json.dumps(dict(config, seed=-3)))
+        code = main(["threshold", "--config", str(threshold_config), "--out", str(tmp_path / "o")])
         assert code == 1
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestAssessCommand:

@@ -219,6 +219,24 @@ class TestLabelRecordFiles:
         _, steps = read_label_records(p)
         assert steps == [1, 2]
 
+    @pytest.mark.parametrize("steps", [[1.5, 3], [1, 2.0], [True, 2], ["1", 2], [1, None]])
+    def test_non_integer_steps_rejected_before_writing(self, tmp_path, steps):
+        p = tmp_path / "labels.jsonl"
+        recs = [LabelRecord(0, "a", 1), LabelRecord(1, "a", 0)]
+        with pytest.raises(ValueError, match="^steps must be integers, got "):
+            write_label_records(p, recs, steps=steps)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("steps", [np.array([1, 4]), [np.int32(2), np.uint8(3)]])
+    def test_numpy_integer_steps_are_written_as_ints(self, tmp_path, steps):
+        p = tmp_path / "labels.jsonl"
+        recs = [LabelRecord(0, "a", 1), LabelRecord(1, "a", 0)]
+        write_label_records(p, recs, steps=steps)
+        back, read_steps = read_label_records(p)
+        assert back == recs
+        assert read_steps == [int(s) for s in steps]
+        assert all(type(s) is int for s in read_steps)
+
     def test_non_increasing_steps_rejected_on_read(self, tmp_path):
         p = tmp_path / "labels.jsonl"
         rows = [

@@ -43,6 +43,17 @@ class TestSimConfig:
             SimConfig(*args)
 
 
+class TestSimLabeler:
+    @pytest.mark.parametrize("accuracy,message", [
+        ("0.8", "must be a number, got '0.8'"), (None, "must be a number, got None"),
+        (True, "must be a number, got True"), (1.5, r"must be in \[0, 1\], got 1.5"),
+        (-0.1, r"must be in \[0, 1\]"), (float("nan"), r"must be in \[0, 1\]"),
+    ])
+    def test_bad_accuracy_is_a_one_line_value_error(self, accuracy, message):
+        with pytest.raises(ValueError, match=f"^true accuracy {message}"):
+            SimLabeler(0, accuracy)
+
+
 class TestSimDataset:
     def test_labels_validated(self):
         with pytest.raises(ValueError):

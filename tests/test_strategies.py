@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gtx import strategies
 from gtx.aggregators import Method, aggregate
 from gtx.errors import ConfigError
-from gtx.model import ClassPrior, LabelerEstimate, LabelRecord, UNIFORM_PRIOR
+from gtx.model import LabelerEstimate, LabelRecord
 from gtx.simulation import SimConfig, SimLabeler, init_simulation
 from gtx.strategies import (
     BudgetLedger,
@@ -198,23 +198,6 @@ class TestThresholdStopping:
         )
         assert out.labels_per_example.tolist() == [3]
         assert out.confidences[0] == pytest.approx(0.8, abs=1e-12)
-
-    def test_degenerate_prior_is_certain_immediately(self):
-        ds = make_dataset([1])
-        labelers = make_labelers([0.9] * 3)
-        out = run_confidence_threshold(
-            ds,
-            labelers,
-            make_estimates([0.9] * 3),
-            ThresholdConfig(tau=0.99, kappa=3),
-            budget=10,
-            method=Method.GTX,
-            rng=Script([FIRST, RIGHT]),
-            prior=ClassPrior(1.0, 0.0),
-        )
-        assert out.labels_per_example.tolist() == [1]
-        assert out.labels.tolist() == [0]
-        assert out.confidences[0] == 1.0
 
     def test_script_one_draw_short_raises(self):
         # the third label has its selection draw but not its correctness draw
@@ -463,17 +446,14 @@ class TestAgainstAggregators:
 
 # accuracies on and around the taus, the clamps and the extremes
 _accuracies = st.sampled_from([0.0, 0.3, 0.5, 0.6, 0.8, 0.85, 0.9, 0.95, 0.99, 1.0]) | st.floats(0, 1)
-_priors = st.sampled_from(
-    [UNIFORM_PRIOR, ClassPrior(0.3, 0.7), ClassPrior(0.9, 0.1), ClassPrior(1.0, 0.0), ClassPrior(0.0, 1.0)]
-)
 
 
 @st.composite
-def _threshold_runs(draw):
+def _threshold_runs(draw, methods=tuple(Method)):
     """A dataset, a pool, estimates, a stopping rule, a budget and a seed, with
     budgets from 0 past what the dataset can take (every pool exhausted)."""
     n_labelers = draw(st.integers(1, 6))
-    method = draw(st.sampled_from(list(Method)))
+    method = draw(st.sampled_from(methods))
     kappa = draw(st.integers(1, n_labelers))
     if method in (Method.MV, Method.WMV) or draw(st.booleans()):
         stopping = ThresholdConfig(tau=None, kappa=kappa, fixed_count=draw(st.integers(1, kappa)))
@@ -490,7 +470,7 @@ def _threshold_runs(draw):
     return dict(
         dataset=make_dataset(truth), labelers=labelers, estimates=estimates, config=stopping,
         budget=draw(st.integers(0, len(truth) * kappa + 3)), method=method,
-        prior=draw(_priors), seed=draw(st.integers(0, 2**32 - 1)),
+        seed=draw(st.integers(0, 2**32 - 1)),
     )
 
 
@@ -506,13 +486,11 @@ class TestThresholdAgainstOracle:
         # a window of a few labels puts window edges inside examples and at
         # the budget, and lets windows that skip offsets end early; None
         # keeps the engine's own window
-        seed, prior = run.pop("seed"), run.pop("prior")
-        want = confidence_threshold(
-            **run, rng=np.random.default_rng(seed), prior=prior, record_events=record
-        )
+        seed = run.pop("seed")
+        want = confidence_threshold(**run, rng=np.random.default_rng(seed), record_events=record)
         with mock.patch.object(strategies, "_WINDOW", window or strategies._WINDOW):
             got = run_confidence_threshold(
-                **run, rng=np.random.default_rng(seed), prior=prior, record_events=record
+                **run, rng=np.random.default_rng(seed), record_events=record
             )
         assert _outcome_fields(got) == _outcome_fields(want)  # bit for bit
 
@@ -528,16 +506,16 @@ class TestThresholdAgainstOracle:
             estimates={i: LabelerEstimate(i, 0.3 if i == 12 else 0.0) for i in ids},
             config=ThresholdConfig(tau=0.9, kappa=4), budget=11, method=Method.SV,
         )
-        want = confidence_threshold(**run, rng=np.random.default_rng(0), prior=UNIFORM_PRIOR)
+        want = confidence_threshold(**run, rng=np.random.default_rng(0))
         with mock.patch.object(strategies, "_WINDOW", 8):
             got = run_confidence_threshold(**run, rng=np.random.default_rng(0))
         assert _outcome_fields(got) == _outcome_fields(want)
 
 
 @st.composite
-def _uncertainty_runs(draw):
-    """A dataset, a pool, estimates, a rule, a prior, the record flags and a
-    budget from 0 past what the dataset can take: below, at and above the
+def _uncertainty_runs(draw, methods=tuple(Method)):
+    """A dataset, a pool, estimates, a rule, the event flag and a budget
+    from 0 past what the dataset can take: below, at and above the
     example count, and enough to use up every pool."""
     n_labelers = draw(st.integers(1, 6))
     truth = draw(st.lists(st.integers(0, 1), min_size=1, max_size=60))
@@ -548,14 +526,12 @@ def _uncertainty_runs(draw):
         dataset=make_dataset(truth), labelers=[SimLabeler(i, a) for i, a in zip(ids, accs)],
         estimates={i: LabelerEstimate(i, a) for i, a in zip(ids, ests)},
         budget=draw(st.integers(0, len(truth) * n_labelers + 3)),
-        method=draw(st.sampled_from(list(Method))), prior=draw(_priors),
-        record_events=draw(st.booleans()), record_dynamics=draw(st.booleans()),
+        method=draw(st.sampled_from(methods)), record_events=draw(st.booleans()),
     )
 
 
 def _uncertainty_fields(out):
-    dynamics = None if out.dynamics is None else [(d.tolist(), d.dtype) for d in out.dynamics]
-    return _outcome_fields(out), dynamics
+    return _outcome_fields(out), [(d.tolist(), d.dtype) for d in out.dynamics]
 
 
 class TestUncertaintyAgainstOracle:
@@ -569,6 +545,38 @@ class TestUncertaintyAgainstOracle:
         for ev in got.event_log or ():
             assert type(ev) is LabelEvent
             assert ev == (ev.step, ev.example_id, ev.labeler_id, ev.value, ev.confidence)
+
+
+# sv is left out: its class-0 share is k - s1 rather than s0, and the two
+# differ in the last bit, so its confidences, and the stops and picks they
+# drive, can depend on which class is called 1
+_SYMMETRIC = (Method.MV, Method.WMV, Method.GTX)
+
+
+def _flip_fields(run, engine, seed, truth):
+    out = engine(**dict(run, dataset=make_dataset(truth), record_events=True),
+                 rng=np.random.default_rng(seed))
+    events = [(ev.step, ev.example_id, ev.labeler_id, ev.confidence) for ev in out.event_log]
+    return out.labels_per_example.tolist(), out.ledger, events
+
+
+class TestClassNamesDoNotMatter:
+    """A run on the flipped truth ``1 - y`` with the same draws asks the
+    same labelers about the same examples and reaches the same confidences."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(run=_threshold_runs(_SYMMETRIC))
+    def test_threshold_run_is_the_same_on_flipped_truth(self, run):
+        seed, truth = run.pop("seed"), run["dataset"].true_labels
+        assert (_flip_fields(run, run_confidence_threshold, seed, truth)
+                == _flip_fields(run, run_confidence_threshold, seed, 1 - truth))
+
+    @settings(max_examples=200, deadline=None)
+    @given(run=_uncertainty_runs(_SYMMETRIC), seed=st.integers(0, 2**32 - 1))
+    def test_uncertainty_run_is_the_same_on_flipped_truth(self, run, seed):
+        truth = run["dataset"].true_labels
+        assert (_flip_fields(run, run_uncertainty_sampling, seed, truth)
+                == _flip_fields(run, run_uncertainty_sampling, seed, 1 - truth))
 
 
 class TestReplayAgainstPublicApi:
@@ -763,7 +771,6 @@ class TestUncertaintySampling:
             budget=2,
             method=Method.GTX,
             rng=np.random.default_rng(0),
-            record_dynamics=True,
         )
         assert out.n_labeled == 2
         assert list(range(out.n_labeled)) == [0, 1]
@@ -787,7 +794,6 @@ class TestUncertaintySampling:
         out = run_uncertainty_sampling(
             make_dataset([]), make_labelers([0.8, 0.8]), make_estimates([0.8, 0.8]),
             budget=budget, method=Method.GTX, rng=np.random.default_rng(0),
-            record_dynamics=True,
         )
         assert out.n_labeled == 0 and out.ledger.spent == 0 and out.event_log == []
         assert [d.dtype for d in out.dynamics] == [np.int64, np.float64, np.float64]
@@ -803,7 +809,6 @@ class TestUncertaintySampling:
             budget=3,
             method=Method.GTX,
             rng=np.random.default_rng(0),
-            record_dynamics=True,
         )
         steps, errors, maes = out.dynamics
         assert len(steps) == len(errors) == len(maes) == 1
@@ -822,7 +827,6 @@ class TestUncertaintySampling:
             budget=60,
             method=Method.GTX,
             rng=np.random.default_rng(14),
-            record_dynamics=True,
         )
         steps, errors, maes = out.dynamics
         assert [d.dtype for d in out.dynamics] == [np.int64, np.float64, np.float64]
