@@ -7,15 +7,16 @@ Four rules, from least to most informed:
           weight share.
 * SV   -- "soft" votes: each voter adds their estimated accuracy to the class
           they voted for and the complement to the other class; confidence is
-          the winning mass divided by the number of voters.
+          the winning mass's share of the total mass.
 * GTX  -- the Bayesian posterior of :mod:`gtx.model`; confidence is the
           posterior probability of the winning class.
 
-Every rule resolves exact ties to class 0 and reports a class-1 soft score
-(vote share, weight share, mass share, or posterior probability) alongside
-the hard label, so mean-absolute-error comparisons use each method's own
-probability-like output.  The arithmetic of every rule is the kernel in
-:mod:`gtx.model`, shared with the collection engines.
+Every rule treats its two classes alike (gtx under the uniform prior),
+resolves exact ties to class 0, and reports a class-1 soft score (vote,
+weight or mass share, or posterior probability) beside the hard label, so
+mean-absolute-error comparisons use each method's own probability-like
+output.  The arithmetic of every rule is the kernel in :mod:`gtx.model`,
+shared with the collection engines.
 """
 
 from __future__ import annotations
@@ -87,5 +88,5 @@ def aggregate(
             raise EmptyLabelSet("cannot aggregate zero labels")
         raise ValueError(f"labels span multiple examples: {sorted(map(repr, examples))}")
     s0, s1 = accumulate(method, recs, estimates)
-    label, confidence, soft_p1 = kernel(method, prior).finalize(s0, s1, n)
+    label, confidence, soft_p1 = kernel(method, prior).finalize(s0, s1)
     return AggregateLabel(recs[0].example_id, method, label, confidence, soft_p1, n)

@@ -137,22 +137,32 @@ def _write_rows(path, template: str, rows) -> None:
     _write_chunks(path, "", rows, encode)
 
 
+def _record_id(v):
+    """An id as ``read_label_records`` takes it: a str as is, an integer as an int."""
+    if type(v) is str:
+        return v
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+        return int(v)
+    raise ValueError(f"example_id and labeler_id must be strings or integers, got {v!r}")
+
+
 def write_label_records(path, records: Sequence[LabelRecord], steps=None) -> None:
     """Write records as JSONL; steps default to 1..n and must be strictly
-    increasing integers, as ``read_label_records`` requires.  Numpy integers
-    are written as ints; any other step is a ``ValueError``, raised before
-    the file is opened."""
+    increasing integers, and ids strings or integers, as
+    ``read_label_records`` requires.  Numpy integers are written as ints;
+    any other step or id is a ``ValueError``, raised before the file is
+    opened."""
     steps = list(range(1, len(records) + 1) if steps is None else steps)
     if len(steps) != len(records):
         raise ValueError("steps and records differ in length")
-    for last, step in zip([0] + steps, steps):
+    rows = []
+    for last, step, (ex, lab, v) in zip([0] + steps, steps, records):
         if isinstance(step, bool) or not isinstance(step, numbers.Integral):
             raise ValueError(f"steps must be integers, got {step!r}")
         if step <= last:
             raise ValueError(f"steps must be strictly increasing, got {step} after {last}")
-    template = '{"example_id":%s,"labeler_id":%s,"step":%s,"value":%s}\n'
-    _write_rows(path, template,
-                ((ex, lab, int(step), v) for step, (ex, lab, v) in zip(steps, records)))
+        rows.append((_record_id(ex), _record_id(lab), int(step), v))
+    _write_rows(path, '{"example_id":%s,"labeler_id":%s,"step":%s,"value":%s}\n', rows)
 
 
 _RECORD_KEYS = {"example_id", "labeler_id", "step", "value"}

@@ -9,10 +9,10 @@ arbitrarily long vote lists neither underflow nor overflow.
 
 Every aggregation rule is one sufficient-statistic kernel: two accumulators
 ``(s0, s1)``, each vote adding its labeler's increment pair for the value it
-gave (``LabelerEstimate.increments``), and a ``finalize(s0, s1, k) -> (label,
-confidence, soft_p1)`` over the ``k`` votes, with an array form that closes
-many examples at once (``kernel``).  ``aggregate`` and both collection
-engines share them.
+gave (``LabelerEstimate.increments``), and a ``finalize(s0, s1) -> (label,
+confidence, soft_p1)`` that reads the two sums alone, with an array form
+that closes many examples at once (``kernel``).  Swapping the sums swaps the
+classes.  ``aggregate`` and both collection engines share them.
 
 Accuracy estimates must lie in [0, 1].  Exact 0 and 1 (from maximum
 likelihood on a small assessment) are clamped into [ACCURACY_FLOOR,
@@ -124,8 +124,8 @@ class LabelerEstimate:
     def increments(self) -> tuple:
         """``((s0, s1) for a vote of 0, (s0, s1) for a vote of 1)`` under each
         rule, indexed by ``Method.code``; computed once per estimate.  A vote
-        of 1 adds the pair of a vote of 0 swapped, which lets the threshold
-        engine follow both truths of an example with one pair of sums."""
+        of 1 adds the pair of a vote of 0 swapped, so the sums the same draws
+        give under truth 1 are their sums under truth 0 swapped."""
         a = self.accuracy
         lw = self.log_weight
         lc = self.log_counterweight
@@ -243,61 +243,50 @@ def accumulate(method: Method, labels: list, estimates) -> tuple[float, float]:
 
 class Kernel(NamedTuple):
     """One rule's finalizers and, for the rules that can stop at a confidence
-    threshold, the factory of its stop test.
+    threshold, the factory of its stop test.  Each reads the accumulators
+    ``(s0, s1)`` alone, and swapping them swaps the classes: the label flips
+    unless the classes tie, and the confidence and stop verdict keep every
+    bit (gtx: under the uniform prior).
 
-    ``finalize`` closes one example from its accumulators and vote count.
-    ``finalize_array`` closes many: it takes float64 arrays of ``s0`` and
-    ``s1`` and an int array of ``k`` and returns int labels, confidences and
-    soft scores as arrays, each element bit-equal to ``finalize`` of the
-    same inputs.  The stop test takes float64 arrays of accumulators (one
-    entry per run state) and the vote count they share, and returns a bool
-    array."""
+    ``finalize`` closes one example.  ``finalize_array`` closes many: it
+    takes float64 arrays of ``s0`` and ``s1`` and returns int labels,
+    confidences and soft scores as arrays, each element bit-equal to
+    ``finalize`` of the same inputs.  The stop test takes float64 arrays of
+    accumulators (one entry per run state) and returns a bool array."""
 
-    finalize: Callable  # (s0, s1, k) -> (label, confidence, soft_p1)
-    finalize_array: Callable  # (s0, s1, k) arrays -> (labels, confidences, soft_p1s)
-    stop: Callable | None  # tau -> ((s0, s1, k) -> bool array); None: counts only
-
-
-def _share_finalize(s0, s1, k):
-    """mv and sv: class 0 holds what class 1 leaves of the k votes."""
-    m0 = k - s1
-    label = 1 if s1 > m0 else 0
-    return label, (s1 if label else m0) / k, s1 / k
+    finalize: Callable  # (s0, s1) -> (label, confidence, soft_p1)
+    finalize_array: Callable  # (s0, s1) arrays -> (labels, confidences, soft_p1s)
+    stop: Callable | None  # tau -> ((s0, s1) -> bool array); None: counts only
 
 
-def _share_finalize_array(s0, s1, k):
-    m0 = k - s1
-    label = s1 > m0
-    return label.astype(int), np.where(label, s1, m0) / k, s1 / k
-
-
-def _share_stop(tau):
-    def reached(s0, s1, k):
-        return np.maximum(s1, k - s1) / k >= tau
-
-    return reached
-
-
-def _weight_finalize(s0, s1, k):
+def _weight_finalize(s0, s1):
+    """mv, wmv and sv: the winning class's share of the two sums."""
     total = s0 + s1
     label = 1 if s1 > s0 else 0
     return label, (s1 if label else s0) / total, s1 / total
 
 
-def _weight_finalize_array(s0, s1, k):
+def _weight_finalize_array(s0, s1):
     total = s0 + s1
     label = s1 > s0
     return label.astype(int), np.where(label, s1, s0) / total, s1 / total
 
 
+def _share_stop(tau):
+    def reached(s0, s1):
+        return np.maximum(s0, s1) / (s0 + s1) >= tau
+
+    return reached
+
+
 def _gtx_kernel(prior: ClassPrior) -> Kernel:
     lp0, lp1 = prior.logs
 
-    def finalize(s0, s1, k):
+    def finalize(s0, s1):
         p0, p1 = normalize(lp0 + s0, lp1 + s1)
         return (0, p0, p1) if p0 >= p1 else (1, p1, p1)
 
-    def finalize_array(s0, s1, k):
+    def finalize_array(s0, s1):
         """``normalize`` elementwise: the larger log-sum exponentiates to 1.0,
         and the other difference goes through ``math.exp``, which np.exp
         does not always equal in the last bit."""
@@ -318,7 +307,7 @@ def _gtx_kernel(prior: ClassPrior) -> Kernel:
         thr = math.inf if tau == 1.0 else log_odds(tau)
         dprior = lp1 - lp0
 
-        def reached(s0, s1, k):
+        def reached(s0, s1):
             return abs(dprior + s1 - s0) >= thr
 
         return reached
@@ -327,9 +316,9 @@ def _gtx_kernel(prior: ClassPrior) -> Kernel:
 
 
 _KERNELS = {
-    Method.MV: Kernel(_share_finalize, _share_finalize_array, None),
+    Method.MV: Kernel(_weight_finalize, _weight_finalize_array, None),
     Method.WMV: Kernel(_weight_finalize, _weight_finalize_array, None),
-    Method.SV: Kernel(_share_finalize, _share_finalize_array, _share_stop),
+    Method.SV: Kernel(_weight_finalize, _weight_finalize_array, _share_stop),
     Method.GTX: _gtx_kernel(UNIFORM_PRIOR),
 }
 

@@ -20,7 +20,7 @@ share, and keeps two accumulators per example, and the kernel of
 :mod:`gtx.model` supplies the finalizers (whose confidence is also the
 event-log confidence) and the tau stop test.  The engines take no class
 prior (GTX runs under the uniform one; ``aggregate`` takes any other), so a
-run under mv, wmv or gtx is the same whichever class is called 1.  GTX
+run under any rule is the same whichever class is called 1.  GTX
 stops in log-odds space against ``log_odds(tau)``, so that a vote from a
 labeler whose estimate equals tau exactly meets the threshold even in
 floating point; SV stops on its winning share.
@@ -33,8 +33,9 @@ runs its first pass, where example i takes label i, in numpy, and hands its
 later draws to the heap loop as Python floats a block at a time.  The
 threshold engine takes them for a window of start offsets at a time: it
 simulates in numpy the labels an example starting at each offset would
-take, under both truths, then chains the real example starts through the
-window and closes all examples with the kernel's array finalizer.  The
+take, one count for both truths (truth 1 swaps the sums), then chains the
+real example starts through the window and closes all examples with the
+kernel's array finalizer.  The
 one-label select and elicit oracles in ``tests/oracles.py`` are the spec
 both engines replay exactly, and the one-label-at-a-time threshold and
 uncertainty loops there are the references the engines equal bit for bit.
@@ -207,15 +208,14 @@ def _simulate_offsets(u, m, stride, kmax, acc, tab, reached, room, record):
     offset takes at most ``kmax`` labels, and at most ``room - stride * p``.
     ``tab[:, 2 * pos + right]`` is the increment pair of a vote from pool
     position pos on an example of truth 0; under truth 1 the same draws give
-    the swapped pair (see ``LabelerEstimate.increments``), so one pair of
-    accumulators serves both truths.
+    the swapped pair, and every kernel treats its classes alike, so one pair
+    of sums and one label count serve both truths.
 
-    Returns ``k[y, p]``, the labels offset p takes under truth y, and
-    ``hist[t, y, p]``, its accumulator s0 under truth y after label t (s1
-    is ``hist[t, 1 - y, p]``), valid for t < k[y, p].  With
-    ``record`` it also returns each label's pool position and correctness
-    as ``(kmax, m)`` arrays.  Offsets stopped under both truths leave the
-    working arrays once they are half of them.
+    Returns ``k[p]``, the labels offset p takes, and ``hist[t, y, p]``, its
+    accumulator s0 under truth y after label t (s1 is ``hist[t, 1 - y,
+    p]``), valid for t < k[p].  With ``record`` it also returns each label's
+    pool position and correctness as ``(kmax, m)`` arrays.  Stopped offsets
+    leave the working arrays once they are half of them.
     """
     L = len(acc)
     b = 2 * u.itemsize  # one label's draws
@@ -223,12 +223,10 @@ def _simulate_offsets(u, m, stride, kmax, acc, tab, reached, room, record):
                 for j in (0, 1))
     # label t picks the int(u * (L - t))-th unused position
     rank = (sel * np.arange(L, L - kmax, -1, dtype=float)[:, None]).astype(np.intp)
-    act = np.arange(m)  # window offsets still collecting under some truth
-    flat = None  # once offsets leave: the flat index of act in a (2, m) array
-    k = np.zeros((2, m), np.intp)
-    full_k = k
+    act = np.arange(m)  # window offsets still collecting
+    k = full_k = np.zeros(m, np.intp)
     s = np.zeros((2, m))
-    alive = np.ones((2, m), bool)
+    alive = np.ones(m, bool)
     hist = np.empty((kmax, 2, m))
     picked = (np.zeros((kmax, m), np.intp), np.zeros((kmax, m), bool)) if record else None
     picks = []  # picks[j]: the (j+1)-th smallest position each offset used
@@ -239,36 +237,32 @@ def _simulate_offsets(u, m, stride, kmax, acc, tab, reached, room, record):
             c += q <= c
         right = cor[t] < acc[c]
         d = tab.take(2 * c + right, axis=1)
-        if flat is None:
+        if k is full_k:  # no offset has left the working arrays yet
             s = np.add(s, d, out=hist[t])
         else:
             s = s + d
-            hist[t].reshape(-1)[flat] = s.reshape(-1)
+            hist[t][:, act] = s
         k += alive
         if record:
             picked[0][t, act], picked[1][t, act] = c, right
         if reached is not None:
-            alive &= ~reached(s, s[::-1], t + 1)
+            alive &= ~reached(s[0], s[1])
         if t + 1 == kmax:
             break
         if room - t - 1 < stride * m:  # the offset whose next label is over budget
             alive &= stride * act != room - t - 1
-        keep = alive[0] | alive[1]
-        n_keep = np.count_nonzero(keep)
+        n_keep = np.count_nonzero(alive)
         if 2 * n_keep <= len(act):
-            if flat is not None:
-                full_k.reshape(-1)[flat] = k.reshape(-1)
+            full_k[act] = k
             if not n_keep:
                 break
-            kept = keep.nonzero()[0]
+            kept = alive.nonzero()[0]
             act, c, picks = act[kept], c[kept], [q[kept] for q in picks]
-            flat = np.concatenate((act, act + m))
-            rank, cor, k, s, alive = (x.take(kept, axis=1) for x in (rank, cor, k, s, alive))
+            rank, cor, k, s, alive = (x.take(kept, axis=-1) for x in (rank, cor, k, s, alive))
         for j, q in enumerate(picks):  # insert c, keeping picks sorted
             picks[j], c = np.minimum(q, c), np.maximum(q, c)
         picks.append(c)
-    if flat is not None:
-        full_k.reshape(-1)[flat] = k.reshape(-1)
+    full_k[act] = k
     return full_k, hist, picked
 
 
@@ -310,7 +304,6 @@ def run_confidence_threshold(
             )
         kmax, reached = config.kappa, kern.stop(config.tau)
     truth = dataset.true_labels
-    ys = truth.tolist()
     n = dataset.n_examples
     width = max(1, min(_MAX_OFFSETS, _WINDOW // kmax))
     # Examples start every kmax labels while each takes kmax, as under a
@@ -339,28 +332,24 @@ def run_confidence_threshold(
         )
         w0, i0 = o, i
         if stride == 1:
-            k0, k1 = k.tolist()
+            kl = k.tolist()
             starts = []
             while i < n and o < end:
                 p = o - w0
                 starts.append(p)
-                o += (k1 if ys[i] else k0)[p]
+                o += kl[p]
                 i += 1
-            y = truth[i0:i]
-            kk = k[y, starts]
         else:
             # example i0 + p starts at window offset p (m <= n - i0) while
             # every example before it took kmax labels
-            y = truth[i0:i0 + m]
-            starts = np.arange(m)
-            kk = k[y, starts]
-            short = kk < kmax
+            short = k < kmax
             c = int(short.argmax()) + 1 if short.any() else m
-            y, starts, kk = y[:c], starts[:c], kk[:c]
-            i, o = i0 + c, o + kmax * (c - 1) + int(kk[-1])
+            starts = np.arange(c)
+            i, o = i0 + c, o + kmax * (c - 1) + int(k[c - 1])
+        y, kk = truth[i0:i], k[starts]
         # the example starting at offset p closes with the sums after its kk-th label
         s0, s1 = hist[kk - 1, y, starts], hist[kk - 1, 1 - y, starts]
-        closed.append((*kern.finalize_array(s0, s1, kk), kk))
+        closed.append((*kern.finalize_array(s0, s1), kk))
         if record_events:
             events += _window_events(w0, stride, i0, starts, kk, y, hist, picked, ids,
                                      kern.finalize_array)
@@ -380,7 +369,7 @@ def _window_events(w0, stride, i0, starts, ks, y, hist, picked, ids, finalize_ar
     t = np.arange(len(p)) - np.repeat(np.cumsum(ks) - ks, ks)
     y = np.repeat(y, ks)
     pos, right = (x[t, p] for x in picked)
-    confs = finalize_array(hist[t, y, p], hist[t, 1 - y, p], t + 1)[1].tolist()
+    confs = finalize_array(hist[t, y, p], hist[t, 1 - y, p])[1].tolist()
     # each example's id is one int object for all of its events
     example = [i for i, n in zip(range(i0, i0 + len(ks)), ks.tolist()) for _ in range(n)]
     fields = zip((w0 + stride * p + t + 1).tolist(), example, map(ids.__getitem__, pos.tolist()),
@@ -445,7 +434,7 @@ def run_uncertainty_sampling(
     v = np.where(u[1::2] < acc[pos], y, 1 - y)
     # 0.0 + d, as a sum starting at 0.0 adds its first increment
     s0, s1 = 0.0 + tab[:, 2 * pos + 1 - v]
-    first = kern.finalize_array(s0, s1, np.ones(c, np.int64))
+    first = kern.finalize_array(s0, s1)
     events = None
     if record_events:
         events = list(map(tuple.__new__, repeat(LabelEvent), zip(
@@ -490,12 +479,12 @@ def run_uncertainty_sampling(
             p = un.pop(int(r0 * len(un)))
             yi = ys[i]
             w = yi if r1 < acc[p] else 1 - yi
-            k = kcount[i] = kcount[i] + 1
+            kcount[i] += 1
             spent += 1
             d0, d1 = inc[p][w]
             a0 = s0[i] = s0[i] + d0
             a1 = s1[i] = s1[i] + d1
-            lab, conf, soft = finalize(a0, a1, k)
+            lab, conf, soft = finalize(a0, a1)
             if events is not None:
                 events.append(tuple.__new__(LabelEvent, (spent, i, ids[p], w, conf)))
             if track:
@@ -512,7 +501,7 @@ def run_uncertainty_sampling(
             elif heap:
                 entry = heappop(heap)
         ks = np.array(kcount, dtype=np.int64)
-        closed = kern.finalize_array(np.array(s0), np.array(s1), ks)
+        closed = kern.finalize_array(np.array(s0), np.array(s1))
 
     dynamics = np.arange(n, n + len(errors)), np.array(errors), np.array(maes)
     return CollectionOutcome(method, BudgetLedger(budget, total), *closed, ks,

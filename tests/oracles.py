@@ -66,13 +66,15 @@ def weighted_share(values, accuracies):
 def share_vote(values, accuracies):
     """Each voter adds accuracy to its class and the rest to the other.
 
-    Returns (label, winning mass / number of voters); ties to 0.
+    Each class's mass is summed on its own, in vote order.  Returns (label,
+    winning mass / number of voters); ties to 0.
     """
+    m0 = sum(a if v == 0 else 1.0 - a for v, a in zip(values, accuracies))
     m1 = sum(a if v == 1 else 1.0 - a for v, a in zip(values, accuracies))
     n = len(values)
-    if m1 * 2 > n:
+    if m1 > m0:
         return 1, m1 / n
-    return 0, (n - m1) / n
+    return 0, m0 / n
 
 
 def logodds_margin(values, accuracies):
@@ -133,14 +135,13 @@ def run_assessment(labelers, assessment, rng):
 def _reached(method, tau):
     """The scalar tau stop test of sv and gtx; None for mv and wmv."""
     if method is Method.SV:
-        def reached(s0, s1, k):
-            m0 = k - s1
-            return (s1 if s1 >= m0 else m0) / k >= tau
+        def reached(s0, s1):
+            return (s1 if s1 > s0 else s0) / (s0 + s1) >= tau
         return reached
     if method is Method.GTX:
         thr = math.inf if tau == 1.0 else log_odds(tau)
 
-        def reached(s0, s1, k):
+        def reached(s0, s1):
             d = s1 - s0
             return d >= thr or -d >= thr
         return reached
@@ -185,10 +186,10 @@ def confidence_threshold(dataset, labelers, estimates, config, budget, method,
             k += 1
             spent += 1
             if events is not None:
-                events.append(LabelEvent(spent, i, ids[pos], v, finalize(s0, s1, k)[1]))
-            if k == kap or k == c_stop or (reached is not None and reached(s0, s1, k)):
+                events.append(LabelEvent(spent, i, ids[pos], v, finalize(s0, s1)[1]))
+            if k == kap or k == c_stop or (reached is not None and reached(s0, s1)):
                 break
-        finals.append(finalize(s0, s1, k))
+        finals.append(finalize(s0, s1))
         ks.append(k)
     labels, confidences, soft_p1s = ([f[j] for f in finals] for j in range(3))
     return CollectionOutcome(
@@ -242,12 +243,12 @@ def uncertainty_sampling(dataset, labelers, estimates, budget, method, rng, *,
         un = unused[i]
         pos = un.pop(int(rand() * len(un)))
         v = yi if rand() < acc_true[pos] else 1 - yi
-        k = kcount[i] = kcount[i] + 1
+        kcount[i] += 1
         spent += 1
         d0, d1 = inc[pos][v]
         a0 = s0[i] = s0[i] + d0
         a1 = s1[i] = s1[i] + d1
-        cur[i] = now = finalize(a0, a1, k)
+        cur[i] = now = finalize(a0, a1)
         if events is not None:
             events.append(LabelEvent(spent, i, ids[pos], v, now[1]))
     # first pass: one label per example, id order
@@ -294,7 +295,7 @@ def uncertainty_sampling(dataset, labelers, estimates, budget, method, rng, *,
                 maes.append(mae_sum / n)
 
     ks = np.array(kcount[:covered], dtype=np.int64)
-    closed = kern.finalize_array(np.array(s0[:covered]), np.array(s1[:covered]), ks)
+    closed = kern.finalize_array(np.array(s0[:covered]), np.array(s1[:covered]))
     dynamics = np.arange(n, n + len(errors)), np.array(errors), np.array(maes)
     return CollectionOutcome(method, BudgetLedger(budget, spent), *closed, ks,
                              event_log=events, dynamics=dynamics)

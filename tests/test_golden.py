@@ -12,6 +12,14 @@ builtin ``sum``): with two trials a compensated sum equals the plain one, so
 only three or more trials show the order of the sums.  A speedup that
 changes any byte of any result file fails here; a deliberate format change
 must re-record the table and say why.
+
+The sv entries (``events_sv.jsonl``, the ``aggregates.csv``,
+``summary.csv`` and ``dynamics.csv`` that hold sv rows, and
+``AGGREGATE_GOLDEN["sv"]``) were re-recorded when sv's class-0 mass became
+its own sum ``s0`` rather than ``k - s1``, so that sv treats its two
+classes alike: the two are equal in exact arithmetic but not always in
+floating point, so some sv confidences, and the stops and picks they
+drive, moved.  No other rule's bytes changed.
 """
 
 import csv
@@ -30,44 +38,44 @@ COHORTS = {"accurate": [0.8, 1.0], "noisy": [0.6, 0.9]}
 
 GOLDEN = {
     ("threshold", "accurate"): {
-        "aggregates.csv": "e76d30e030618dff9f0103cea603c6369293e5cfde86a61dbd82c46be4f38474",
+        "aggregates.csv": "b392c23339fbe7cc2e004a9ef40e5987103ca73711f9bf9e413f57bce58c64a1",
         "best_cells.csv": "af15f737c5a19ca3b3a851f719ea4cd6f580ca212d0bacc3acb9fa2d0d638701",
         "events_gtx.jsonl": "0ebb50c6122effffdada203a747b6da31ab3cf07023ca50e41be6d85e2c81763",
         "events_mv.jsonl": "de2c834b159497729057d687ecfb05fbcbe059600e0bf87e26767a150c9d0691",
-        "events_sv.jsonl": "364875de54528ff18481547e5c1fcdb1a224aae998fed832b36cfa63f922d894",
+        "events_sv.jsonl": "2cdf106894d5520f067092c9a87d5de5f9ecd7baae53a2ce7c28bc98f377f0c6",
         "events_wmv.jsonl": "788e1dc42d75700011e8b9bba656d1e446ef80f401e1f5b0b442e78e566baf9a",
         "run.json": "bd97165e456f233bf31b379b378eacb4b713529f3bbb5314dbb420c14d879793",
-        "summary.csv": "ed5fa0e4e9e680e5f49f7c0c91b7dbc88366b828179f31608911912954150651",
+        "summary.csv": "1561369e0b114d28cd68947e28b79269080dd96c75372b6825f286337f690697",
     },
     ("threshold", "noisy"): {
-        "aggregates.csv": "4e30898208fc9126dbf295769276477c5362ef7f9470fd8f498704977850fa9f",
+        "aggregates.csv": "4bd25c4ebb10dec59da2aa6ebecdb996b30af33da0138d249a92337b73bdeabc",
         "best_cells.csv": "d45d9e8ce7527b35ee0e5faedc12c2865a3afcb55b9ba1b0b5a92a6ce94255bb",
         "events_gtx.jsonl": "73ff7f5ab55dd3f5ceba17205c3793fe93548c99098d34037fc1c78d52b06a5c",
         "events_mv.jsonl": "0d88e647c27dbacf38dc9ebf370efb95a5593dae73fdca18cf1cbad200fa47ba",
-        "events_sv.jsonl": "c41c26f882dd02a2c8a7b985637341567c2119dd933d23dbf6d4c57d64aa86ab",
+        "events_sv.jsonl": "019796fc06395a1d60122a8171043bb691521ef4a5985013cb82a9cb0cae0256",
         "events_wmv.jsonl": "16eadac2b9420036b035f147c67919b2a1d7464e55577874fa1d2a90b1212797",
         "run.json": "c11b33e7b457047276b47dcd3fcaaa64baf5e79cfc2924b690eb14bd25d31a7e",
-        "summary.csv": "8f7022246f669068fe14df4d91438778a2f89b11c7e75f74c4ea318163df833d",
+        "summary.csv": "4c8742fc57f068ce66f56623a11098eb87bcb904691cbba88b1aea9aa01dfdb6",
     },
     ("uncertainty", "accurate"): {
-        "aggregates.csv": "5068b9114025761ba1e2051b446d20bd728e7d8784cf2ce3110397af240d0660",
-        "dynamics.csv": "cd22af534d04b84bc0e5f895f8ab25a1f17da4c16012adf087fdc794a8457416",
+        "aggregates.csv": "fda88963a4143fc9f1835c86c36b697c5772c252a520593318c4d0ebc1e671f4",
+        "dynamics.csv": "75741383bb39795c596933ad3472f70ff04fe166c94486dcdf6469a103a129b7",
         "events_gtx.jsonl": "4bc1aa57c88c51afe0f82d4097deab52ce0752501e028098389412b744064e81",
         "events_mv.jsonl": "eeb0a2a2a481e514a7665996440e507e59b070eac862dd9d2ac59f709f5095e1",
-        "events_sv.jsonl": "b9ba4f4d7cd0778bafb8ac491f792a2214ac8bd572b25994718aec2fd611de42",
+        "events_sv.jsonl": "b0e188d0a2994d358b1d8121d4baa7c8d1cf6b225473ad93632e5ad633d5fada",
         "events_wmv.jsonl": "3bba720f8dc9a82dc30a0d8bd756093e0ddb3c249f4d0a31db74bdde8fb97737",
         "run.json": "acc15cd6fe8e59ab64f3da7a0520a85f95e40e677252068cd1e1607cd0939730",
-        "summary.csv": "2bf9180c90beed5484983ed51224d4644244c083e1abe7812a9df4a2c48546af",
+        "summary.csv": "de96b6841c89b780c27a6bd3e4d011808f3fcff81741a6621bb920defa401161",
     },
     ("uncertainty", "noisy"): {
-        "aggregates.csv": "59c4471c39dd3bdea4f0f6f94f105d3ec45e262540c5d77186ebf75ce2805b5b",
-        "dynamics.csv": "1cd8ef7a3da522883555b516eab645801c7e43a76abe64c95a21ef7f426f7e61",
+        "aggregates.csv": "1f1b3d7b0e7e4d7a38423dc9bd1dad637081ea15e76b74a7ec89b15340184cd5",
+        "dynamics.csv": "84f5ab0ef1a458ca0abac3da9694076c8f90e6d67ba9c71667ef3191ec75dd1f",
         "events_gtx.jsonl": "1ba3f2211e717e7722c8582514bd26b2acd78838ca1ccceda3c109987c451c9b",
         "events_mv.jsonl": "3e2c049ad6b72880750b439e9c582b361c880e97b259a7447234b2eb6f37c2cc",
-        "events_sv.jsonl": "440a6cd2eaf9139dda929f393e992a79b9b0af522aba6fca462de22b8ae45bc9",
+        "events_sv.jsonl": "1d83513098ef616556191fc6d0e7b34f2e9e7b1f82aaa15626c7f6e90a066ff1",
         "events_wmv.jsonl": "f08a7f947a52729be4a1ef75b17f7b9c2c8e6cd324d9749b3b06d6a2cb9746bc",
         "run.json": "798a4308f32a10d57e68f7522902e3e637e9f035c44b2327c20c9457eca725d1",
-        "summary.csv": "5cc576e3958835cb6231e85be873e67d86586416e62d7a14cbb57a3173eacd07",
+        "summary.csv": "634b2537772b6feac035511384b7415d67b00e1f40cf47c758b6b136fe8cec62",
     },
     "assess": {
         "labels.jsonl": "81a179eba3b95bc2975722fdf271b8b00f4e057d4ab65a3abe84376169097446",
@@ -79,18 +87,18 @@ GOLDEN = {
 
 FIVE_TRIAL_GOLDEN = {
     ("threshold", "noisy"): {
-        "summary.csv": "6447a6996cc9c3b3a8b957ecc2cee8e5a2f70ea2f942d0e078005469f1865a20",
+        "summary.csv": "ab1e2622be47e6e147dc45253b1fb1dda986b25ff2c6333d88bdb8edaa03e383",
     },
     ("uncertainty", "accurate"): {
-        "dynamics.csv": "8161e2744a5c3c2ace31ce8cc18c97db03cf3fe9449d8f66eb4f53a2b5d26357",
-        "summary.csv": "8ada055e2b65acfe024fa2f7f134dc67f665a0d2c22994d8759a9368de5f51db",
+        "dynamics.csv": "57a087cbd99f6c29fd17593915bf9b652c64fa694b1708f1b8e8be111ef840d9",
+        "summary.csv": "b3e1e9845d39609846431ce6c0a7b64d8342b15389df693435dca17f77f4a3fb",
     },
 }
 
 AGGREGATE_GOLDEN = {
     "mv": "0d46b340a9fefdf0fe32e41368f146f6a9edae33fb245bf1b9a33538c4223bb0",
     "wmv": "a98c073f635ba27291b8d0a631cf7231c98d75d38653b81e05a2ab10ce292d09",
-    "sv": "801c144f56971b22242376e06d8c50aac2e9292def86d7955e7b38d2207a0300",
+    "sv": "4665088400b764c6e1731c634cea65e1e2cfc27048ba4085bacf368905e37042",
     "gtx": "8b48a0302955a8091a683f339c0572bd616d0efc42d712c9323a204f8b576c7f",
 }
 

@@ -204,6 +204,9 @@ class TestLoadConfig(object):
             load_config(p)
 
 
+_TWO_RECORDS = [LabelRecord(0, "a", 1), LabelRecord(1, "a", 0)]
+
+
 class TestLabelRecordFiles:
     def test_roundtrip_preserves_records_and_steps(self, tmp_path):
         p = tmp_path / "labels.jsonl"
@@ -219,23 +222,40 @@ class TestLabelRecordFiles:
         _, steps = read_label_records(p)
         assert steps == [1, 2]
 
-    @pytest.mark.parametrize("steps", [[1.5, 3], [1, 2.0], [True, 2], ["1", 2], [1, None]])
-    def test_non_integer_steps_rejected_before_writing(self, tmp_path, steps):
+    @pytest.mark.parametrize("recs, steps", [
+        *(pytest.param(_TWO_RECORDS, s, id=f"steps{j}") for j, s in enumerate(
+            [[1.5, 3], [1, 2.0], [True, 2], ["1", 2], [1, None]])),
+        # a second record whose id the reader rejects
+        *(pytest.param([LabelRecord(0, "a", 1), r], None, id=f"ids{j}") for j, r in enumerate(
+            [LabelRecord(0.5, "a", 1), LabelRecord(0, True, 1), LabelRecord(None, "a", 1),
+             LabelRecord((1, 2), "a", 1), LabelRecord(1.0, "a", 1), LabelRecord(1, ["a"], 0)])),
+    ])
+    def test_non_integer_steps_rejected_before_writing(self, tmp_path, recs, steps):
         p = tmp_path / "labels.jsonl"
-        recs = [LabelRecord(0, "a", 1), LabelRecord(1, "a", 0)]
-        with pytest.raises(ValueError, match="^steps must be integers, got "):
+        with pytest.raises(ValueError) as err:
             write_label_records(p, recs, steps=steps)
+        assert err.match("^(steps must be integers|example_id and labeler_id must be "
+                         "strings or integers), got ")
+        assert "\n" not in str(err.value)
         assert not p.exists()
 
-    @pytest.mark.parametrize("steps", [np.array([1, 4]), [np.int32(2), np.uint8(3)]])
-    def test_numpy_integer_steps_are_written_as_ints(self, tmp_path, steps):
-        p = tmp_path / "labels.jsonl"
-        recs = [LabelRecord(0, "a", 1), LabelRecord(1, "a", 0)]
+    @pytest.mark.parametrize("recs, steps", [
+        pytest.param(_TWO_RECORDS, np.array([1, 4]), id="steps0"),
+        pytest.param(_TWO_RECORDS, [np.int32(2), np.uint8(3)], id="steps1"),
+        pytest.param([LabelRecord(np.int64(0), "a", 1), LabelRecord(1, np.int32(7), 0)], [1, 2],
+                     id="ids0"),
+        pytest.param([LabelRecord(np.uint8(3), np.int16(-2), 1)], [5], id="ids1"),
+    ])
+    def test_numpy_integer_steps_are_written_as_ints(self, tmp_path, recs, steps):
+        p, plain = tmp_path / "labels.jsonl", tmp_path / "plain.jsonl"
         write_label_records(p, recs, steps=steps)
         back, read_steps = read_label_records(p)
         assert back == recs
         assert read_steps == [int(s) for s in steps]
         assert all(type(s) is int for s in read_steps)
+        # the same bytes as the records and steps written as Python ints
+        write_label_records(plain, back, read_steps)
+        assert p.read_bytes() == plain.read_bytes()
 
     def test_non_increasing_steps_rejected_on_read(self, tmp_path):
         p = tmp_path / "labels.jsonl"

@@ -236,16 +236,17 @@ class TestPosteriorProperties:
 _finalizer_accuracies = st.sampled_from([0.0, 0.5, 0.6, 0.75, 0.9, 0.99, 1.0]) | st.floats(0, 1)
 
 
+_PRIORS = [ClassPrior.uniform(), ClassPrior(0.3, 0.7), ClassPrior(0.9, 0.1),
+           ClassPrior(1.0, 0.0), ClassPrior(0.0, 1.0)]
+
+
 @st.composite
-def _closed_examples(draw):
-    """A rule, a prior and per-example ``(s0, s1, k)`` as the engines reach
-    them, with exact ties: ``s1 == k - s1``, ``s0 == s1`` and equal log-sums
+def _closed_examples(draw, priors=_PRIORS):
+    """A rule, a prior and per-example ``(s0, s1)`` as the engines reach
+    them, with exact ties: ``s0 == s1`` and equal log-sums
     ``lp0 + s0 == lp1 + s1``."""
     method = draw(st.sampled_from(list(Method)))
-    prior = draw(st.sampled_from(
-        [ClassPrior.uniform(), ClassPrior(0.3, 0.7), ClassPrior(0.9, 0.1),
-         ClassPrior(1.0, 0.0), ClassPrior(0.0, 1.0)]
-    ))
+    prior = draw(st.sampled_from(priors))
     lp0, lp1 = prior.logs
     # few distinct accuracies, so that opposite votes often cancel exactly
     pool = [LabelerEstimate(0, a).increments[method.code]
@@ -253,21 +254,17 @@ def _closed_examples(draw):
     rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
     rows = []
     for _ in range(draw(st.integers(1, 64))):
-        k = rnd.randint(1, 40)
         s0 = s1 = 0.0
-        for _ in range(k):
+        for _ in range(rnd.randint(1, 40)):
             d0, d1 = rnd.choice(pool)[rnd.getrandbits(1)]
             s0 += d0
             s1 += d1
-        tie = rnd.choice(["none", "none", "share", "sums", "logs"])
-        if tie == "share":
-            k += k % 2
-            s0 = s1 = k / 2
-        elif tie == "sums":
+        tie = rnd.choice(["none", "none", "sums", "logs"])
+        if tie == "sums":
             s0 = s1 = max(s0, s1)
         elif tie == "logs" and math.isfinite(lp0 + lp1):
             s0, s1 = lp1, lp0
-        rows.append((s0, s1, k))
+        rows.append((s0, s1))
     return method, prior, rows
 
 
@@ -277,14 +274,34 @@ class TestArrayFinalizer:
     def test_equals_scalar_finalize(self, case):
         method, prior, rows = case
         kern = kernel(method, prior)
-        s0, s1, k = zip(*rows)
-        got = kern.finalize_array(np.array(s0), np.array(s1), np.array(k))
-        want = zip(*map(kern.finalize, s0, s1, k))
+        s0, s1 = zip(*rows)
+        got = kern.finalize_array(np.array(s0), np.array(s1))
+        want = zip(*map(kern.finalize, s0, s1))
         # repr tells a bool from an int, a numpy scalar from a float, and
         # every float bit from its neighbours
         assert [repr(x.tolist()) for x in got] == [repr(list(w)) for w in want]
 
+    @settings(max_examples=300)
+    @given(_closed_examples(priors=[ClassPrior.uniform()]))
+    def test_swapped_sums_swap_the_classes(self, case):
+        """Under the uniform prior, ``(s1, s0)`` keeps the confidence bits
+        and the stop verdict of ``(s0, s1)``, and flips the label unless the
+        two classes tie (label 0, confidence 0.5, both ways)."""
+        method, _, rows = case
+        kern = kernel(method)
+        for s0, s1 in rows:
+            label, conf, _ = kern.finalize(s0, s1)
+            flipped, flipped_conf, _ = kern.finalize(s1, s0)
+            assert repr(flipped_conf) == repr(conf)
+            assert flipped == 1 - label or (flipped == label == 0 and conf == 0.5)
+        if kern.stop is not None:
+            s0, s1 = np.array(rows).T
+            confs = {kern.finalize(*row)[1] for row in rows}
+            for tau in sorted({0.51, 0.75, 0.9, 0.99, 1.0} | {c for c in confs if c > 0.5}):
+                reached = kern.stop(tau)
+                assert reached(s1, s0).tolist() == reached(s0, s1).tolist()
+
     def test_uniform_gtx_kernel_is_one_object(self):
         assert kernel(Method.GTX) is kernel(Method.GTX, ClassPrior(0.5, 0.5))
         # another prior's kernel is built per call
-        assert kernel(Method.GTX, ClassPrior(0.3, 0.7)).finalize(0.0, 0.0, 0) == (1, 0.7, 0.7)
+        assert kernel(Method.GTX, ClassPrior(0.3, 0.7)).finalize(0.0, 0.0) == (1, 0.7, 0.7)
