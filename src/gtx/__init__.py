@@ -15,16 +15,7 @@ from .assessment import (
     oracle_estimates,
     run_assessment,
 )
-from .errors import (
-    AlreadyLabeled,
-    ConfigError,
-    DuplicateLabeler,
-    EmptyAssessment,
-    EmptyLabelSet,
-    GtxError,
-    IncompleteAssessment,
-    MissingEstimate,
-)
+from .errors import ConfigError, DataError, GtxError
 from .experiments import (
     SweepResult,
     UncertaintyResult,
@@ -75,23 +66,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateLabel",
-    "AlreadyLabeled",
     "AssessmentSet",
     "BudgetLedger",
     "ClassPrior",
     "CollectionOutcome",
     "ConfigError",
-    "DuplicateLabeler",
-    "EmptyAssessment",
-    "EmptyLabelSet",
+    "DataError",
     "ExperimentConfig",
     "GtxError",
-    "IncompleteAssessment",
     "LabelEvent",
     "LabelRecord",
     "LabelerEstimate",
     "Method",
-    "MissingEstimate",
     "SimConfig",
     "SimDataset",
     "SimLabeler",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
-from .errors import DuplicateLabeler, EmptyLabelSet
+from .errors import DataError
 from .model import (
     ClassPrior,
     LabelRecord,
@@ -67,7 +67,7 @@ def aggregate(
 ) -> AggregateLabel:
     """Aggregate one example's votes under the rule named by ``method``.
 
-    MV needs no estimates; the other rules raise MissingEstimate unless every
+    MV needs no estimates; the other rules raise a DataError unless every
     voter has one.  Only GTX uses ``prior``; a degenerate prior forces its
     class whatever the votes.
     """
@@ -80,13 +80,13 @@ def aggregate(
         seen = set()
         for rec in recs:
             if rec.labeler_id in seen:
-                raise DuplicateLabeler(
+                raise DataError(
                     f"labeler {rec.labeler_id!r} voted twice on example {rec.example_id!r}"
                 )
             seen.add(rec.labeler_id)
         if not recs:
-            raise EmptyLabelSet("cannot aggregate zero labels")
-        raise ValueError(f"labels span multiple examples: {sorted(map(repr, examples))}")
+            raise DataError("cannot aggregate zero labels")
+        raise DataError(f"labels span multiple examples: {sorted(map(repr, examples))}")
     s0, s1 = accumulate(method, recs, estimates)
     label, confidence, soft_p1 = kernel(method, prior).finalize(s0, s1)
     return AggregateLabel(recs[0].example_id, method, label, confidence, soft_p1, n)

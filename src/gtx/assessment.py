@@ -13,7 +13,7 @@ from typing import Hashable, Mapping
 
 import numpy as np
 
-from .errors import EmptyAssessment, IncompleteAssessment
+from .errors import DataError
 from .model import LabelerEstimate, as_label
 
 __all__ = [
@@ -36,15 +36,19 @@ class AssessmentSet:
     true_labels: tuple
 
     def __post_init__(self):
-        if len(self.example_ids) == 0:
-            raise EmptyAssessment("assessment set has no items")
-        if len(self.example_ids) != len(self.true_labels):
-            raise ValueError("example_ids and true_labels differ in length")
-        if len(set(self.example_ids)) != len(self.example_ids):
-            raise ValueError("assessment item ids must be unique")
-        object.__setattr__(
-            self, "true_labels", tuple(as_label(v) for v in self.true_labels)
-        )
+        try:
+            ids, labels = tuple(self.example_ids), tuple(self.true_labels)
+            unique = len(set(ids)) == len(ids)
+        except TypeError:  # not iterable, or an id that cannot be hashed
+            raise DataError("ids and labels must be sequences, the ids hashable") from None
+        if not ids:
+            raise DataError("assessment set has no items")
+        if len(ids) != len(labels):
+            raise DataError("example_ids and true_labels differ in length")
+        if not unique:
+            raise DataError("assessment item ids must be unique")
+        object.__setattr__(self, "example_ids", ids)
+        object.__setattr__(self, "true_labels", tuple(map(as_label, labels)))
 
     def __len__(self) -> int:
         return len(self.example_ids)
@@ -61,7 +65,7 @@ def estimate_accuracy(
     """MLE accuracy: fraction of assessment items answered correctly.
 
     ``responses`` must cover every assessment item; a missing response is an
-    IncompleteAssessment error rather than a silent shrink of the sample.
+    DataError rather than a silent shrink of the sample.
     The returned estimate is clamped by LabelerEstimate's constructor.
     """
     correct = 0
@@ -73,7 +77,7 @@ def estimate_accuracy(
         if as_label(responses[item_id]) == truth:
             correct += 1
     if missing:
-        raise IncompleteAssessment(
+        raise DataError(
             f"labeler {labeler_id!r} missing {len(missing)} of "
             f"{len(assessment)} assessment responses (first: {missing[0]!r})"
         )

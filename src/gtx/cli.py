@@ -1,9 +1,9 @@
 """Command-line entry points.
 
-Exit codes: 0 on success, 1 on configuration or usage errors, 2 on runtime
-or data errors (unreadable files, malformed records, incomplete
-assessments, a run too large for memory).  Progress goes to stderr so
-stdout stays clean for piping; results land only in files.
+Exit codes: 0 on success, 1 on a usage error or a ``ConfigError``, 2 on a
+``DataError`` or another ``GtxError``, an ``OSError`` or a ``MemoryError``
+(a run too large for memory).  Any other exception is a traceback: a bug.
+Progress goes to stderr so stdout stays clean; results land only in files.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, GtxError
+from .errors import ConfigError, DataError, GtxError
 from .experiments import (
     run_threshold_experiment,
     run_uncertainty_experiment,
@@ -27,14 +27,6 @@ from .io import (
 )
 
 
-def _add_experiment_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", required=True, help="JSON experiment config")
-    sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument(
-        "--workers", type=int, default=1, help="worker processes (default 1)"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gtx",
@@ -43,17 +35,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser(
-        "threshold",
-        help="sweep stopping parameters for the confidence-threshold strategy",
-    )
-    _add_experiment_args(p)
-
-    p = subs.add_parser(
-        "uncertainty",
-        help="run uncertainty sampling for each method under one budget",
-    )
-    _add_experiment_args(p)
+    for name, text in [
+        ("threshold", "sweep stopping parameters for the confidence-threshold strategy"),
+        ("uncertainty", "run uncertainty sampling for each method under one budget"),
+    ]:
+        p = subs.add_parser(name, help=text)
+        p.add_argument("--config", required=True, help="JSON experiment config")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
 
     p = subs.add_parser(
         "assess",
@@ -63,10 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True, help="JSONL expert labels (gold)")
     p.add_argument("--out", required=True, help="output directory")
     return parser
-
-
-def _progress(msg: str) -> None:
-    print(msg, file=sys.stderr)
 
 
 _RUNNERS = {
@@ -85,7 +70,8 @@ def _cmd_experiment(args) -> int:
             f"{args.command!r} command was requested"
         )
     runner = _RUNNERS[args.command]
-    result = runner(config, workers=args.workers, progress=_progress)
+    result = runner(config, workers=args.workers,
+                    progress=lambda msg: print(msg, file=sys.stderr))
     write_results(result, args.out)
     print(f"wrote results to {args.out}", file=sys.stderr)
     return 0
@@ -102,16 +88,20 @@ def _cmd_assess(args) -> int:
         if rec.example_id in truth_ids:
             by_labeler.setdefault(rec.labeler_id, {})[rec.example_id] = rec.value
     if not by_labeler:
-        raise ValueError("no label records overlap the truth set")
+        raise DataError("no label records overlap the truth set")
     estimates = [
         estimate_accuracy(labeler_id, responses, truth)
         for labeler_id, responses in by_labeler.items()
     ]
     estimates.sort(key=lambda e: str(e.labeler_id))
-    for a, b in zip(estimates, estimates[1:]):  # ids of equal text sort together
-        if str(a.labeler_id) == str(b.labeler_id):
-            raise ValueError(f"labeler ids {a.labeler_id!r} and {b.labeler_id!r} "
-                             "would read the same in estimates.csv")
+    for a, b in zip([None, *estimates], estimates):  # ids of equal text sort together
+        try:
+            str(b.labeler_id).encode()
+        except UnicodeEncodeError:  # a lone surrogate, which JSON can escape
+            raise DataError(f"labeler id {b.labeler_id!r} is not valid text") from None
+        if a is not None and str(a.labeler_id) == str(b.labeler_id):
+            raise DataError(f"labeler ids {a.labeler_id!r} and {b.labeler_id!r} "
+                            "would read the same in estimates.csv")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -142,12 +132,9 @@ def main(argv=None) -> int:
         if args.command == "assess":
             return _cmd_assess(args)
         return _cmd_experiment(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (GtxError, OSError, ValueError, MemoryError) as exc:
+    except (GtxError, OSError, MemoryError) as exc:  # anything else is a bug
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) else 2
 
 
 if __name__ == "__main__":

@@ -1,37 +1,24 @@
-"""Exception types shared across the package, and the type rules of the
-config values that raise ``ConfigError``."""
+"""The package's two error types, and the type rules of the config values.
+
+A ``ConfigError`` is for a value the caller chose: a size, tau, kappa,
+budget, accuracy, prior, method or draw source.  A ``DataError`` is for a
+value that was read or observed: a label value, an id, a vote list, truth
+labels, estimate coverage or a file's contents.  Both are ``ValueError``s,
+so ``except ValueError`` still catches them.  Any other exception the
+package raises marks a bug.
+"""
 
 
 class GtxError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class of the package's errors."""
 
 
-class MissingEstimate(GtxError):
-    """A label references a labeler with no accuracy estimate."""
+class ConfigError(GtxError, ValueError):
+    """An invalid value the caller chose; the message lists every violation found."""
 
 
-class EmptyLabelSet(GtxError):
-    """An aggregation rule was asked to aggregate zero labels."""
-
-
-class DuplicateLabeler(GtxError):
-    """Two labels for the same example share a labeler."""
-
-
-class EmptyAssessment(GtxError):
-    """An assessment set with no items."""
-
-
-class IncompleteAssessment(GtxError):
-    """A labeler did not respond to every assessment item."""
-
-
-class AlreadyLabeled(GtxError):
-    """A (example, labeler) pair was labeled twice."""
-
-
-class ConfigError(GtxError):
-    """Invalid configuration; the message lists every violation found."""
+class DataError(GtxError, ValueError):
+    """An invalid value that was read or observed."""
 
 
 def is_int(v) -> bool:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .aggregators import Method
 from .assessment import oracle_estimates, run_assessment
-from .errors import GtxError
+from .errors import ConfigError, GtxError
 from .io import (
     ExperimentConfig,
     tau_code,
@@ -104,7 +104,7 @@ class Cell:
 
     def __post_init__(self):
         if (self.tau is None) == (self.fixed_count is None):
-            raise ValueError("a cell needs exactly one of tau or fixed_count")
+            raise ConfigError("a cell needs exactly one of tau or fixed_count")
 
     @property
     def code(self) -> int:

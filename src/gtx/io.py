@@ -24,8 +24,9 @@ from typing import Mapping, Sequence
 
 from .aggregators import Method
 from .assessment import AssessmentSet
-from .errors import AlreadyLabeled, ConfigError, is_int, is_number
+from .errors import ConfigError, DataError, is_int, is_number
 from .model import LabelRecord
+from .simulation import MAX_SIZE
 from .strategies import LabelEvent
 
 __all__ = [
@@ -143,24 +144,24 @@ def _record_id(v):
         return v
     if isinstance(v, numbers.Integral) and not isinstance(v, bool):
         return int(v)
-    raise ValueError(f"example_id and labeler_id must be strings or integers, got {v!r}")
+    raise DataError(f"example_id and labeler_id must be strings or integers, got {v!r}")
 
 
 def write_label_records(path, records: Sequence[LabelRecord], steps=None) -> None:
     """Write records as JSONL; steps default to 1..n and must be strictly
     increasing integers, and ids strings or integers, as
     ``read_label_records`` requires.  Numpy integers are written as ints;
-    any other step or id is a ``ValueError``, raised before the file is
+    any other step or id is a ``DataError``, raised before the file is
     opened."""
     steps = list(range(1, len(records) + 1) if steps is None else steps)
     if len(steps) != len(records):
-        raise ValueError("steps and records differ in length")
+        raise DataError("steps and records differ in length")
     rows = []
     for last, step, (ex, lab, v) in zip([0] + steps, steps, records):
         if isinstance(step, bool) or not isinstance(step, numbers.Integral):
-            raise ValueError(f"steps must be integers, got {step!r}")
+            raise DataError(f"steps must be integers, got {step!r}")
         if step <= last:
-            raise ValueError(f"steps must be strictly increasing, got {step} after {last}")
+            raise DataError(f"steps must be strictly increasing, got {step} after {last}")
         rows.append((_record_id(ex), _record_id(lab), int(step), v))
     _write_rows(path, '{"example_id":%s,"labeler_id":%s,"step":%s,"value":%s}\n', rows)
 
@@ -176,61 +177,65 @@ def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
 
     Returns (records, steps).  Steps must be strictly increasing integers
     and values exactly the integer 0 or 1 (not true, not 1.0); a repeated
-    (example_id, labeler_id) pair raises AlreadyLabeled.
+    (example_id, labeler_id) pair, like any fault, is a ``DataError``.
     """
     records: list[LabelRecord] = []
     steps: list[int] = []
     seen: set[tuple] = set()
     last = None
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            # one scan; on any failure json.loads gives the error its exact text
-            try:
-                row, end = _decode(line)
-            except (json.JSONDecodeError, RecursionError):
-                end = None
-            if end != len(line):
+    try:  # around the loop, so that a line pays nothing for it
+        with Path(path).open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                # one scan; on any failure json.loads gives the error its exact text
                 try:
-                    row = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as exc:
-                    raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(row, dict):
-                raise ValueError(f"{path}:{lineno}: expected an object per line")
-            if row.keys() != _RECORD_KEYS and set(row) - _OPTIONAL_KEYS != _RECORD_KEYS:
-                raise ValueError(
-                    f"{path}:{lineno}: expected keys {sorted(_RECORD_KEYS)}, "
-                    f"got {sorted(row)}"
-                )
-            ex, lab = row["example_id"], row["labeler_id"]
-            if type(ex) not in _ID_TYPES or type(lab) not in _ID_TYPES:
-                raise ValueError(
-                    f"{path}:{lineno}: example_id and labeler_id must be strings "
-                    f"or integers, got {ex!r} and {lab!r}"
-                )
-            step = row["step"]
-            if type(step) is not int:  # JSON numbers decode to exact ints
-                raise ValueError(f"{path}:{lineno}: step must be an integer")
-            if last is not None and step <= last:
-                raise ValueError(
-                    f"{path}:{lineno}: steps must be strictly increasing "
-                    f"({step} after {last})"
-                )
-            last = step
-            value = row["value"]
-            if type(value) is not int or value not in (0, 1):
-                raise ValueError(f"{path}:{lineno}: value must be the int 0 or 1, got {value!r}")
-            pair = (ex, lab)
-            if pair in seen:
-                raise AlreadyLabeled(
-                    f"{path}:{lineno}: duplicate label for example "
-                    f"{ex!r} by labeler {lab!r}"
-                )
-            seen.add(pair)
-            records.append(tuple.__new__(LabelRecord, (ex, lab, value)))
-            steps.append(step)
+                    row, end = _decode(line)
+                except (ValueError, RecursionError):  # ValueError: an int too long to read
+                    end = None
+                if end != len(line):
+                    try:
+                        row = json.loads(line)
+                    except (ValueError, RecursionError) as exc:
+                        raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                if not isinstance(row, dict):
+                    raise DataError(f"{path}:{lineno}: expected an object per line")
+                if row.keys() != _RECORD_KEYS and set(row) - _OPTIONAL_KEYS != _RECORD_KEYS:
+                    raise DataError(
+                        f"{path}:{lineno}: expected keys {sorted(_RECORD_KEYS)}, "
+                        f"got {sorted(row)}"
+                    )
+                ex, lab = row["example_id"], row["labeler_id"]
+                if type(ex) not in _ID_TYPES or type(lab) not in _ID_TYPES:
+                    raise DataError(
+                        f"{path}:{lineno}: example_id and labeler_id must be strings "
+                        f"or integers, got {ex!r} and {lab!r}"
+                    )
+                step = row["step"]
+                if type(step) is not int:  # JSON numbers decode to exact ints
+                    raise DataError(f"{path}:{lineno}: step must be an integer")
+                if last is not None and step <= last:
+                    raise DataError(
+                        f"{path}:{lineno}: steps must be strictly increasing "
+                        f"({step} after {last})"
+                    )
+                last = step
+                value = row["value"]
+                if type(value) is not int or value not in (0, 1):
+                    raise DataError(
+                        f"{path}:{lineno}: value must be the int 0 or 1, got {value!r}")
+                pair = (ex, lab)
+                if pair in seen:
+                    raise DataError(
+                        f"{path}:{lineno}: duplicate label for example "
+                        f"{ex!r} by labeler {lab!r}"
+                    )
+                seen.add(pair)
+                records.append(tuple.__new__(LabelRecord, (ex, lab, value)))
+                steps.append(step)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: invalid UTF-8: {exc}") from None
     return records, steps
 
 
@@ -240,7 +245,7 @@ def read_assessment_set(path) -> AssessmentSet:
     truth = {}
     for ex, _, value in records:
         if ex in truth:
-            raise ValueError(f"duplicate truth for example {ex!r}")
+            raise DataError(f"duplicate truth for example {ex!r}")
         truth[ex] = value
     return AssessmentSet(example_ids=tuple(truth), true_labels=tuple(truth.values()))
 
@@ -319,7 +324,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         problems: list[str] = []
-        if self.strategy not in _STRATEGIES:
+        if not isinstance(self.strategy, str) or self.strategy not in _STRATEGIES:
             problems.append(f"strategy must be one of {list(_STRATEGIES)}, got {self.strategy!r}")
 
         valid = {}  # the fields of a valid form, so far
@@ -329,6 +334,8 @@ class ExperimentConfig:
                 problems.append(f"{key} must be an integer, got {v!r}")
             elif v < least:
                 problems.append(f"{key} must be >= {least}, got {v}")
+            elif v > MAX_SIZE and key in ("n_examples", "n_labelers", "assessment_size"):
+                problems.append(f"{key} must be <= {MAX_SIZE}, got {v}")
             else:
                 valid[key] = v
         for key in ("methods", "tau_grid", "fixed_counts"):
@@ -342,7 +349,7 @@ class ExperimentConfig:
         for m in valid.get("methods", ()):
             try:
                 method = Method(m)
-            except ValueError:
+            except ConfigError:
                 problems.append(f"unknown method {m!r}; choose from {[x.value for x in Method]}")
                 continue
             if method in methods:
@@ -440,7 +447,9 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     problems: list[str] = []
 
-    unknown = sorted(set(raw) - _ALLOWED_KEYS)
+    # a key that is not printable text (a newline, a number) is shown quoted
+    unknown = sorted(k if isinstance(k, str) and k.isprintable() else repr(k)
+                     for k in set(raw) - _ALLOWED_KEYS)
     if unknown:
         problems.append(f"unknown config keys: {', '.join(unknown)}")
 
@@ -486,8 +495,7 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Load and validate a JSON config file."""
     try:
-        with Path(path).open("r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too long an int, too deep
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     return config_from_dict(raw)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .aggregators import Method
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .strategies import CollectionOutcome
 
 __all__ = [
@@ -36,7 +36,7 @@ def _truth(outcome: CollectionOutcome, true_labels) -> np.ndarray:
     """The true labels of the labeled examples 0..n_labeled-1."""
     truth = np.asarray(true_labels)
     if len(truth) < outcome.n_labeled:
-        raise ValueError(
+        raise DataError(
             f"true_labels holds {len(truth)} labels; the outcome labeled "
             f"{outcome.n_labeled} examples"
         )

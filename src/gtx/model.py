@@ -32,7 +32,7 @@ from typing import Callable, Hashable, NamedTuple
 
 import numpy as np
 
-from .errors import MissingEstimate, is_number
+from .errors import ConfigError, DataError, is_number
 
 __all__ = [
     "ACCURACY_CEIL",
@@ -51,9 +51,9 @@ ACCURACY_CEIL = 0.99
 
 def as_label(value) -> int:
     """Validate a binary label, returning it as a plain int (0 or 1)."""
-    if value == 0 or value == 1:
+    if not isinstance(value, np.ndarray) and (value == 0 or value == 1):  # == is elementwise there
         return int(value)
-    raise ValueError(f"label value must be 0 or 1, got {value!r}")
+    raise DataError(f"label value must be 0 or 1, got {value!r}")
 
 
 class LabelRecord(namedtuple("LabelRecord", ["example_id", "labeler_id", "value"])):
@@ -73,7 +73,14 @@ class LabelRecord(namedtuple("LabelRecord", ["example_id", "labeler_id", "value"
         return cls(*iterable)
 
 
-class Method(str, enum.Enum):
+class _ByValue(enum.EnumMeta):
+    def __call__(cls, value):  # str keys only: an array's == would break Enum's search
+        if isinstance(value, str) and value in cls._value2member_map_:
+            return cls._value2member_map_[value]
+        raise ConfigError(f"{value!r} is not a valid {cls.__name__}")
+
+
+class Method(str, enum.Enum, metaclass=_ByValue):
     """Aggregation method tags used in configs, CSV columns, and reports.
 
     ``code`` indexes each estimate's increment table and is the method's part
@@ -113,10 +120,10 @@ class LabelerEstimate:
     def __post_init__(self):
         a = self.accuracy
         if isinstance(a, bool) or not isinstance(a, numbers.Real):
-            raise ValueError(f"accuracy must be a number, got {a!r}")
+            raise ConfigError(f"accuracy must be a number, got {a!r}")
         a = float(a)
         if not 0.0 <= a <= 1.0:
-            raise ValueError(f"accuracy must be a probability in [0, 1], got {a!r}")
+            raise ConfigError(f"accuracy must be a probability in [0, 1], got {a!r}")
         a = min(max(a, ACCURACY_FLOOR), ACCURACY_CEIL)
         object.__setattr__(self, "accuracy", a)
 
@@ -156,13 +163,13 @@ class ClassPrior:
 
     def __post_init__(self):
         if not (is_number(self.p0) and is_number(self.p1)):
-            raise ValueError(f"prior probabilities must be numbers, got {self.p0!r}, {self.p1!r}")
+            raise ConfigError(f"prior probabilities must be numbers, got {self.p0!r}, {self.p1!r}")
         if not (0.0 <= self.p0 <= 1.0 and 0.0 <= self.p1 <= 1.0):
-            raise ValueError(
+            raise ConfigError(
                 f"prior probabilities must lie in [0, 1], got {self.p0!r}, {self.p1!r}"
             )
         if abs(self.p0 + self.p1 - 1.0) > 1e-9:
-            raise ValueError("prior must sum to 1")
+            raise ConfigError("prior must sum to 1")
 
     @staticmethod
     def uniform() -> "ClassPrior":
@@ -187,7 +194,7 @@ def log_odds(p: float) -> float:
     produces a posterior log-odds bit-identical to log_odds(tau).
     """
     if not 0.0 < p < 1.0:
-        raise ValueError(f"log_odds requires p in (0, 1), got {p}")
+        raise ConfigError(f"log_odds requires p in (0, 1), got {p}")
     return math.log(p) - math.log1p(-p)
 
 
@@ -203,18 +210,18 @@ def normalize(a0: float, a1: float) -> tuple[float, float]:
 def increment_table(method: Method, labeler_ids, estimates) -> list:
     """Each labeler's increment pairs under ``method``, in ``labeler_ids`` order.
 
-    MV needs no estimates; every other rule raises MissingEstimate for a
+    MV needs no estimates; every other rule raises a DataError for a
     labeler without one.
     """
     if method is Method.MV:
         return [MV_INCREMENTS] * len(labeler_ids)
     if estimates is None:
-        raise MissingEstimate(f"method {method} requires accuracy estimates")
+        raise DataError(f"method {method} requires accuracy estimates")
     code = method.code
     try:
         return [estimates[i].increments[code] for i in labeler_ids]
     except KeyError as exc:
-        raise MissingEstimate(
+        raise DataError(
             f"no accuracy estimate for labeler {exc.args[0]!r}"
         ) from None
 
@@ -225,7 +232,7 @@ def accumulate(method: Method, labels: list, estimates) -> tuple[float, float]:
     # than the sums over one example's few votes
     mv = method is Method.MV
     if not mv and estimates is None:
-        raise MissingEstimate(f"method {method} requires accuracy estimates")
+        raise DataError(f"method {method} requires accuracy estimates")
     code = method.code
     s0 = s1 = 0.0
     for rec in labels:
@@ -234,7 +241,7 @@ def accumulate(method: Method, labels: list, estimates) -> tuple[float, float]:
         else:
             est = estimates.get(rec.labeler_id)
             if est is None:
-                raise MissingEstimate(f"no accuracy estimate for labeler {rec.labeler_id!r}")
+                raise DataError(f"no accuracy estimate for labeler {rec.labeler_id!r}")
             d0, d1 = est.increments[code][rec.value]
         s0 += d0
         s1 += d1

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assessment import AssessmentSet
-from .errors import ConfigError, is_int, is_number
+from .errors import ConfigError, DataError, is_int, is_number
 
 __all__ = [
     "SimConfig",
@@ -36,6 +36,9 @@ __all__ = [
     "draw_assessment",
     "init_simulation",
 ]
+
+# the most float64 draws one array can hold; a larger size is a ConfigError
+MAX_SIZE = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,9 @@ class SimLabeler:
 
     def __post_init__(self):
         if not is_number(self.accuracy):
-            raise ValueError(f"true accuracy must be a number, got {self.accuracy!r}")
+            raise ConfigError(f"true accuracy must be a number, got {self.accuracy!r}")
         if not 0.0 <= self.accuracy <= 1.0:
-            raise ValueError(f"true accuracy must be in [0, 1], got {self.accuracy}")
+            raise ConfigError(f"true accuracy must be in [0, 1], got {self.accuracy}")
 
 
 @dataclass(frozen=True)
@@ -61,11 +64,11 @@ class SimDataset:
     def __post_init__(self):
         arr = np.asarray(self.true_labels)
         if arr.ndim != 1:
-            raise ValueError("true_labels must be one-dimensional")
+            raise DataError("true_labels must be one-dimensional")
         # checked before the cast, which would turn 0.7 into 0
         bad = (arr != 0) & (arr != 1)
         if bad.any():
-            raise ValueError("true labels must be 0 or 1")
+            raise DataError("true labels must be 0 or 1")
         object.__setattr__(self, "true_labels", arr.astype(np.int8, copy=False))
 
     @property
@@ -91,8 +94,8 @@ class SimConfig:
             v = getattr(self, key)
             if not is_int(v):
                 problems.append(f"{key} must be an integer, got {v!r}")
-            elif v < 1:
-                problems.append(f"{key} must be >= 1, got {v}")
+            elif not 1 <= v <= MAX_SIZE:
+                problems.append(f"{key} must be in 1..{MAX_SIZE}, got {v}")
         lo, hi = self.accuracy_low, self.accuracy_high
         for key, v in (("accuracy_low", lo), ("accuracy_high", hi)):
             if not is_number(v):
@@ -116,7 +119,7 @@ def init_simulation(config: SimConfig, rng) -> tuple[SimDataset, list[SimLabeler
 
 def draw_assessment(size: int, rng) -> AssessmentSet:
     """Draw ``size`` assessment items with uniformly random true labels."""
-    if not is_int(size) or size < 1:
-        raise ConfigError(f"assessment size must be an integer >= 1, got {size!r}")
+    if not is_int(size) or not 1 <= size <= MAX_SIZE:
+        raise ConfigError(f"assessment size must be an integer in 1..{MAX_SIZE}, got {size!r}")
     labels = tuple(int(v) for v in (rng.random(size) < 0.5))
     return AssessmentSet(example_ids=tuple(range(size)), true_labels=labels)

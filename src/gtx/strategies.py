@@ -106,6 +106,11 @@ class ThresholdConfig:
             raise ConfigError("; ".join(problems))
 
 
+def _integral(v) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass
 class BudgetLedger:
     """Label spending of one run: one unit per collected label.  The labels
@@ -115,10 +120,10 @@ class BudgetLedger:
     spent: int = 0
 
     def __post_init__(self):
-        if self.total < 0:
-            raise ConfigError(f"budget must be >= 0, got {self.total}")
-        if self.spent < 0 or self.spent > self.total:
-            raise ValueError("spent must lie in [0, total]")
+        if not _integral(self.total) or self.total < 0:
+            raise ConfigError(f"budget must be a non-negative integer, got {self.total!r}")
+        if not _integral(self.spent) or not 0 <= self.spent <= self.total:
+            raise ConfigError(f"spent must be an integer in [0, total], got {self.spent!r}")
 
     @property
     def remaining(self) -> int:
@@ -173,8 +178,7 @@ def _setup(labelers, estimates, budget, method):
     pair of a vote from position pos that is right (1) or not (0) on an
     example of truth 0, where a right vote is 0."""
     method = Method(method)
-    whole = (isinstance(budget, numbers.Integral) and not isinstance(budget, bool)
-             or isinstance(budget, (float, np.floating)) and budget.is_integer())
+    whole = _integral(budget) or isinstance(budget, (float, np.floating)) and budget.is_integer()
     if not whole or budget < 0:
         raise ConfigError(f"budget must be a non-negative integer, got {budget!r}")
     if not labelers:
@@ -357,7 +361,7 @@ def run_confidence_threshold(
             stride = kmax if kk.min() == kmax else 1
         u = u[2 * (o - w0):]
     if o > got // 2:
-        raise ValueError(f"the draw stream ended after {got} draws; {o} labels need {2 * o}")
+        raise ConfigError(f"the draw stream ended after {got} draws; {o} labels need {2 * o}")
     return CollectionOutcome(method, BudgetLedger(budget, o),
                              *map(np.concatenate, zip(*closed)), event_log=events)
 
@@ -381,7 +385,7 @@ def _draws(rng, lo, hi, total):
     """The draws of labels lo..hi-1 of a run that spends ``total`` labels."""
     u = rng.random(2 * (hi - lo))
     if len(u) < 2 * (hi - lo):
-        raise ValueError(f"the draw stream ended after {2 * lo + len(u)} draws; "
+        raise ConfigError(f"the draw stream ended after {2 * lo + len(u)} draws; "
                          f"{total} labels need {2 * total}")
     return u
 
@@ -413,7 +417,7 @@ def run_uncertainty_sampling(
     the example straight back when it is still the most uncertain.  Exact ties
     break toward the lowest example id.  An example's unused labelers are
     listed when the heap first picks it.  The draws are taken a block at a
-    time; a stream that ends before the run does is a ``ValueError``.
+    time; a stream that ends before the run does is a ``ConfigError``.
 
     The outcome's ``dynamics`` are the dataset-wide error rate and MAE
     after every label, starting at the label that completes full coverage,

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from gtx.assessment import estimate_accuracy
-from gtx.errors import AlreadyLabeled
+from gtx.errors import DataError
 from gtx.model import (
     LabelRecord, Method, increment_table, kernel, log_odds,
 )
@@ -355,50 +355,55 @@ def read_label_records(path):
     ``json.loads`` and checked in the documented order: JSON, an object, the
     keys (``confidence`` and ``method`` may be added), str or int ids, an int
     step above the last, a value that is exactly the int 0 or 1, and a new
-    (example, labeler) pair."""
+    (example, labeler) pair.  Every fault is a ``DataError``; text that is
+    not UTF-8 is one naming only the file."""
     records, steps, seen, last = [], [], set(), None
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(row, dict):
-                raise ValueError(f"{path}:{lineno}: expected an object per line")
-            if set(row) - {"confidence", "method"} != _RECORD_KEYS:
-                raise ValueError(
-                    f"{path}:{lineno}: expected keys {sorted(_RECORD_KEYS)}, "
-                    f"got {sorted(row)}"
-                )
-            ex, lab = row["example_id"], row["labeler_id"]
-            if type(ex) not in (str, int) or type(lab) not in (str, int):
-                raise ValueError(
-                    f"{path}:{lineno}: example_id and labeler_id must be strings "
-                    f"or integers, got {ex!r} and {lab!r}"
-                )
-            step = row["step"]
-            if not isinstance(step, int) or isinstance(step, bool):
-                raise ValueError(f"{path}:{lineno}: step must be an integer")
-            if last is not None and step <= last:
-                raise ValueError(
-                    f"{path}:{lineno}: steps must be strictly increasing "
-                    f"({step} after {last})"
-                )
-            last = step
-            value = row["value"]
-            if isinstance(value, bool) or not isinstance(value, int) or value not in (0, 1):
-                raise ValueError(f"{path}:{lineno}: value must be the int 0 or 1, got {value!r}")
-            rec = LabelRecord(example_id=ex, labeler_id=lab, value=value)
-            pair = (rec.example_id, rec.labeler_id)
-            if pair in seen:
-                raise AlreadyLabeled(
-                    f"{path}:{lineno}: duplicate label for example "
-                    f"{rec.example_id!r} by labeler {rec.labeler_id!r}"
-                )
-            seen.add(pair)
-            records.append(rec)
-            steps.append(step)
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # an int too long to read is a ValueError
+                    raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                if not isinstance(row, dict):
+                    raise DataError(f"{path}:{lineno}: expected an object per line")
+                if set(row) - {"confidence", "method"} != _RECORD_KEYS:
+                    raise DataError(
+                        f"{path}:{lineno}: expected keys {sorted(_RECORD_KEYS)}, "
+                        f"got {sorted(row)}"
+                    )
+                ex, lab = row["example_id"], row["labeler_id"]
+                if type(ex) not in (str, int) or type(lab) not in (str, int):
+                    raise DataError(
+                        f"{path}:{lineno}: example_id and labeler_id must be strings "
+                        f"or integers, got {ex!r} and {lab!r}"
+                    )
+                step = row["step"]
+                if not isinstance(step, int) or isinstance(step, bool):
+                    raise DataError(f"{path}:{lineno}: step must be an integer")
+                if last is not None and step <= last:
+                    raise DataError(
+                        f"{path}:{lineno}: steps must be strictly increasing "
+                        f"({step} after {last})"
+                    )
+                last = step
+                value = row["value"]
+                if isinstance(value, bool) or not isinstance(value, int) or value not in (0, 1):
+                    raise DataError(
+                        f"{path}:{lineno}: value must be the int 0 or 1, got {value!r}")
+                rec = LabelRecord(example_id=ex, labeler_id=lab, value=value)
+                pair = (rec.example_id, rec.labeler_id)
+                if pair in seen:
+                    raise DataError(
+                        f"{path}:{lineno}: duplicate label for example "
+                        f"{rec.example_id!r} by labeler {rec.labeler_id!r}"
+                    )
+                seen.add(pair)
+                records.append(rec)
+                steps.append(step)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: invalid UTF-8: {exc}") from None
     return records, steps

@@ -1,13 +1,14 @@
 """Shared helpers for driving the collection engines and reading their
-outcomes in tests, and a Hypothesis strategy for arbitrary JSON-lines
-input."""
+outcomes in tests, and Hypothesis strategies for arbitrary JSON-lines
+input and arbitrary experiment configs."""
 
 import json
 
 import numpy as np
 from hypothesis import strategies as st
 
-from gtx.aggregators import AggregateLabel
+from gtx.aggregators import AggregateLabel, Method
+from gtx.io import _ALLOWED_KEYS
 from gtx.model import LabelerEstimate
 from gtx.simulation import SimDataset, SimLabeler
 
@@ -87,3 +88,26 @@ json_lines = st.one_of(
     json_values.map(lambda v: json.dumps(v, allow_nan=True)),
     st.text(max_size=20),
 )
+
+_int18 = st.integers(-(10**18), 10**18)
+_methods = st.sampled_from([m.value for m in Method])
+# values near each key's valid form (sizes up to 1e18), so that draws get
+# past the early checks and reach the defaults and the final construction
+_near = {
+    "strategy": st.sampled_from(["threshold", "uncertainty"]),
+    "methods": st.lists(_methods, max_size=4),
+    "tau_grid": st.lists(st.floats(0.5, 1.0), min_size=1, max_size=4),
+    "fixed_counts": st.lists(st.integers(1, 10**18), min_size=1, max_size=4),
+    "accuracy_interval": st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+    "oracle_accuracy": st.booleans(),
+}
+_near_configs = st.fixed_dictionaries({"strategy": _near["strategy"]}, optional={
+    key: _near.get(key, st.integers(0, 10**18)) for key in sorted(_ALLOWED_KEYS - {"strategy"})
+})
+# any JSON value, or any integer up to +-1e18, on every key, unknown ones too
+_any_configs = st.fixed_dictionaries({}, optional={
+    key: st.one_of(_near.get(key, _int18), _int18, json_values)
+    for key in sorted(_ALLOWED_KEYS | {"extra"})
+})
+# raw config mappings: near-valid ones, and any values on the known keys
+fuzz_configs = _near_configs | _any_configs

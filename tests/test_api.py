@@ -1,34 +1,39 @@
 """The public surface: ``gtx.__all__``, the engines' keyword-only options
 and the experiment commands' flags are pinned, so that adding or removing
-one is a deliberate change to these lists."""
+one is a deliberate change to these lists.  The error contract is held
+here too: a bad argument to a public class raises a ``GtxError``, and the
+package raises no builtin exception but the internal checks listed."""
 
 import argparse
+import ast
+import builtins
 import inspect
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gtx
 from gtx.cli import build_parser
+from gtx.errors import ConfigError, DataError, GtxError
 
 PUBLIC = {
     "AggregateLabel",
-    "AlreadyLabeled",
     "AssessmentSet",
     "BudgetLedger",
     "ClassPrior",
     "CollectionOutcome",
     "ConfigError",
-    "DuplicateLabeler",
-    "EmptyAssessment",
-    "EmptyLabelSet",
+    "DataError",
     "ExperimentConfig",
     "GtxError",
-    "IncompleteAssessment",
     "LabelEvent",
     "LabelRecord",
     "LabelerEstimate",
     "Method",
-    "MissingEstimate",
     "SimConfig",
     "SimDataset",
     "SimLabeler",
@@ -86,3 +91,123 @@ def test_experiment_command_flags_are_pinned(command):
     subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     flags = {s for a in subs.choices[command]._actions for s in a.option_strings}
     assert flags == {"--config", "--out", "--workers", "-h", "--help"}
+
+
+# arguments each validating public class accepts; the tests below replace
+# one of them at a time by a bad value
+_CONFIG = gtx.config_from_dict({"strategy": "threshold"}).as_dict()
+VALID_ARGS = {
+    "AssessmentSet": [((0, 1), (1, 0))],
+    "BudgetLedger": [(10, 4)],
+    "ClassPrior": [(0.3, 0.7)],
+    "ExperimentConfig": [tuple(_CONFIG.values())],
+    "LabelRecord": [(0, "a", 1)],
+    "LabelerEstimate": [("a", 0.8, 10)],
+    "Method": [("gtx",)],
+    "SimConfig": [(10, 3, 0.6, 0.9)],
+    "SimDataset": [(np.array([0, 1]),)],
+    "SimLabeler": [(0, 0.8)],
+    "ThresholdConfig": [(0.9, 3, None), (None, 3, 2)],
+}
+# plain records and results, which check nothing, and the error types
+EXEMPT = {
+    "AggregateLabel", "CollectionOutcome", "LabelEvent", "SweepResult", "TrialReport",
+    "TrialSummary", "UncertaintyResult", "GtxError", "ConfigError", "DataError",
+}
+BAD_VALUES = [None, "x", True, -1, 2, 0.5, math.nan, math.inf, [1], (1,), {},
+              np.array([1, 1]), 10**30]
+CASES = [(name, args, i) for name, bases in VALID_ARGS.items()
+         for args in bases for i in range(len(args))]
+CASE_IDS = [f"{name}-{b}-arg{i}" for name, bases in VALID_ARGS.items()
+            for b, args in enumerate(bases) for i in range(len(args))]
+
+
+def _call_with(case, bad):
+    """Call the case's class with argument ``i`` replaced by ``bad``.  A bad
+    value may be valid in some places (a label id of "x", a kappa of 2), so
+    the call may succeed; what it may not do is raise a foreign exception."""
+    name, args, i = case
+    args = list(args)
+    args[i] = bad
+    try:
+        getattr(gtx, name)(*args)
+    except GtxError:
+        pass
+
+
+def test_every_public_class_is_checked_or_exempt():
+    classes = {name for name in gtx.__all__ if isinstance(getattr(gtx, name), type)}
+    assert classes == set(VALID_ARGS) | EXEMPT
+
+
+@pytest.mark.parametrize("name", sorted(VALID_ARGS))
+def test_valid_arguments_construct(name):
+    for args in VALID_ARGS[name]:
+        getattr(gtx, name)(*args)
+
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_each_listed_bad_value_raises_only_gtx_errors(case):
+    for bad in BAD_VALUES:
+        _call_with(case, bad)
+
+
+@given(st.sampled_from(CASES), st.one_of(
+    st.sampled_from(BAD_VALUES), st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=3)))
+@settings(max_examples=300)
+def test_any_bad_scalar_raises_only_gtx_errors(case, bad):
+    _call_with(case, bad)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: gtx.AssessmentSet(5, (1,)), DataError),
+    (lambda: gtx.AssessmentSet(([1],), (1,)), DataError),
+    (lambda: gtx.BudgetLedger("a"), ConfigError),
+    (lambda: gtx.BudgetLedger(2.5), ConfigError),
+    (lambda: gtx.LabelRecord(0, "a", np.array([1, 1])), DataError),
+    (lambda: gtx.Method("zz"), ConfigError),
+])
+def test_former_leaks_raise_the_contract_types(make, error):
+    with pytest.raises(error):
+        make()
+
+
+# The builtin exceptions the package may raise: internal checks whose
+# failure marks a bug, by (module, enclosing function, exception).
+INTERNAL_CHECKS = {
+    ("experiments.py", "_uncertainty_curves", "ValueError"),
+    ("experiments.py", "write_results", "TypeError"),
+}
+_BUILTIN_ERRORS = {name for name, v in vars(builtins).items()
+                   if isinstance(v, type) and issubclass(v, BaseException)}
+
+
+def _builtin_raises(tree):
+    """``(function, exception)`` of every ``raise`` of a builtin exception."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in _BUILTIN_ERRORS:
+                found.append((func, exc.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_internal_checks_raise_builtin_exceptions():
+    src = Path(gtx.__file__).parent
+    raised = {(path.name, func, exc) for path in sorted(src.glob("*.py"))
+              for func, exc in _builtin_raises(ast.parse(path.read_text(encoding="utf-8")))}
+    assert raised == INTERNAL_CHECKS
+
+
+def test_the_guard_sees_a_plain_raise():
+    tree = ast.parse("def f():\n    raise ValueError('x')\n\ndef g():\n    raise KeyError\n")
+    assert _builtin_raises(tree) == [("f", "ValueError"), ("g", "KeyError")]

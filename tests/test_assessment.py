@@ -8,7 +8,7 @@ from gtx.assessment import (
     oracle_estimates,
     run_assessment,
 )
-from gtx.errors import EmptyAssessment, IncompleteAssessment
+from gtx.errors import DataError
 from gtx.model import ACCURACY_CEIL, ACCURACY_FLOOR
 from gtx.simulation import SimLabeler
 
@@ -23,7 +23,7 @@ def assessment(labels):
 
 class TestAssessmentSet:
     def test_empty_rejected(self):
-        with pytest.raises(EmptyAssessment):
+        with pytest.raises(DataError, match="assessment set has no items"):
             AssessmentSet(example_ids=(), true_labels=())
 
     def test_duplicate_ids_rejected(self):
@@ -57,7 +57,7 @@ class TestEstimateAccuracy:
 
     def test_missing_response_is_an_error(self):
         a = assessment([0, 1, 0])
-        with pytest.raises(IncompleteAssessment, match="missing 2"):
+        with pytest.raises(DataError, match="missing 2"):
             estimate_accuracy("w", {1: 1}, a)
 
     def test_extra_responses_ignored(self):

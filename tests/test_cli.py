@@ -8,15 +8,20 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gtx
+import gtx.cli
 import gtx.experiments
 from gtx.cli import main
+from gtx.errors import is_int
 from gtx.io import write_label_records
 from gtx.model import LabelRecord
-from support import json_lines
+from gtx.simulation import MAX_SIZE
+from support import fuzz_configs, json_lines, json_values
+
+NOT_UTF8 = b"\xff\xfe{}"  # a UTF-16 byte-order mark
 
 
 def _crash(*args, **kwargs):
@@ -139,6 +144,33 @@ class TestExperimentCommands:
         )
         assert code == 2
 
+    def test_non_utf8_config_exits_one_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(NOT_UTF8)
+        code = main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {cfg}: not valid JSON: ")
+        assert "utf-8" in err
+
+    def test_an_int_too_long_to_read_exits_one_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"  # past Python's 4300-digit limit, a plain ValueError
+        cfg.write_text('{"strategy": "threshold", "budget": %s}' % ("1" * 5000))
+        code = main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {cfg}: not valid JSON: ")
+
+    def test_a_foreign_exception_is_a_traceback(self, tmp_path, threshold_config, monkeypatch):
+        # only the package's own errors (and OSError, MemoryError) are input
+        # problems; anything else marks a bug and propagates out of main
+        def buggy(*args, **kwargs):
+            raise ValueError("a bug")
+
+        monkeypatch.setitem(gtx.cli._RUNNERS, "threshold", buggy)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["threshold", "--config", str(threshold_config), "--out", str(tmp_path / "o")])
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["threshold"]) == 1  # --config and --out are required
         assert main(["no-such-command"]) == 1
@@ -246,6 +278,30 @@ class TestAssessCommand:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "labels.jsonl:1:" in err and "value" in err
 
+    @pytest.mark.parametrize("kind", ["labels", "truth"])
+    def test_non_utf8_file_exits_two_naming_it(self, tmp_path, capsys, kind):
+        paths = {k: tmp_path / f"{k}.jsonl" for k in ("labels", "truth")}
+        write_label_records(paths["labels"], [LabelRecord(0, "p", 1)])
+        write_label_records(paths["truth"], [LabelRecord(0, "expert", 1)])
+        paths[kind].write_bytes(NOT_UTF8)
+        code = main(["assess", "--labels", str(paths["labels"]), "--truth", str(paths["truth"]),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"error: {paths[kind]}: invalid UTF-8: ")
+
+    def test_labeler_id_with_no_utf8_form_exits_two_writing_nothing(self, tmp_path, capsys):
+        truth = tmp_path / "truth.jsonl"
+        write_label_records(truth, [LabelRecord(0, "expert", 1)])
+        labels = tmp_path / "labels.jsonl"  # JSON escapes a lone surrogate
+        labels.write_text('{"example_id": 0, "labeler_id": "\\ud800", "step": 1, "value": 1}')
+        out = tmp_path / "o"
+        code = main(["assess", "--labels", str(labels), "--truth", str(truth), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: labeler id '\\ud800' is not valid text\n"
+        assert not out.exists()
+
     def test_labeler_ids_of_equal_text_exit_two_with_one_line(self, tmp_path, capsys):
         truth = tmp_path / "truth.jsonl"
         write_label_records(truth, [LabelRecord(0, "expert", 1)])
@@ -293,6 +349,24 @@ class TestOversizedConfigs:
         assert run.stderr.count("\n") == 1 and run.stderr.startswith("error: ")
         assert "Unable to allocate" in run.stderr and "Traceback" not in run.stderr
 
+    @pytest.mark.parametrize("key", ["n_examples", "n_labelers", "assessment_size"])
+    @pytest.mark.parametrize("size", [10**19, 2**62, MAX_SIZE + 1])
+    def test_size_no_array_can_hold_exits_one_naming_it(self, tmp_path, capsys, key, size):
+        # numpy refuses such a length with a plain ValueError before allocating
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"strategy": "threshold", key: size, "budget": 10, "trials": 1}))
+        code = main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and f"{key} must be <= {MAX_SIZE}, got {size}" in err
+
+    def test_largest_size_is_a_memory_error(self, tmp_path):
+        run = _capped_cli(tmp_path, {"strategy": "threshold", "n_examples": MAX_SIZE,
+                                     "budget": 10, "trials": 1})
+        assert run.returncode == 2
+        assert run.stderr.count("\n") == 1 and run.stderr.startswith("error: ")
+        assert "Unable to allocate" in run.stderr
+
 
 @st.composite
 def _label_file(draw):
@@ -311,6 +385,9 @@ def _label_file(draw):
 class TestAssessArbitraryInput:
     @given(_label_file(), _label_file())
     @example(['{"example_id": 0, "labeler_id": "e", "step": 1, "value": 1}'], ["[" * 100_000])
+    @example(['{"example_id": 0, "labeler_id": "e", "step": 1, "value": 1}'],
+             ['{"example_id": 0, "labeler_id": "\\ud800", "step": 1, "value": 1}'])  # no UTF-8
+    @example(['{"example_id": %s, "labeler_id": "e", "step": 1, "value": 1}' % ("1" * 5000)], [])
     def test_exits_zero_one_or_two_with_one_line(self, tmp_path_factory, truth, labels):
         base = tmp_path_factory.getbasetemp()
         (base / "fuzz_truth.jsonl").write_text("\n".join(truth), encoding="utf-8")
@@ -323,3 +400,61 @@ class TestAssessArbitraryInput:
         assert code in (0, 1, 2)
         if code:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# every integer size capped, and absent ones set, so that a valid run is tiny
+_TINY = {"n_examples": 30, "n_labelers": 10, "assessment_size": 30, "trials": 2, "budget": 100}
+
+
+def _tiny(raw):
+    sizes = {key: raw.get(key, cap) for key, cap in _TINY.items()}
+    return {**raw, **{k: min(v, _TINY[k]) if is_int(v) else v for k, v in sizes.items()}}
+
+
+# valid or nearly valid tiny configs, without their strategy
+_tiny_configs = st.fixed_dictionaries({
+    "trials": st.integers(1, 2), "budget": st.integers(0, 100),
+    "n_examples": st.integers(1, 30), "n_labelers": st.integers(3, 6),
+    "kappa": st.integers(1, 3), "assessment_size": st.integers(1, 30),
+}, optional={
+    "methods": st.lists(st.sampled_from(["mv", "wmv", "sv", "gtx"]), min_size=1, unique=True),
+    "tau_grid": st.lists(st.sampled_from([0.6, 0.9, 0.95, 1.0]), min_size=1, unique=True),
+    "fixed_counts": st.lists(st.integers(1, 3), min_size=1, unique=True),
+    "accuracy_interval": st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+    "oracle_accuracy": st.booleans(),
+    "seed": st.integers(0, 2**70),
+})
+
+
+@st.composite
+def _experiment_runs(draw):
+    """A command and the bytes of its config file: a tiny config of that
+    strategy (drawn most often), any config with its sizes made tiny, any
+    JSON value, or any bytes."""
+    command = draw(st.sampled_from(["threshold", "uncertainty"]))
+    tiny = _tiny_configs.map(lambda c: {"strategy": command, **c})
+    config = st.one_of(tiny, tiny, tiny, fuzz_configs.map(_tiny), json_values)
+    return command, draw(config.map(lambda v: json.dumps(v).encode()) | st.binary(max_size=8))
+
+
+class TestExperimentArbitraryConfig:
+    @given(_experiment_runs(), st.sampled_from([1, 2, 0, -1]))  # at most two workers
+    @example(("threshold", NOT_UTF8), 1)
+    @example(("threshold", b'{"strategy": "threshold", "budget": %s}' % (b"1" * 5000)), 1)
+    @example(("threshold", json.dumps({"strategy": "threshold", "n_examples": 10**19,
+                                       "budget": 10, "trials": 1}).encode()), 1)
+    @example(("threshold", json.dumps({"strategy": "threshold", "n_labelers": 10**19,
+                                       "budget": 10, "trials": 1}).encode()), 1)
+    @settings(deadline=None)  # a valid run may start a worker pool
+    def test_exits_zero_one_or_two_with_one_error_line(self, tmp_path_factory, run, workers):
+        command, text = run
+        base = tmp_path_factory.getbasetemp()
+        (base / "fuzz_config.json").write_bytes(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(base / "fuzz_config.json"),
+                         "--out", str(base / "fuzz_run"), "--workers", str(workers)])
+        assert code in (0, 1, 2)  # any other exception propagates and fails the test
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+        assert len(errors) == (code != 0)
+        assert "Traceback" not in err.getvalue()

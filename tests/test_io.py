@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gtx.aggregators import Method
-from gtx.errors import AlreadyLabeled, ConfigError, GtxError
+from gtx.errors import ConfigError, DataError
 from gtx.io import (
-    _ALLOWED_KEYS,
     _CHUNK,
     DEFAULT_TAU_GRID,
     ExperimentConfig,
@@ -23,9 +23,10 @@ from gtx.io import (
     write_label_records,
 )
 from gtx.model import LabelRecord
+from gtx.simulation import MAX_SIZE
 from gtx.strategies import LabelEvent
 from oracles import read_label_records as spec_read_label_records
-from support import json_lines, json_values
+from support import fuzz_configs, json_lines
 
 
 class TestConfigDefaults:
@@ -69,6 +70,23 @@ class TestConfigValidation:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys: taus"):
             config_from_dict({"strategy": "threshold", "taus": [0.9]})
+
+    @pytest.mark.parametrize("key", ["n_examples", "n_labelers", "assessment_size"])
+    def test_sizes_no_array_can_hold_are_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"{key} must be <= {MAX_SIZE}, got {MAX_SIZE + 1}"):
+            config_from_dict({"strategy": "threshold", key: MAX_SIZE + 1})
+        config_from_dict({"strategy": "threshold", key: MAX_SIZE, "fixed_counts": [1]})
+
+    def test_budget_trials_and_seed_are_unbounded(self):
+        huge = 10**30
+        cfg = config_from_dict({"strategy": "threshold", "budget": huge, "n_examples": 10,
+                                "trials": huge, "seed": huge})
+        assert (cfg.budget, cfg.trials, cfg.seed) == (huge, huge, huge)
+
+    def test_unprintable_and_non_text_keys_are_quoted(self):
+        with pytest.raises(ConfigError, match=r"unknown config keys: 'a\\nb', 1, taus$") as exc:
+            config_from_dict({"strategy": "threshold", "a\nb": 0, 1: 0, "taus": 0})
+        assert "\n" not in str(exc.value)
 
     def test_kappa_above_labelers(self):
         with pytest.raises(ConfigError, match="kappa"):
@@ -139,31 +157,10 @@ class TestConfigValidation:
             config_from_dict({"strategy": "threshold", "trials": True})
 
 
-_int18 = st.integers(-(10**18), 10**18)
-_methods = st.sampled_from([m.value for m in Method])
-# values near each key's valid form (sizes up to 1e18), so that draws get
-# past the early checks and reach the defaults and the final construction
-_near = {
-    "strategy": st.sampled_from(["threshold", "uncertainty"]),
-    "methods": st.lists(_methods, max_size=4),
-    "tau_grid": st.lists(st.floats(0.5, 1.0), min_size=1, max_size=4),
-    "fixed_counts": st.lists(st.integers(1, 10**18), min_size=1, max_size=4),
-    "accuracy_interval": st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
-    "oracle_accuracy": st.booleans(),
-}
-_near_configs = st.fixed_dictionaries({"strategy": _near["strategy"]}, optional={
-    key: _near.get(key, st.integers(0, 10**18)) for key in sorted(_ALLOWED_KEYS - {"strategy"})
-})
-# any JSON value, or any integer up to +-1e18, on every key, unknown ones too
-_any_configs = st.fixed_dictionaries({}, optional={
-    key: st.one_of(_near.get(key, _int18), _int18, json_values)
-    for key in sorted(_ALLOWED_KEYS | {"extra"})
-})
-_fuzz_configs = _near_configs | _any_configs
 
 
 class TestConfigFuzz:
-    @given(_fuzz_configs)
+    @given(fuzz_configs)
     @example({"strategy": "threshold", "kappa": 10**12})
     @example({"strategy": "threshold", "kappa": 10**18, "n_labelers": 10**18})
     @example({"strategy": "uncertainty", "n_examples": 10**18, "budget": 10**18})
@@ -195,6 +192,12 @@ class TestLoadConfig(object):
         p = tmp_path / "cfg.json"
         p.write_text("{nope")
         with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(p)
+
+    def test_non_utf8_file_is_a_config_error_naming_it(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: not valid JSON: 'utf-8' codec"):
             load_config(p)
 
     def test_deeply_nested_json_is_a_config_error(self, tmp_path):
@@ -274,8 +277,17 @@ class TestLabelRecordFiles:
             {"example_id": 0, "labeler_id": "a", "step": 2, "value": 0},
         ]
         p.write_text("\n".join(json.dumps(r) for r in rows))
-        with pytest.raises(AlreadyLabeled):
+        with pytest.raises(DataError, match="duplicate label for example 0 by labeler 'a'"):
             read_label_records(p)
+
+    @pytest.mark.parametrize("lines", [1, 2000])  # the bad byte in the first read or a later one
+    def test_non_utf8_file_is_a_data_error_naming_it(self, tmp_path, lines):
+        p = tmp_path / "labels.jsonl"
+        write_label_records(p, [LabelRecord(i, "a", 1) for i in range(lines)])
+        p.write_bytes(p.read_bytes() + b"\xff\n")
+        for read in (read_label_records, spec_read_label_records):
+            with pytest.raises(DataError, match=f"^{re.escape(str(p))}: invalid UTF-8: 'utf-8'"):
+                read(p)
 
     def test_schema_violation_names_line(self, tmp_path):
         p = tmp_path / "labels.jsonl"
@@ -391,16 +403,21 @@ class TestJsonlEncoding:
         assert read_label_records(p) == (records, steps)
 
 
+# an id past Python's 4300-digit limit on reading an int, a plain ValueError
+LONG_ID_LINE = '{"example_id": %s, "labeler_id": 2, "step": 1, "value": 1}' % ("1" * 5000)
+
+
 class TestArbitraryLines:
     @given(st.lists(json_lines, max_size=6))
     @example(["[" * 100_000])
+    @example([LONG_ID_LINE])
     @example(['{"example_id": 1, "labeler_id": 2, "step": 1, "value": 1}'] * 2)
     def test_reader_raises_only_documented_errors(self, tmp_path_factory, lines):
         p = tmp_path_factory.getbasetemp() / "arbitrary.jsonl"
         p.write_text("\n".join(lines), encoding="utf-8")
         try:
             records, steps = read_label_records(p)
-        except (GtxError, ValueError, OSError):
+        except (DataError, OSError):
             return
         assert len(records) == len(steps)
         assert all(b > a for a, b in zip(steps, steps[1:]))
@@ -459,6 +476,7 @@ class TestReaderMatchesSpec:
     @example('{"example_id": 0, "labeler_id": "a", "step": 1, "value": 1} x')
     @example('{"example_id": 0, "labeler_id": "a", "step": 1, "value": true}')
     @example("[" * 100_000)
+    @example(LONG_ID_LINE)
     def test_same_records_or_same_error(self, tmp_path_factory, text):
         p = tmp_path_factory.getbasetemp() / "spec.jsonl"
         p.write_bytes(text.encode("utf-8"))

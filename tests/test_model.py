@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtx.aggregators import aggregate
-from gtx.errors import DuplicateLabeler, MissingEstimate
+from gtx.errors import DataError
 from gtx.model import (
     ACCURACY_CEIL,
     ACCURACY_FLOOR,
@@ -133,11 +133,11 @@ class TestPosterior:
         assert (agg.label, agg.confidence) == (0, 1.0)
 
     def test_missing_estimate(self):
-        with pytest.raises(MissingEstimate):
+        with pytest.raises(DataError, match="no accuracy estimate for labeler 'ghost'"):
             aggregate(Method.GTX, [rec("ghost", 1)], {})
 
     def test_duplicate_labeler(self):
-        with pytest.raises(DuplicateLabeler):
+        with pytest.raises(DataError, match="labeler 'a' voted twice"):
             aggregate(Method.GTX, [rec("a", 1), rec("a", 0)], est([0.9]))
 
     def test_log_likelihood_matches_direct_sum(self):

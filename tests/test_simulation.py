@@ -3,6 +3,7 @@ import pytest
 
 from gtx.errors import ConfigError
 from gtx.simulation import (
+    MAX_SIZE,
     SimConfig,
     SimDataset,
     SimLabeler,
@@ -41,6 +42,14 @@ class TestSimConfig:
     def test_bad_types_are_config_errors(self, args, key):
         with pytest.raises(ConfigError, match=key):
             SimConfig(*args)
+
+    @pytest.mark.parametrize("key", ["n_examples", "n_labelers"])
+    @pytest.mark.parametrize("size", [MAX_SIZE + 1, 10**19])
+    def test_sizes_no_array_can_hold_are_config_errors(self, key, size):
+        args = {"n_examples": 10, "n_labelers": 3, "accuracy_low": 0.6, "accuracy_high": 0.9}
+        with pytest.raises(ConfigError, match=f"^{key} must be in 1..{MAX_SIZE}, got {size}$"):
+            SimConfig(**{**args, key: size})
+        SimConfig(**{**args, key: MAX_SIZE})
 
 
 class TestSimLabeler:
@@ -112,7 +121,7 @@ class TestDrawAssessment:
         with pytest.raises(ConfigError):
             draw_assessment(0, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("size", [2.5, 7.0, "7", True, None])
+    @pytest.mark.parametrize("size", [2.5, 7.0, "7", True, None, MAX_SIZE + 1, 10**19])
     def test_size_must_be_an_integer(self, size):
         with pytest.raises(ConfigError, match="assessment size"):
             draw_assessment(size, np.random.default_rng(0))

@@ -81,6 +81,9 @@ class TestBudgetLedger:
         with pytest.raises(ValueError):
             BudgetLedger(total=1, spent=2)
 
+    def test_numpy_integers_accepted_as_the_engines_budgets_are(self):
+        assert BudgetLedger(np.int64(10), np.int64(3)).remaining == 7
+
 
 class TestThresholdStopping:
     def test_stops_at_threshold_inclusive(self):
