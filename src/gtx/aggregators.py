@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .model import (
     ClassPrior,
     LabelRecord,
@@ -69,24 +69,30 @@ def aggregate(
 
     MV needs no estimates; the other rules raise a DataError unless every
     voter has one.  Only GTX uses ``prior``; a degenerate prior forces its
-    class whatever the votes.
+    class whatever the votes.  Votes or estimates of another type are a
+    DataError, and a prior that is not a ``ClassPrior`` a ConfigError.
     """
     method = isinstance(method, str) and _METHODS.get(method) or Method(method)
-    recs = labels if type(labels) is list else list(labels)
-    n = len(recs)
-    examples = {rec.example_id for rec in recs}
-    # distinct voters on one example; the checks naming a fault run only then
-    if len({rec.labeler_id for rec in recs}) != n or len(examples) != 1:
-        seen = set()
-        for rec in recs:
-            if rec.labeler_id in seen:
-                raise DataError(
-                    f"labeler {rec.labeler_id!r} voted twice on example {rec.example_id!r}"
-                )
-            seen.add(rec.labeler_id)
-        if not recs:
-            raise DataError("cannot aggregate zero labels")
-        raise DataError(f"labels span multiple examples: {sorted(map(repr, examples))}")
-    s0, s1 = accumulate(method, recs, estimates)
+    if prior is not UNIFORM_PRIOR and not isinstance(prior, ClassPrior):
+        raise ConfigError(f"prior must be a ClassPrior, got {prior!r}")
+    try:  # around the whole count, so that a vote pays nothing for it
+        recs = labels if type(labels) is list else list(labels)
+        n = len(recs)
+        examples = {rec.example_id for rec in recs}
+        # distinct voters on one example; the checks naming a fault run only then
+        if len({rec.labeler_id for rec in recs}) != n or len(examples) != 1:
+            seen = set()
+            for rec in recs:
+                if rec.labeler_id in seen:
+                    raise DataError(
+                        f"labeler {rec.labeler_id!r} voted twice on example {rec.example_id!r}"
+                    )
+                seen.add(rec.labeler_id)
+            if not recs:
+                raise DataError("cannot aggregate zero labels")
+            raise DataError(f"labels span multiple examples: {sorted(map(repr, examples))}")
+        s0, s1 = accumulate(method, recs, estimates)
+    except (TypeError, AttributeError, IndexError) as exc:  # not records, or not estimates
+        raise DataError(f"votes must be LabelRecords, estimates LabelerEstimates: {exc}") from None
     label, confidence, soft_p1 = kernel(method, prior).finalize(s0, s1)
     return AggregateLabel(recs[0].example_id, method, label, confidence, soft_p1, n)

@@ -8,8 +8,8 @@ budget; nothing in this module touches a budget ledger.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
-from typing import Hashable, Mapping
 
 import numpy as np
 
@@ -64,10 +64,14 @@ def estimate_accuracy(
 ) -> LabelerEstimate:
     """MLE accuracy: fraction of assessment items answered correctly.
 
-    ``responses`` must cover every assessment item; a missing response is an
-    DataError rather than a silent shrink of the sample.
+    ``responses`` must be a mapping that covers every assessment item; a
+    missing response is a DataError rather than a silent shrink of the
+    sample, as is a ``responses`` or ``assessment`` of another type.
     The returned estimate is clamped by LabelerEstimate's constructor.
     """
+    if not isinstance(responses, Mapping) or not isinstance(assessment, AssessmentSet):
+        raise DataError(f"responses must be a mapping and assessment an AssessmentSet, "
+                        f"got {type(responses).__name__} and {type(assessment).__name__}")
     correct = 0
     missing = []
     for item_id, truth in assessment.items():

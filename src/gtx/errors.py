@@ -1,4 +1,4 @@
-"""The package's two error types, and the type rules of the config values.
+"""The package's two error types, and the type rules of every argument.
 
 A ``ConfigError`` is for a value the caller chose: a size, tau, kappa,
 budget, accuracy, prior, method or draw source.  A ``DataError`` is for a
@@ -7,6 +7,8 @@ labels, estimate coverage or a file's contents.  Both are ``ValueError``s,
 so ``except ValueError`` still catches them.  Any other exception the
 package raises marks a bug.
 """
+
+import numbers
 
 
 class GtxError(Exception):
@@ -22,10 +24,10 @@ class DataError(GtxError, ValueError):
 
 
 def is_int(v) -> bool:
-    """An integer config value: a Python int, and not a bool."""
-    return isinstance(v, int) and not isinstance(v, bool)
+    """An integer argument: an int or a numpy integer, and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def is_number(v) -> bool:
-    """A real config value: a float or an integer, and not a bool."""
-    return isinstance(v, float) or is_int(v)
+    """A real argument: an int, a float or a numpy scalar of either, and not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)

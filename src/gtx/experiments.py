@@ -32,7 +32,7 @@ import numpy as np
 
 from .aggregators import Method
 from .assessment import oracle_estimates, run_assessment
-from .errors import ConfigError, GtxError
+from .errors import GtxError
 from .io import (
     ExperimentConfig,
     tau_code,
@@ -42,6 +42,7 @@ from .io import (
     write_json,
 )
 from .metrics import TrialSummary, mean_se, summarize, trial_report
+from .model import kernel
 from .simulation import SimConfig, draw_assessment, init_simulation
 from .strategies import (
     ThresholdConfig,
@@ -96,53 +97,44 @@ def build_trial_env(config: ExperimentConfig, master_seed: int, trial: int):
 
 @dataclass(frozen=True)
 class Cell:
-    """One sweep cell: a method plus its stopping parameter."""
+    """One sweep cell: a method plus its stopping rule, whose tau or fixed
+    count is the cell's value and gives its code."""
 
     method: Method
-    tau: float | None = None
-    fixed_count: int | None = None
-
-    def __post_init__(self):
-        if (self.tau is None) == (self.fixed_count is None):
-            raise ConfigError("a cell needs exactly one of tau or fixed_count")
+    stopping: ThresholdConfig
 
     @property
     def code(self) -> int:
-        if self.tau is not None:
-            return tau_code(self.tau)
-        return self.fixed_count
+        return tau_code(self.value) if self.kind == "tau" else self.value
 
     @property
     def kind(self) -> str:
-        return "tau" if self.tau is not None else "count"
+        return "tau" if self.stopping.tau is not None else "count"
 
     @property
     def value(self):
-        return self.tau if self.tau is not None else self.fixed_count
+        s = self.stopping
+        return s.tau if s.tau is not None else s.fixed_count
 
 
 def threshold_cells(config: ExperimentConfig) -> tuple[Cell, ...]:
-    """Sweep grid: MV/WMV take fixed counts, SV/GTX take the tau grid."""
+    """Sweep grid: rules whose kernel has no stop test (MV, WMV) take the
+    fixed counts, the others the tau grid, each cell the config's kappa."""
     cells = []
     for method in config.methods:
-        if method in (Method.MV, Method.WMV):
+        if kernel(method).stop is None:
             for c in config.fixed_counts:
-                cells.append(Cell(method=method, fixed_count=c))
+                cells.append(Cell(method, ThresholdConfig(None, config.kappa, c)))
         else:
             for t in config.tau_grid:
-                cells.append(Cell(method=method, tau=t))
+                cells.append(Cell(method, ThresholdConfig(t, config.kappa)))
     return tuple(cells)
 
 
 def _threshold_run(config, env, cell, trial, record_events):
-    dataset, labelers, estimates = env
-    stopping = ThresholdConfig(
-        tau=cell.tau, kappa=config.kappa, fixed_count=cell.fixed_count
-    )
     rng = collection_rng(config.seed, trial, cell.method, cell.code)
     return run_confidence_threshold(
-        dataset, labelers, estimates, stopping, config.budget, cell.method, rng,
-        record_events=record_events,
+        *env, cell.stopping, config.budget, cell.method, rng, record_events=record_events
     )
 
 

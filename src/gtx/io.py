@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
@@ -25,7 +24,7 @@ from typing import Mapping, Sequence
 from .aggregators import Method
 from .assessment import AssessmentSet
 from .errors import ConfigError, DataError, is_int, is_number
-from .model import LabelRecord
+from .model import LabelRecord, as_label
 from .simulation import MAX_SIZE
 from .strategies import LabelEvent
 
@@ -142,27 +141,34 @@ def _record_id(v):
     """An id as ``read_label_records`` takes it: a str as is, an integer as an int."""
     if type(v) is str:
         return v
-    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+    if is_int(v):
         return int(v)
     raise DataError(f"example_id and labeler_id must be strings or integers, got {v!r}")
 
 
 def write_label_records(path, records: Sequence[LabelRecord], steps=None) -> None:
     """Write records as JSONL; steps default to 1..n and must be strictly
-    increasing integers, and ids strings or integers, as
+    increasing integers, ids strings or integers and values 0 or 1, as
     ``read_label_records`` requires.  Numpy integers are written as ints;
-    any other step or id is a ``DataError``, raised before the file is
-    opened."""
-    steps = list(range(1, len(records) + 1) if steps is None else steps)
+    any other record, step, id or value is a ``DataError``, raised before
+    the file is opened."""
+    try:
+        records = [tuple(rec) for rec in records]
+        steps = list(range(1, len(records) + 1) if steps is None else steps)
+    except TypeError:  # not iterable
+        raise DataError("records, each record and steps must be sequences") from None
     if len(steps) != len(records):
         raise DataError("steps and records differ in length")
     rows = []
-    for last, step, (ex, lab, v) in zip([0] + steps, steps, records):
-        if isinstance(step, bool) or not isinstance(step, numbers.Integral):
+    for last, step, rec in zip([0] + steps, steps, records):
+        if len(rec) != 3:
+            raise DataError(f"a record must be (example_id, labeler_id, value), got {rec!r}")
+        if not is_int(step):
             raise DataError(f"steps must be integers, got {step!r}")
         if step <= last:
             raise DataError(f"steps must be strictly increasing, got {step} after {last}")
-        rows.append((_record_id(ex), _record_id(lab), int(step), v))
+        ex, lab, v = rec
+        rows.append((_record_id(ex), _record_id(lab), int(step), as_label(v)))
     _write_rows(path, '{"example_id":%s,"labeler_id":%s,"step":%s,"value":%s}\n', rows)
 
 
@@ -304,7 +310,7 @@ class ExperimentConfig:
 
     Construction validates: building a config, directly or with
     ``dataclasses.replace``, checks every field and raises one
-    ``ConfigError`` naming each problem.  A valid config holds tuples,
+    ``ConfigError`` naming each problem.  A valid config holds ints, tuples,
     ``Method`` members, and float taus and accuracy bounds.
     """
 
@@ -396,9 +402,11 @@ class ExperimentConfig:
 
         if problems:
             raise ConfigError(_INVALID + "; ".join(problems))
+        for key in _INT_MINIMUMS:  # a numpy integer becomes the int JSON can write
+            object.__setattr__(self, key, int(valid[key]))
         object.__setattr__(self, "methods", tuple(map(Method, self.methods)))
         object.__setattr__(self, "tau_grid", tuple(map(float, self.tau_grid)))
-        object.__setattr__(self, "fixed_counts", tuple(self.fixed_counts))
+        object.__setattr__(self, "fixed_counts", tuple(map(int, self.fixed_counts)))
         object.__setattr__(self, "accuracy_interval", tuple(map(float, interval)))
 
     def as_dict(self) -> dict:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -119,7 +118,7 @@ class LabelerEstimate:
 
     def __post_init__(self):
         a = self.accuracy
-        if isinstance(a, bool) or not isinstance(a, numbers.Real):
+        if not is_number(a):
             raise ConfigError(f"accuracy must be a number, got {a!r}")
         a = float(a)
         if not 0.0 <= a <= 1.0:
@@ -168,7 +167,7 @@ class ClassPrior:
             raise ConfigError(
                 f"prior probabilities must lie in [0, 1], got {self.p0!r}, {self.p1!r}"
             )
-        if abs(self.p0 + self.p1 - 1.0) > 1e-9:
+        if abs(float(self.p0) + float(self.p1) - 1.0) > 1e-9:  # float64, whatever the input
             raise ConfigError("prior must sum to 1")
 
     @staticmethod
@@ -193,8 +192,8 @@ def log_odds(p: float) -> float:
     comparisons exact: a single vote from a labeler with accuracy == tau
     produces a posterior log-odds bit-identical to log_odds(tau).
     """
-    if not 0.0 < p < 1.0:
-        raise ConfigError(f"log_odds requires p in (0, 1), got {p}")
+    if not (is_number(p) and 0.0 < p < 1.0):
+        raise ConfigError(f"log_odds requires p in (0, 1), got {p!r}")
     return math.log(p) - math.log1p(-p)
 
 

@@ -62,7 +62,10 @@ class SimDataset:
     true_labels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.true_labels)
+        try:
+            arr = np.asarray(self.true_labels)
+        except ValueError:  # ragged nesting
+            raise DataError("true_labels must be one-dimensional") from None
         if arr.ndim != 1:
             raise DataError("true_labels must be one-dimensional")
         # checked before the cast, which would turn 0.7 into 0

@@ -44,7 +44,6 @@ uncertainty loops there are the references the engines equal bit for bit.
 from __future__ import annotations
 
 import heapq
-import numbers
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Hashable, Mapping, NamedTuple, Sequence
@@ -106,24 +105,23 @@ class ThresholdConfig:
             raise ConfigError("; ".join(problems))
 
 
-def _integral(v) -> bool:
-    """An int or a numpy integer, and not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 @dataclass
 class BudgetLedger:
     """Label spending of one run: one unit per collected label.  The labels
-    spent on each example are the outcome's ``labels_per_example``."""
+    spent on each example are the outcome's ``labels_per_example``.  Both
+    engines check their budget here: a whole number >= 0, kept as an int."""
 
     total: int
     spent: int = 0
 
     def __post_init__(self):
-        if not _integral(self.total) or self.total < 0:
-            raise ConfigError(f"budget must be a non-negative integer, got {self.total!r}")
-        if not _integral(self.spent) or not 0 <= self.spent <= self.total:
+        total = self.total
+        whole = is_int(total) or isinstance(total, (float, np.floating)) and total.is_integer()
+        if not whole or total < 0:
+            raise ConfigError(f"budget must be a non-negative integer, got {total!r}")
+        if not is_int(self.spent) or not 0 <= self.spent <= total:
             raise ConfigError(f"spent must be an integer in [0, total], got {self.spent!r}")
+        self.total, self.spent = int(total), int(self.spent)
 
     @property
     def remaining(self) -> int:
@@ -178,9 +176,7 @@ def _setup(labelers, estimates, budget, method):
     pair of a vote from position pos that is right (1) or not (0) on an
     example of truth 0, where a right vote is 0."""
     method = Method(method)
-    whole = _integral(budget) or isinstance(budget, (float, np.floating)) and budget.is_integer()
-    if not whole or budget < 0:
-        raise ConfigError(f"budget must be a non-negative integer, got {budget!r}")
+    budget = BudgetLedger(budget).total
     if not labelers:
         raise ConfigError("labeler pool is empty")
     pool = sorted(labelers, key=lambda lab: lab.labeler_id)
@@ -191,7 +187,7 @@ def _setup(labelers, estimates, budget, method):
     acc = np.array([lab.accuracy for lab in pool])
     tab = np.array([[inc[pos][1 - right][j] for pos in range(len(ids)) for right in (0, 1)]
                     for j in (0, 1)], dtype=float)
-    return method, int(budget), ids, kernel(method), inc, acc, tab
+    return method, budget, ids, kernel(method), inc, acc, tab
 
 
 # A threshold window simulates _WINDOW // kmax start offsets, and at most

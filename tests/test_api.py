@@ -1,14 +1,18 @@
 """The public surface: ``gtx.__all__``, the engines' keyword-only options
 and the experiment commands' flags are pinned, so that adding or removing
 one is a deliberate change to these lists.  The error contract is held
-here too: a bad argument to a public class raises a ``GtxError``, and the
-package raises no builtin exception but the internal checks listed."""
+here too: a bad argument to a public class or a checked public function
+raises a ``GtxError``, a numpy scalar is accepted wherever a number is,
+and the package raises no builtin exception but the internal checks
+listed."""
 
 import argparse
 import ast
 import builtins
 import inspect
+import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -123,9 +127,10 @@ CASE_IDS = [f"{name}-{b}-arg{i}" for name, bases in VALID_ARGS.items()
 
 
 def _call_with(case, bad):
-    """Call the case's class with argument ``i`` replaced by ``bad``.  A bad
-    value may be valid in some places (a label id of "x", a kappa of 2), so
-    the call may succeed; what it may not do is raise a foreign exception."""
+    """Call the case's class or function with argument ``i`` replaced by
+    ``bad``.  A bad value may be valid in some places (a label id of "x", a
+    kappa of 2), so the call may succeed; what it may not do is raise a
+    foreign exception."""
     name, args, i = case
     args = list(args)
     args[i] = bad
@@ -160,6 +165,41 @@ def test_any_bad_scalar_raises_only_gtx_errors(case, bad):
     _call_with(case, bad)
 
 
+# arguments each checked public function accepts, and the index of the
+# first argument the tests below replace (the path of write_label_records
+# is not an argument they check)
+_RECORDS = [gtx.LabelRecord(0, "a", 1)]
+VALID_CALLS = {
+    "aggregate": (("gtx", _RECORDS, {"a": gtx.LabelerEstimate("a", 0.8)},
+                   gtx.ClassPrior(0.3, 0.7)), 0),
+    "estimate_accuracy": (("a", {0: 1}, gtx.AssessmentSet((0,), (1,))), 0),
+    "log_odds": ((0.9,), 0),
+    "write_label_records": ((os.devnull, _RECORDS, [1]), 1),
+}
+FUNCTION_CASES = [(name, args, i) for name, (args, first) in VALID_CALLS.items()
+                  for i in range(first, len(args))]
+FUNCTION_IDS = [f"{name}-arg{i}" for name, _, i in FUNCTION_CASES]
+
+
+@pytest.mark.parametrize("name", sorted(VALID_CALLS))
+def test_valid_function_arguments_run(name):
+    getattr(gtx, name)(*VALID_CALLS[name][0])
+
+
+@pytest.mark.parametrize("case", FUNCTION_CASES, ids=FUNCTION_IDS)
+def test_each_listed_bad_value_to_a_function_raises_only_gtx_errors(case):
+    for bad in BAD_VALUES:
+        _call_with(case, bad)
+
+
+@given(st.sampled_from(FUNCTION_CASES), st.one_of(
+    st.sampled_from(BAD_VALUES), st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=3), st.lists(st.integers(), max_size=2)))
+@settings(max_examples=300)
+def test_any_bad_value_to_a_function_raises_only_gtx_errors(case, bad):
+    _call_with(case, bad)
+
+
 @pytest.mark.parametrize("make, error", [
     (lambda: gtx.AssessmentSet(5, (1,)), DataError),
     (lambda: gtx.AssessmentSet(([1],), (1,)), DataError),
@@ -167,10 +207,55 @@ def test_any_bad_scalar_raises_only_gtx_errors(case, bad):
     (lambda: gtx.BudgetLedger(2.5), ConfigError),
     (lambda: gtx.LabelRecord(0, "a", np.array([1, 1])), DataError),
     (lambda: gtx.Method("zz"), ConfigError),
+    (lambda: gtx.SimDataset([[0], [0, 1]]), DataError),
+    (lambda: gtx.log_odds("x"), ConfigError),
+    (lambda: gtx.log_odds(None), ConfigError),
+    (lambda: gtx.aggregate("mv", [1]), DataError),
+    (lambda: gtx.aggregate("wmv", _RECORDS, 5), DataError),
+    (lambda: gtx.aggregate("mv", None), DataError),
+    (lambda: gtx.aggregate("gtx", _RECORDS, {"a": gtx.LabelerEstimate("a", 0.8)}, "x"),
+     ConfigError),
+    (lambda: gtx.estimate_accuracy("w", None, gtx.AssessmentSet((0,), (1,))), DataError),
+    (lambda: gtx.estimate_accuracy("w", {0: 1}, "x"), DataError),
+    (lambda: gtx.write_label_records(os.devnull, [1]), DataError),
 ])
 def test_former_leaks_raise_the_contract_types(make, error):
     with pytest.raises(error):
         make()
+
+
+def _numpy_form(v, ints, float32):
+    """``v`` with its numbers as numpy scalars, inside tuples and lists too:
+    ints as ``ints``, floats as float32 when ``float32`` is set and float32
+    holds them exactly, else as float64."""
+    if isinstance(v, (list, tuple)):
+        return type(v)(_numpy_form(x, ints, float32) for x in v)
+    if type(v) is int:
+        return ints(v)
+    if type(v) is float:
+        return np.float32(v) if float32 and float(np.float32(v)) == v else np.float64(v)
+    return v
+
+
+# valid arguments that float32 holds exactly, beside the bases above
+_EXACT_ARGS = [("ClassPrior", (0.25, 0.75)), ("LabelerEstimate", ("a", 0.75, 10)),
+               ("SimConfig", (10, 3, 0.5, 0.75)), ("SimLabeler", (0, 0.75)),
+               ("ThresholdConfig", (0.75, 3, None))]
+# SimDataset takes an array, which is numpy already
+NUMPY_CASES = [(name, args) for name, bases in VALID_ARGS.items() if name != "SimDataset"
+               for args in bases] + _EXACT_ARGS
+
+
+@pytest.mark.parametrize("ints, float32", [(np.int64, False), (np.int32, True)],
+                         ids=["int64-float64", "int32-float32"])
+@pytest.mark.parametrize("name, args", NUMPY_CASES,
+                         ids=[f"{name}-{j}" for j, (name, _) in enumerate(NUMPY_CASES)])
+def test_numpy_scalars_build_what_python_numbers_build(name, args, ints, float32):
+    cls = getattr(gtx, name)
+    made = cls(*_numpy_form(args, ints, float32))
+    assert made == cls(*args)
+    if name == "ExperimentConfig":  # its dict is written as run.json
+        assert json.dumps(made.as_dict()) == json.dumps(cls(*args).as_dict())
 
 
 # The builtin exceptions the package may raise: internal checks whose
@@ -206,6 +291,16 @@ def test_only_internal_checks_raise_builtin_exceptions():
     raised = {(path.name, func, exc) for path in sorted(src.glob("*.py"))
               for func, exc in _builtin_raises(ast.parse(path.read_text(encoding="utf-8")))}
     assert raised == INTERNAL_CHECKS
+
+
+def test_only_errors_decides_what_a_number_is():
+    # errors.is_int and errors.is_number are the one home of that rule
+    src = Path(gtx.__file__).parent
+    importers = {path.name for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+                 or isinstance(node, ast.ImportFrom) and node.module == "numbers"}
+    assert importers == {"errors.py"}
 
 
 def test_the_guard_sees_a_plain_raise():

@@ -25,7 +25,7 @@ from gtx.experiments import (
 )
 from gtx.io import ExperimentConfig, config_from_dict, read_label_records
 from gtx.metrics import TrialReport, summarize
-from gtx.strategies import run_uncertainty_sampling
+from gtx.strategies import ThresholdConfig, run_uncertainty_sampling
 
 import oracles
 from support import finals
@@ -104,14 +104,8 @@ class TestCells:
         assert by_method[Method.GTX] == [0.9, 0.97]
 
     def test_cell_codes(self):
-        assert Cell(method=Method.GTX, tau=0.97).code == 9700
-        assert Cell(method=Method.MV, fixed_count=3).code == 3
-
-    def test_cell_needs_exactly_one_parameter(self):
-        with pytest.raises(ValueError):
-            Cell(method=Method.GTX)
-        with pytest.raises(ValueError):
-            Cell(method=Method.GTX, tau=0.9, fixed_count=2)
+        assert Cell(Method.GTX, ThresholdConfig(tau=0.97, kappa=5)).code == 9700
+        assert Cell(Method.MV, ThresholdConfig(tau=None, kappa=5, fixed_count=3)).code == 3
 
 
 class TestThresholdExperiment:

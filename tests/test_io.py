@@ -260,6 +260,16 @@ class TestLabelRecordFiles:
         write_label_records(plain, back, read_steps)
         assert p.read_bytes() == plain.read_bytes()
 
+    def test_values_pass_the_label_check_before_writing(self, tmp_path):
+        # plain tuples skip LabelRecord's check; the writer makes it itself
+        p = tmp_path / "labels.jsonl"
+        with pytest.raises(DataError, match="^label value must be 0 or 1, got 5$"):
+            write_label_records(p, [(0, "a", 1), (1, "a", 5)])
+        assert not p.exists()
+        write_label_records(p, [(0, "a", True), (1, "a", np.int64(0))])
+        assert p.read_text().count('"value":') == 2 and "true" not in p.read_text()
+        assert read_label_records(p)[0] == [(0, "a", 1), (1, "a", 0)]
+
     def test_non_increasing_steps_rejected_on_read(self, tmp_path):
         p = tmp_path / "labels.jsonl"
         rows = [

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtx.aggregators import aggregate
-from gtx.errors import DataError
+from gtx.errors import ConfigError, DataError
 from gtx.model import (
     ACCURACY_CEIL,
     ACCURACY_FLOOR,
@@ -92,6 +92,12 @@ class TestClassPrior:
     def test_must_sum_to_one(self):
         with pytest.raises(ValueError):
             ClassPrior(0.6, 0.6)
+
+    def test_float32_values_sum_as_their_float64_values(self):
+        # float32(0.1) + float32(0.9) is 1 in float32, 1 - 2.2e-8 in float64
+        with pytest.raises(ConfigError, match="prior must sum to 1"):
+            ClassPrior(np.float32(0.1), np.float32(0.9))
+        assert ClassPrior(np.float32(0.25), np.float32(0.75)) == ClassPrior(0.25, 0.75)
 
     @pytest.mark.parametrize(
         "p0,p1",

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -83,6 +84,14 @@ class TestBudgetLedger:
 
     def test_numpy_integers_accepted_as_the_engines_budgets_are(self):
         assert BudgetLedger(np.int64(10), np.int64(3)).remaining == 7
+
+    def test_whole_numbers_kept_as_ints_as_the_engines_keep_them(self):
+        for total in (4.0, np.float32(4.0), np.int32(4)):
+            assert BudgetLedger(total).total == 4 and type(BudgetLedger(total).total) is int
+        assert BudgetLedger(10**400).total == 10**400  # is_int before any float()
+        for total in (4.5, math.inf, math.nan, -1.0, True):
+            with pytest.raises(ConfigError, match="^budget must be a non-negative integer"):
+                BudgetLedger(total)
 
 
 class TestThresholdStopping:
