@@ -103,6 +103,8 @@ def run_assessment(labelers, assessment: AssessmentSet, rng) -> dict:
     the share of its labeler's draws below its accuracy, whatever the items'
     labels.
     """
+    if not isinstance(assessment, AssessmentSet):
+        raise DataError(f"assessment must be an AssessmentSet, got {type(assessment).__name__}")
     labelers = list(labelers)
     size = len(assessment)
     acc = np.array([lab.accuracy for lab in labelers], dtype=float)

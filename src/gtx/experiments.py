@@ -37,6 +37,7 @@ from .io import (
     ExperimentConfig,
     tau_code,
     write_aggregates_csv,
+    write_columns,
     write_csv,
     write_event_log,
     write_json,
@@ -454,15 +455,9 @@ def write_results(result, out_dir) -> None:
             ),
         )
 
-        def dyn_rows():
-            for method in result.config.methods:
-                columns = (c.tolist() for c in result.curves[method])
-                yield from zip(itertools.repeat(str(method)), *columns)
-
-        write_csv(
-            out_dir / "dynamics.csv",
-            ["method", "labels", "error_rate", "error_rate_se", "mae", "mae_se"],
-            dyn_rows(),
+        write_columns(
+            out_dir / "dynamics.csv", "method,labels,error_rate,error_rate_se,mae,mae_se\n",
+            ((str(m) + ",%s" * 5 + "\n", result.curves[m]) for m in result.config.methods),
         )
     else:
         raise TypeError(f"cannot write results of type {type(result).__name__}")

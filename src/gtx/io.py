@@ -9,6 +9,10 @@ Label-record files are JSON Lines; each line holds exactly
 ``step`` strictly increasing across the file.  Event logs reuse the same
 schema plus a ``confidence`` field, and readers ignore the extra keys, so an
 event log is itself a valid label-record file.
+
+Event logs, label records, ``aggregates.csv`` and ``dynamics.csv`` are
+written by columns (``write_columns``), so an ``EventLog`` reaches its file
+without one Python object per event, each distinct float formatted once.
 """
 
 from __future__ import annotations
@@ -17,16 +21,17 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, fields
-from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .aggregators import Method
 from .assessment import AssessmentSet
 from .errors import ConfigError, DataError, is_int, is_number
 from .model import LabelRecord, as_label
 from .simulation import MAX_SIZE
-from .strategies import LabelEvent
+from .strategies import EventLog, LabelEvent
 
 __all__ = [
     "DEFAULT_TAU_GRID",
@@ -38,6 +43,7 @@ __all__ = [
     "read_label_records",
     "tau_code",
     "write_aggregates_csv",
+    "write_columns",
     "write_csv",
     "write_event_log",
     "write_json",
@@ -85,26 +91,39 @@ def _csv_text(rows: list) -> str:
     return "".join([",".join([fmt(v) for v in row]) + "\n" for row in rows])
 
 
-def _write_chunks(path, head: str, rows, encode) -> None:
-    """Write ``head``, then ``encode(chunk)`` for each chunk of rows."""
-    rows = iter(rows)
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(head)
-        while chunk := list(itertools.islice(rows, _CHUNK)):
-            fh.write(encode(chunk))
-
-
 def write_csv(path, header: Sequence[str], rows) -> None:
     """Write rows of already-ordered values; floats via repr, None empty."""
-    _write_chunks(path, ",".join(header) + "\n", rows, _csv_text)
+    rows = iter(rows)
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        while chunk := list(itertools.islice(rows, _CHUNK)):
+            fh.write(_csv_text(chunk))
+
+
+def _float_cells(column, form) -> np.ndarray:
+    """``form(v)`` of each float64 ``v`` of ``column``, as an object array: ``form`` runs
+    once per distinct bit pattern, so that -0.0 and every nan keep their own text."""
+    bits, where = np.unique(np.asarray(column, np.float64).view(np.int64), return_inverse=True)
+    return np.array([form(v) for v in bits.view(np.float64).tolist()], object)[where]
+
+
+def write_columns(path, head: str, blocks, form=repr) -> None:
+    """Write ``head``, then ``template % row`` for each row of each
+    ``(template, columns)`` block of numpy columns, ``_CHUNK`` rows at a
+    time.  A float64 column's cells are ``form`` of its values; the cells of
+    any other column fill their ``%s`` as ``tolist`` gives them."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(head)
+        for template, columns in blocks:
+            columns = [_float_cells(c, form) if c.dtype == np.float64 else c for c in columns]
+            for lo in range(0, len(columns[0]), _CHUNK):
+                part = [c[lo:lo + _CHUNK].tolist() for c in columns]
+                cells = tuple(itertools.chain.from_iterable(zip(*part)))
+                fh.write((template * len(part[0])) % cells)
 
 
 # ---------------------------------------------------------------------------
 # label records and event logs
-
-
-# exact types whose ``%s`` form is their JSON form, floats when finite
-_JSON_PLAIN = frozenset({int, float})
 
 
 def _value(v) -> str:
@@ -115,26 +134,6 @@ def _value(v) -> str:
     if t is int or (t is float and math.isfinite(v)):
         return repr(v)
     return json.dumps(v)
-
-
-def _write_rows(path, template: str, rows) -> None:
-    """Write one JSON object per row: ``template`` spells the sorted compact
-    keys with a ``%s`` per value, so each line equals
-    ``json.dumps(row_dict, sort_keys=True, separators=(",", ":"))``.
-
-    When every cell of a chunk is exactly an int or a finite float, one fill
-    of the repeated template covers the chunk; otherwise (str ids, bools,
-    nan, inf) each cell goes through ``_value``."""
-
-    def encode(chunk):
-        cells = tuple(itertools.chain.from_iterable(chunk))
-        if set(map(type, cells)) <= _JSON_PLAIN and all(
-            math.isfinite(v) for v in cells if type(v) is float
-        ):
-            return (template * len(chunk)) % cells
-        return "".join([template % tuple(map(_value, row)) for row in chunk])
-
-    _write_chunks(path, "", rows, encode)
 
 
 def _record_id(v):
@@ -168,8 +167,9 @@ def write_label_records(path, records: Sequence[LabelRecord], steps=None) -> Non
         if step <= last:
             raise DataError(f"steps must be strictly increasing, got {step} after {last}")
         ex, lab, v = rec
-        rows.append((_record_id(ex), _record_id(lab), int(step), as_label(v)))
-    _write_rows(path, '{"example_id":%s,"labeler_id":%s,"step":%s,"value":%s}\n', rows)
+        rows.append((_value(_record_id(ex)), _value(_record_id(lab)), int(step), as_label(v)))
+    template = '{"example_id":%s,"labeler_id":%s,"step":%s,"value":%s}\n'
+    write_columns(path, "", [(template, np.array(rows, object).reshape(-1, 4).T)])
 
 
 _RECORD_KEYS = {"example_id", "labeler_id", "step", "value"}
@@ -256,17 +256,20 @@ def read_assessment_set(path) -> AssessmentSet:
     return AssessmentSet(example_ids=tuple(truth), true_labels=tuple(truth.values()))
 
 
-# a LabelEvent's fields in the sorted-key order of its JSON line
-_EVENT_FIELDS = itemgetter(4, 1, 2, 0, 3)
-
-
 def write_event_log(path, events: Sequence[LabelEvent], method=None) -> None:
     """Write collection events as JSONL (label-record schema + confidence)."""
     keys = '"step":%s,"value":%s}\n'
     if method is not None:  # the same in every row, so part of the template
         keys = '"method":' + _value(str(method)).replace("%", "%%") + "," + keys
     template = '{"confidence":%s,"example_id":%s,"labeler_id":%s,' + keys
-    _write_rows(path, template, map(_EVENT_FIELDS, events))
+    if isinstance(events, EventLog):  # each pool member's id formatted once
+        ids = np.array([_value(i) for i in events.pool_ids], object)
+        columns = [events.confidences, events.example_ids, ids[events.positions],
+                   events.steps, events.values]
+    else:  # any other sequence: each event's fields in sorted-key order
+        rows = [[_value(ev[j]) for j in (4, 1, 2, 0, 3)] for ev in events]
+        columns = np.array(rows, object).reshape(-1, 5).T
+    write_columns(path, "", [(template, columns)], _value)
 
 
 def write_aggregates_csv(path, outcomes, true_labels=None) -> None:
@@ -280,16 +283,14 @@ def write_aggregates_csv(path, outcomes, true_labels=None) -> None:
     if true_labels is not None:
         header.append("true_label")
 
-    def rows():
-        for out in outcomes:
-            n = out.n_labeled
-            columns = [range(n), *(c.tolist() for c in (
-                out.labels_per_example, out.labels, out.confidences, out.soft_p1s))]
-            if true_labels is not None:
-                columns.append([int(true_labels[ex]) for ex in range(n)])
-            yield from zip(itertools.repeat(str(out.method)), *columns)
+    def block(out):
+        n = out.n_labeled
+        columns = [np.arange(n), out.labels_per_example, out.labels, out.confidences, out.soft_p1s]
+        if true_labels is not None:
+            columns.append(np.asarray(true_labels[:n], np.int64))
+        return str(out.method) + ",%s" * len(columns) + "\n", columns
 
-    write_csv(path, header, rows())
+    write_columns(path, ",".join(header) + "\n", map(block, outcomes))
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,11 @@ uncertainty loops there are the references the engines equal bit for bit.
 from __future__ import annotations
 
 import heapq
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Hashable, Mapping, NamedTuple, Sequence
+from typing import Hashable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -58,6 +60,7 @@ from .simulation import SimDataset, SimLabeler
 __all__ = [
     "BudgetLedger",
     "CollectionOutcome",
+    "EventLog",
     "LabelEvent",
     "ThresholdConfig",
     "run_confidence_threshold",
@@ -140,6 +143,44 @@ class LabelEvent(NamedTuple):
     confidence: float
 
 
+class EventLog(Sequence):
+    """A run's events in order, held as columns: int64 ``steps``,
+    ``example_ids`` and ``values``, float64 ``confidences``, and intp
+    ``positions`` into ``pool_ids``, the pool's ids.  It reads as the list
+    of its ``LabelEvent``s, with that list's ``==`` and repr."""
+
+    __slots__ = ("steps", "example_ids", "positions", "values", "confidences", "pool_ids")
+
+    def __init__(self, steps, example_ids, positions, values, confidences, pool_ids):
+        self.steps, self.example_ids, self.positions, self.values, self.confidences = (
+            np.asarray(c, t) for c, t in zip((steps, example_ids, positions, values, confidences),
+                                             (np.int64, np.int64, np.intp, np.int64, float)))
+        self.pool_ids = pool_ids
+
+    def __len__(self):
+        return len(self.steps)
+
+    def __iter__(self):
+        fields = zip(self.steps.tolist(), self.example_ids.tolist(),
+                     map(self.pool_ids.__getitem__, self.positions.tolist()),
+                     self.values.tolist(), self.confidences.tolist())
+        return map(tuple.__new__, repeat(LabelEvent), fields)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            columns = self.steps, self.example_ids, self.positions, self.values, self.confidences
+            return EventLog(*(c[index] for c in columns), self.pool_ids)
+        i = range(len(self))[index]  # a list's index rules and errors
+        return next(iter(self[i:i + 1]))
+
+    def __eq__(self, other):
+        return (isinstance(other, Sequence) and len(self) == len(other)
+                and all(map(operator.eq, self, other)))
+
+    def __repr__(self):
+        return repr(list(self))
+
+
 @dataclass(eq=False, repr=False)
 class CollectionOutcome:
     """Result of one collection run.
@@ -148,11 +189,11 @@ class CollectionOutcome:
     column is a numpy array indexed by example id: int64 ``labels`` and
     ``labels_per_example``, float64 ``confidences`` and ``soft_p1s``, the
     final aggregate of each example.  ``event_log`` is None when the run
-    was made with ``record_events=False``; when present it holds one event
-    per spent label in chronological order.  ``dynamics`` (uncertainty
-    sampling only) holds three equal-length arrays ``(steps, errors,
-    maes)``: the labels collected, and the dataset-wide error rate and MAE
-    after each label from the moment full coverage is reached.
+    was made with ``record_events=False``, else an ``EventLog`` of one
+    event per spent label.  ``dynamics`` (uncertainty sampling only) holds
+    three equal-length arrays ``(steps, errors, maes)``: the labels
+    collected, and the dataset-wide error rate and MAE after each label
+    from the moment full coverage is reached.
     """
 
     method: Method
@@ -161,7 +202,7 @@ class CollectionOutcome:
     confidences: np.ndarray
     soft_p1s: np.ndarray
     labels_per_example: np.ndarray
-    event_log: list | None = None
+    event_log: EventLog | None = None
     dynamics: tuple | None = None
 
     @property
@@ -312,7 +353,7 @@ def run_confidence_threshold(
     # ends early at a start it skipped.
     stride = 1 if reached is not None else kmax
 
-    events = [] if record_events else None
+    events = []  # per window, its events' columns (see _window_events)
     # per window, its examples' (labels, confidences, soft_p1s, label counts);
     # the empty first entry sets the dtypes when no window runs
     closed = [(np.empty(0, np.int64), np.empty(0), np.empty(0), np.empty(0, np.int64))]
@@ -351,30 +392,29 @@ def run_confidence_threshold(
         s0, s1 = hist[kk - 1, y, starts], hist[kk - 1, 1 - y, starts]
         closed.append((*kern.finalize_array(s0, s1), kk))
         if record_events:
-            events += _window_events(w0, stride, i0, starts, kk, y, hist, picked, ids,
-                                     kern.finalize_array)
+            events.append(_window_events(i0, starts, kk, y, hist, picked, kern.finalize_array))
         if reached is not None:
             stride = kmax if kk.min() == kmax else 1
         u = u[2 * (o - w0):]
     if o > got // 2:
         raise ConfigError(f"the draw stream ended after {got} draws; {o} labels need {2 * o}")
+    log = None
+    if record_events:  # label j of the run is step j + 1
+        columns = map(np.concatenate, zip(*events)) if events else [()] * 4
+        log = EventLog(np.arange(1, o + 1), *columns, ids)
     return CollectionOutcome(method, BudgetLedger(budget, o),
-                             *map(np.concatenate, zip(*closed)), event_log=events)
+                             *map(np.concatenate, zip(*closed)), event_log=log)
 
 
-def _window_events(w0, stride, i0, starts, ks, y, hist, picked, ids, finalize_array):
-    """The events of the examples that start in one window."""
+def _window_events(i0, starts, ks, y, hist, picked, finalize_array):
+    """The event columns (see ``EventLog``) of the examples starting in one window."""
     # one row per label: its example's offset and truth, and its index t
     p = np.repeat(starts, ks)
     t = np.arange(len(p)) - np.repeat(np.cumsum(ks) - ks, ks)
     y = np.repeat(y, ks)
     pos, right = (x[t, p] for x in picked)
-    confs = finalize_array(hist[t, y, p], hist[t, 1 - y, p])[1].tolist()
-    # each example's id is one int object for all of its events
-    example = [i for i, n in zip(range(i0, i0 + len(ks)), ks.tolist()) for _ in range(n)]
-    fields = zip((w0 + stride * p + t + 1).tolist(), example, map(ids.__getitem__, pos.tolist()),
-                 np.where(right, y, 1 - y).tolist(), confs)
-    return map(tuple.__new__, repeat(LabelEvent), fields)
+    conf = finalize_array(hist[t, y, p], hist[t, 1 - y, p])[1]
+    return np.repeat(np.arange(i0, i0 + len(ks)), ks), pos, np.where(right, y, 1 - y), conf
 
 
 def _draws(rng, lo, hi, total):
@@ -435,11 +475,7 @@ def run_uncertainty_sampling(
     # 0.0 + d, as a sum starting at 0.0 adds its first increment
     s0, s1 = 0.0 + tab[:, 2 * pos + 1 - v]
     first = kern.finalize_array(s0, s1)
-    events = None
-    if record_events:
-        events = list(map(tuple.__new__, repeat(LabelEvent), zip(
-            range(1, c + 1), range(c), map(ids.__getitem__, pos.tolist()), v.tolist(),
-            first[1].tolist())))
+    later = ex_log, pos_log, value_log, conf_log = [], [], [], []  # the heap loop's events
 
     errors, maes = [], []  # after each label from full coverage on
     track = 0 < c == n
@@ -461,7 +497,6 @@ def run_uncertainty_sampling(
         unused = [None] * n
         kcount = [1] * n
         s0, s1 = s0.tolist(), s1.tolist()
-        spent = c
         heappop, heappushpop = heapq.heappop, heapq.heappushpop
         heap = list(zip((-(1.0 - first[1])).tolist(), range(n)))
         heapq.heapify(heap)
@@ -480,13 +515,15 @@ def run_uncertainty_sampling(
             yi = ys[i]
             w = yi if r1 < acc[p] else 1 - yi
             kcount[i] += 1
-            spent += 1
             d0, d1 = inc[p][w]
             a0 = s0[i] = s0[i] + d0
             a1 = s1[i] = s1[i] + d1
             lab, conf, soft = finalize(a0, a1)
-            if events is not None:
-                events.append(tuple.__new__(LabelEvent, (spent, i, ids[p], w, conf)))
+            if record_events:
+                ex_log.append(i)
+                pos_log.append(p)
+                value_log.append(w)
+                conf_log.append(conf)
             if track:
                 wrong = lab != yi
                 err_sum += wrong - miss[i]
@@ -503,6 +540,11 @@ def run_uncertainty_sampling(
         ks = np.array(kcount, dtype=np.int64)
         closed = kern.finalize_array(np.array(s0), np.array(s1))
 
+    log = None
+    if record_events:  # label j of the run is step j + 1
+        log = EventLog(np.arange(1, total + 1), *(
+            np.concatenate((a, np.array(b, a.dtype)))
+            for a, b in zip((np.arange(c), pos, v, first[1]), later)), ids)
     dynamics = np.arange(n, n + len(errors)), np.array(errors), np.array(maes)
     return CollectionOutcome(method, BudgetLedger(budget, total), *closed, ks,
-                             event_log=events, dynamics=dynamics)
+                             event_log=log, dynamics=dynamics)

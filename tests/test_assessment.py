@@ -91,6 +91,12 @@ class TestRunAssessment:
             assert e.labeler_id == lid
             assert e.n_assessed == 3
 
+    @pytest.mark.parametrize("bad", [{}, None, [0, 1], (0, 1)])
+    def test_an_assessment_of_another_type_is_a_data_error(self, bad):
+        # {} once raised ZeroDivisionError and None AttributeError
+        with pytest.raises(DataError, match="assessment must be an AssessmentSet"):
+            run_assessment([SimLabeler(0, 0.8)], bad, np.random.default_rng(0))
+
 
 class TestRunAssessmentAgainstOracle:
     @settings(max_examples=200, deadline=None)

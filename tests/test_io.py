@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -13,11 +14,14 @@ from gtx.io import (
     _CHUNK,
     DEFAULT_TAU_GRID,
     ExperimentConfig,
+    _float_cells,
+    _value,
     config_from_dict,
     fmt,
     load_config,
     read_assessment_set,
     read_label_records,
+    write_columns,
     write_csv,
     write_event_log,
     write_label_records,
@@ -411,6 +415,43 @@ class TestJsonlEncoding:
         p = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
         write_label_records(p, records, steps)
         assert read_label_records(p) == (records, steps)
+
+
+# floats whose text is easy to get wrong: signed zeros, a nan of each sign
+# and one with a payload, infinities and subnormals
+_ODD_FLOATS = [0.0, -0.0, math.nan, -math.nan,
+               float(np.array(0x7FF8000000000001).view(np.float64)),
+               math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072e-308]
+
+
+@st.composite
+def _float_columns(draw):
+    """A float64 column that repeats a few values, odd ones among them."""
+    pool = draw(st.lists(st.floats() | st.sampled_from(_ODD_FLOATS), min_size=1, max_size=8))
+    return np.array(draw(st.lists(st.sampled_from(pool), max_size=50)), np.float64)
+
+
+class TestColumnWriters:
+    @given(_float_columns())
+    def test_float_cells_are_repr_and_json_text(self, column):
+        for form in (repr, _value):
+            assert _float_cells(column, form).tolist() == [form(v) for v in column.tolist()]
+
+    @given(_float_columns(), st.lists(st.integers(-2**63, 2**63 - 1), max_size=50),
+           st.sampled_from(["gtx", "a%sb", "100%"]))
+    def test_csv_by_columns_equals_csv_by_rows(self, tmp_path_factory, floats, ints, lead):
+        n = min(len(floats), len(ints))
+        columns = [np.array(ints[:n], np.int64), floats[:n]]
+        blocks = [((lead,), columns), (("x", 2), columns[::-1])]
+        rows = [[*head, *row] for head, cols in blocks
+                for row in zip(*(c.tolist() for c in cols))]
+        templates = [(",".join(map(fmt, head)).replace("%", "%%") + ",%s,%s\n", cols)
+                     for head, cols in blocks]
+        by_columns = tmp_path_factory.getbasetemp() / "columns.csv"
+        by_rows = tmp_path_factory.getbasetemp() / "rows.csv"
+        write_columns(by_columns, "a,b,c,d\n", templates)
+        write_csv(by_rows, ["a", "b", "c", "d"], rows)
+        assert by_columns.read_bytes() == by_rows.read_bytes()
 
 
 # an id past Python's 4300-digit limit on reading an int, a plain ValueError

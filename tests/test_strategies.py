@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,11 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from gtx import strategies
 from gtx.aggregators import Method, aggregate
+from gtx.assessment import oracle_estimates
 from gtx.errors import ConfigError
+from gtx.io import write_event_log
 from gtx.model import LabelerEstimate, LabelRecord
 from gtx.simulation import SimConfig, SimLabeler, init_simulation
 from gtx.strategies import (
     BudgetLedger,
+    EventLog,
     LabelEvent,
     ThresholdConfig,
     run_confidence_threshold,
@@ -583,6 +588,119 @@ class TestClassNamesDoNotMatter:
         truth = run["dataset"].true_labels
         assert (_flip_fields(run, run_uncertainty_sampling, seed, truth)
                 == _flip_fields(run, run_uncertainty_sampling, seed, 1 - truth))
+
+
+def _assert_log_file(path, log, method):
+    """``write_event_log`` of ``log`` writes each event's json.dumps line."""
+    write_event_log(path, log, method)
+    want = "".join(json.dumps({"step": ev.step, "example_id": ev.example_id,
+                               "labeler_id": ev.labeler_id, "value": ev.value,
+                               "confidence": ev.confidence, "method": str(method)},
+                              sort_keys=True, separators=(",", ":")) + "\n" for ev in log)
+    assert path.read_text(encoding="utf-8") == want
+
+
+class TestEventLogFile:
+    @settings(max_examples=100, deadline=None)
+    @given(run=_threshold_runs())
+    def test_threshold_log_writes_one_json_line_per_event(self, tmp_path_factory, run):
+        seed = run.pop("seed")
+        out = run_confidence_threshold(**run, rng=np.random.default_rng(seed))
+        _assert_log_file(tmp_path_factory.getbasetemp() / "t.jsonl", out.event_log, run["method"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(run=_uncertainty_runs(), seed=st.integers(0, 2**32 - 1))
+    def test_uncertainty_log_writes_one_json_line_per_event(self, tmp_path_factory, run, seed):
+        run["record_events"] = True
+        out = run_uncertainty_sampling(**run, rng=np.random.default_rng(seed))
+        _assert_log_file(tmp_path_factory.getbasetemp() / "u.jsonl", out.event_log, run["method"])
+
+    def test_string_labeler_ids_are_json_strings(self, tmp_path):
+        labelers = [SimLabeler(i, 0.8) for i in ("b", 'q"uote', "a%s")]
+        out = run_uncertainty_sampling(make_dataset([0, 1, 1]), labelers, None, 7, Method.MV,
+                                       np.random.default_rng(0))
+        assert {ev.labeler_id for ev in out.event_log} == {"b", 'q"uote', "a%s"}
+        _assert_log_file(tmp_path / "s.jsonl", out.event_log, Method.MV)
+
+
+class TestEventLogContract:
+    """An ``EventLog`` behaves as the list of its ``LabelEvent``s."""
+
+    @pytest.fixture(scope="class")
+    def logs(self):
+        out = run_uncertainty_sampling(make_dataset([0, 1] * 6), make_labelers([0.7, 0.9, 0.6]),
+                                       make_estimates([0.7, 0.9, 0.6]), 20, Method.GTX,
+                                       np.random.default_rng(3))
+        return out.event_log, [LabelEvent(*ev) for ev in out.event_log]
+
+    def test_length_and_indexing(self, logs):
+        log, events = logs
+        assert isinstance(log, EventLog) and len(log) == len(events) == 20
+        assert log[0] == events[0] and log[-1] == events[-1] and log[19] == events[19]
+        assert [log[i] for i in range(-20, 20)] == events + events
+        for index in (20, -21):
+            with pytest.raises(IndexError):
+                log[index]
+        with pytest.raises(TypeError):
+            log["0"]
+
+    @pytest.mark.parametrize("cut", [slice(None), slice(2, 5), slice(-3, None),
+                                     slice(None, None, -2), slice(5, 2), slice(1, 100, 3)])
+    def test_slices_are_the_lists_slices(self, logs, cut):
+        log, events = logs
+        assert log[cut] == events[cut] and events[cut] == log[cut]
+        assert repr(log[cut]) == repr(events[cut])
+
+    def test_events_hold_python_numbers(self, logs):
+        log, _ = logs
+        for ev in (log[0], log[-1], *log):
+            assert type(ev) is LabelEvent
+            assert list(map(type, ev)) == [int, int, int, int, float]
+
+    def test_equality_and_repr_are_the_lists(self, logs):
+        log, events = logs
+        assert log == events and events == log and not log != events
+        assert log == tuple(events) and log == log[:]
+        assert log != events[:-1] and events[:-1] != log
+        changed = events[:3] + [events[3]._replace(confidence=0.25)] + events[4:]
+        assert log != changed and changed != log
+        assert log != 5 and log != "x"
+        assert repr(log) == repr(events)
+
+    def test_an_empty_log_equals_the_empty_list(self):
+        out = run_confidence_threshold(make_dataset([0, 1]), make_labelers([0.8] * 3), None,
+                                       ThresholdConfig(tau=None, kappa=3, fixed_count=1), 0,
+                                       Method.MV, np.random.default_rng(0))
+        assert out.event_log == [] and [] == out.event_log and not out.event_log
+        assert len(out.event_log) == 0 and list(out.event_log) == [] and repr(out.event_log) == "[]"
+
+
+def _held_bytes(engine, record):
+    """Bytes that a default-sized gtx run under ``engine`` still holds when
+    it returns, beside its outcome's label count."""
+    n = 15000 if engine is run_confidence_threshold else 5000
+    ds, labelers = init_simulation(SimConfig(n, 10, 0.6, 0.9), np.random.default_rng(1))
+    estimates = oracle_estimates(labelers)
+    args = (ThresholdConfig(tau=0.95, kappa=5),) if engine is run_confidence_threshold else ()
+    tracemalloc.start()
+    try:
+        out = engine(ds, labelers, estimates, *args, 15000, Method.GTX,
+                     np.random.default_rng(2), record_events=record)
+        return tracemalloc.get_traced_memory()[0], out.ledger.spent
+    finally:
+        tracemalloc.stop()
+
+
+class TestEventLogMemory:
+    @pytest.mark.parametrize("engine", [run_confidence_threshold, run_uncertainty_sampling],
+                             ids=["threshold", "uncertainty"])
+    def test_a_recorded_run_holds_at_most_48_bytes_per_event_more(self, engine):
+        # five numpy columns hold 40 bytes per event; a list of named
+        # tuples held about 160
+        without, spent = _held_bytes(engine, False)
+        held, spent_again = _held_bytes(engine, True)
+        assert spent == spent_again == 15000
+        assert held - without <= 48 * spent
 
 
 class TestReplayAgainstPublicApi:
