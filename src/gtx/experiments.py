@@ -397,9 +397,7 @@ def _write_exemplars(out_dir: Path, exemplars: dict, methods) -> None:
     truth = exemplars[methods[0]][1]
     write_aggregates_csv(out_dir / "aggregates.csv", outcomes, truth)
     for method, outcome in zip(methods, outcomes):
-        write_event_log(
-            out_dir / f"events_{method}.jsonl", outcome.event_log or [], method
-        )
+        write_event_log(out_dir / f"events_{method}.jsonl", outcome.event_log, method)
 
 
 def write_results(result, out_dir) -> None:

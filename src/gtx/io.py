@@ -10,9 +10,12 @@ Label-record files are JSON Lines; each line holds exactly
 schema plus a ``confidence`` field, and readers ignore the extra keys, so an
 event log is itself a valid label-record file.
 
-Event logs, label records, ``aggregates.csv`` and ``dynamics.csv`` are
-written by columns (``write_columns``), so an ``EventLog`` reaches its file
-without one Python object per event, each distinct float formatted once.
+One writer, ``write_columns``, writes event logs, label records and every
+CSV by columns, so an ``EventLog`` reaches its file without one Python object per
+event, each distinct float formatted once.  ``write_csv`` hands it the rows
+of ``summary.csv``, ``best_cells.csv`` and ``estimates.csv`` as columns:
+None is an empty cell, and a str holding a comma, a double quote or a line
+break is quoted as RFC 4180 says, so any CSV reader reads each row back.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ __all__ = [
     "DEFAULT_TAU_GRID",
     "ExperimentConfig",
     "config_from_dict",
-    "fmt",
     "load_config",
     "read_assessment_set",
     "read_label_records",
@@ -53,51 +55,40 @@ __all__ = [
 DEFAULT_TAU_GRID = (0.85, 0.87, 0.89, 0.91, 0.93, 0.95, 0.96, 0.97, 0.99)
 
 
-def fmt(value) -> str:
-    """Deterministic cell formatting: repr for floats, empty for None.
-
-    numpy scalars are coerced first so a cell never reads np.float64(...).
-    """
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    if isinstance(value, int):
-        return str(int(value))
-    return str(value)
-
-
 def write_json(path, payload) -> None:
     """Write one JSON object as a single sorted, compact line."""
     text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 
 
-# exact types whose ``%s`` form is their ``fmt`` form (str(float) is repr)
-_PLAIN_CELLS = frozenset({str, int, float})
-_CHUNK = 1024  # rows encoded per write
-
-
-def _csv_text(rows: list) -> str:
-    """The CSV lines of ``rows``, each ``",".join(fmt(v) for v in row)``.
-
-    When every row has the same width and every cell is exactly a str, int
-    or float, one ``%s`` template covers the whole chunk; otherwise (None,
-    bool, numpy scalars, ragged rows) each cell goes through ``fmt``."""
-    width = len(rows[0])
-    cells = tuple(itertools.chain.from_iterable(rows))
-    if set(map(len, rows)) == {width} and set(map(type, cells)) <= _PLAIN_CELLS:
-        return ((",".join(["%s"] * width) + "\n") * len(rows)) % cells
-    return "".join([",".join([fmt(v) for v in row]) + "\n" for row in rows])
+def _csv_cell(v):
+    """The value whose ``%s`` form is ``v``'s CSV cell: "" for None, and a
+    str holding ``,``, ``"``, ``\\r`` or ``\\n`` in double quotes, each ``"``
+    doubled (RFC 4180).  Any other value is kept, as ``%s`` already writes an
+    int by ``str`` and a float, numpy float64 too, by ``repr``."""
+    if v is None:
+        return ""
+    if isinstance(v, str) and any(c in v for c in ',"\r\n'):
+        return '"' + v.replace('"', '""') + '"'
+    return v
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
-    """Write rows of already-ordered values; floats via repr, None empty."""
-    rows = iter(rows)
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        while chunk := list(itertools.islice(rows, _CHUNK)):
-            fh.write(_csv_text(chunk))
+    """Write ``header`` and ``rows`` of already-ordered cells through the one
+    writer, ``write_columns``: None is an empty cell, a str holding a comma,
+    a double quote or a line break is quoted (RFC 4180), an int is written
+    by ``str`` and a float by ``repr``.  A row whose length is not the
+    header's, or an empty header, is a ``ConfigError``, raised before the
+    file is opened."""
+    width = len(header)
+    cells = [[_csv_cell(v) for v in row] for row in rows]
+    if not width or any(len(row) != width for row in cells):
+        raise ConfigError(f"{path}: each row must have one cell per header name ({width})")
+    table = np.array(cells, object).reshape(len(cells), width)
+    write_columns(path, ",".join(header) + "\n", [(",".join(["%s"] * width) + "\n", table.T)])
+
+
+_CHUNK = 1024  # rows encoded per write
 
 
 def _float_cells(column, form) -> np.ndarray:

@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -314,6 +316,67 @@ class TestAssessCommand:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "1 and '1'" in err
         assert not (out / "estimates.csv").exists()
+
+
+def _read_back(path):
+    """The rows ``csv.reader`` reads from ``path``, each of the header's width."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert {len(row) for row in rows} == {len(rows[0])}
+    return rows
+
+
+class TestEveryCsvReadsBack:
+    """``csv.reader`` reads back every row of every CSV that gtx writes."""
+
+    @pytest.mark.parametrize("budget", [0, 90])
+    @pytest.mark.parametrize("command", ["threshold", "uncertainty"])
+    def test_experiment_files(self, tmp_path, command, budget):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"strategy": command, "trials": 2, "budget": budget,
+                                   "n_examples": 30, "n_labelers": 5, "kappa": 3,
+                                   "tau_grid": [0.9], "fixed_counts": [2]}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        names = ["summary.csv", "aggregates.csv"]
+        names.append("best_cells.csv" if command == "threshold" else "dynamics.csv")
+        files = {name: _read_back(out / name) for name in names}
+        for name, rows in files.items():
+            text = (out / name).read_text(encoding="utf-8")
+            assert rows == [line.split(",") for line in text.splitlines()]
+            for row in rows[1:]:  # the rule's name (and a cell type), then numbers
+                assert row[0] in ("mv", "wmv", "sv", "gtx")
+                numbers = row[2 if name == "summary.csv" else 1:]
+                assert all(math.isfinite(float(cell)) for cell in numbers if cell)
+        summary = files["summary.csv"]
+        if not budget:  # no example labeled: the None cells of a trial mean read back empty
+            avg_k = summary[0].index("avg_k")
+            assert {row[avg_k] for row in summary[1:]} == {""}
+
+    @given(st.lists(st.text(st.characters(blacklist_categories=["Cs"]), max_size=5)
+                    | st.sampled_from(['a,b', 'c\nd', 'q"x', 'e\rf', '"', '']),
+                    min_size=1, max_size=4, unique=True),
+           st.lists(st.integers(0, 1), min_size=1, max_size=4))
+    @example(["a,b", "c\nd", 'q"x'], [1, 0])
+    @settings(deadline=None)
+    def test_assess_estimates(self, tmp_path_factory, ids, truth):
+        base = tmp_path_factory.getbasetemp()
+        write_label_records(base / "rb_truth.jsonl",
+                            [LabelRecord(i, "expert", v) for i, v in enumerate(truth)])
+        records = [LabelRecord(i, lab, (i + j) % 2) for j, lab in enumerate(ids)
+                   for i in range(len(truth))]
+        write_label_records(base / "rb_labels.jsonl", records)
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(["assess", "--labels", str(base / "rb_labels.jsonl"),
+                         "--truth", str(base / "rb_truth.jsonl"), "--out", str(base / "rb_out")])
+        assert code == 0
+        aset = gtx.AssessmentSet(tuple(range(len(truth))), tuple(truth))
+        estimates = [gtx.estimate_accuracy(lab, {r.example_id: r.value for r in records
+                                                 if r.labeler_id == lab}, aset)
+                     for lab in sorted(ids)]
+        assert _read_back(base / "rb_out" / "estimates.csv") == [
+            ["labeler_id", "n_assessed", "accuracy"],
+            *([e.labeler_id, str(e.n_assessed), repr(e.accuracy)] for e in estimates)]
 
 
 _MEMORY_CAP = 1 << 30  # address space of the capped CLI process, in bytes

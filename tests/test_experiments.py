@@ -446,3 +446,5 @@ class TestWriteResults:
         write_results(res, tmp_path)
         agg = (tmp_path / "aggregates.csv").read_text().splitlines()
         assert len(agg) == 1
+        for method in res.config.methods:  # each exemplar holds an empty EventLog
+            assert (tmp_path / f"events_{method}.jsonl").read_bytes() == b""

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -17,7 +18,6 @@ from gtx.io import (
     _float_cells,
     _value,
     config_from_dict,
-    fmt,
     load_config,
     read_assessment_set,
     read_label_records,
@@ -442,10 +442,10 @@ class TestColumnWriters:
     def test_csv_by_columns_equals_csv_by_rows(self, tmp_path_factory, floats, ints, lead):
         n = min(len(floats), len(ints))
         columns = [np.array(ints[:n], np.int64), floats[:n]]
-        blocks = [((lead,), columns), (("x", 2), columns[::-1])]
+        blocks = [((lead, 1), columns), (("x", 2), columns[::-1])]
         rows = [[*head, *row] for head, cols in blocks
                 for row in zip(*(c.tolist() for c in cols))]
-        templates = [(",".join(map(fmt, head)).replace("%", "%%") + ",%s,%s\n", cols)
+        templates = [(",".join(map(str, head)).replace("%", "%%") + ",%s,%s\n", cols)
                      for head, cols in blocks]
         by_columns = tmp_path_factory.getbasetemp() / "columns.csv"
         by_rows = tmp_path_factory.getbasetemp() / "rows.csv"
@@ -549,27 +549,39 @@ class TestAssessmentReader:
             read_assessment_set(p)
 
 
-_plain_cells = st.one_of(st.text(max_size=6), st.integers(), st.floats())
-_any_cells = st.one_of(
-    _plain_cells,
-    st.none(),
-    st.booleans(),
-    st.floats().map(np.float64),
+# the cells callers pass (st.floats() includes nan, +-inf and -0.0)
+_cells = st.one_of(
+    st.text(max_size=6),
+    st.text(',"\r\nab', max_size=4),
+    st.integers(),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    st.booleans().map(np.bool_),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.none(),
 )
+
+
+def _cell_text(v) -> str:
+    """One cell's CSV text: empty for None, ``str`` of an int, ``repr`` of a
+    float, and a str in double quotes, each ``"`` doubled, when it holds a
+    comma, a double quote or a line break."""
+    if v is None:
+        return ""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if any(c in v for c in ',"\r\n'):
+        return '"' + v.replace('"', '""') + '"'
+    return v
 
 
 @st.composite
 def _csv_rows(draw):
-    """A header and rows of cells (st.floats() includes nan, +-inf and -0.0):
-    a drawn block repeated past one write chunk, then a tail, so that plain
-    chunks, mixed chunks and ragged rows meet at a chunk boundary."""
-    cells = draw(st.sampled_from([_plain_cells, _any_cells]))
-    width = draw(st.integers(0, 4))
-    row = st.one_of(
-        st.lists(cells, min_size=width, max_size=width), st.lists(cells, max_size=5)
-    )
+    """A header and rows of its width: a drawn block repeated past one write
+    chunk, then a tail, so that rows meet at a chunk boundary."""
+    width = draw(st.integers(1, 4))
+    row = st.lists(_cells, min_size=width, max_size=width)
     block = draw(st.lists(row, min_size=1, max_size=4))
     copies = draw(st.sampled_from([1, _CHUNK // len(block) + 1]))
     tail = draw(st.lists(row, max_size=3))
@@ -587,21 +599,34 @@ class TestCsvWriter:
         write_csv(p, ["a", "b"], [])
         assert p.read_text() == "a,b\n"
 
-    def test_fmt_handles_numpy_scalars(self):
-        import numpy as np
+    def test_numpy_scalars_write_as_python_numbers(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, ["a", "b", "c"], [[np.float64(0.25), np.int64(3), None]])
+        assert p.read_text() == "a,b,c\n0.25,3,\n"
 
-        assert fmt(np.float64(0.25)) == "0.25"
-        assert fmt(np.int64(3)) == "3"
-        assert fmt(None) == ""
+    def test_ids_that_need_quoting_are_quoted(self, tmp_path):
+        p = tmp_path / "t.csv"
+        ids = ["a,b", 'q"x', "c\nd", "e\rf", "plain"]
+        write_csv(p, ["id", "n"], [[i, n] for n, i in enumerate(ids)])
+        assert p.read_bytes() == b'id,n\n"a,b",0\n"q""x",1\n"c\nd",2\n"e\rf",3\nplain,4\n'
+        with p.open(newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [["id", "n"], *([i, str(n)] for n, i in enumerate(ids))]
+
+    @pytest.mark.parametrize("header, rows", [(["a", "b"], [[1, 2], [3]]),
+                                              (["a"], [[1, 2]]), ([], [])])
+    def test_a_row_not_of_the_header_width_writes_nothing(self, tmp_path, header, rows):
+        p = tmp_path / "t.csv"
+        with pytest.raises(ConfigError, match="one cell per header name"):
+            write_csv(p, header, rows)
+        assert not p.exists()
 
     @given(_csv_rows())
-    @example((["x", "y"], [[0.1, 2]] * _CHUNK + [[None, True]]))
-    @example(([], [[]] * (_CHUNK + 1)))
-    def test_bytes_equal_per_cell_fmt(self, tmp_path_factory, csv_rows):
+    @example((["x", "y"], [[0.1, 2]] * _CHUNK + [[None, "a,b"]]))
+    def test_bytes_equal_per_cell_text(self, tmp_path_factory, csv_rows):
         header, rows = csv_rows
         p = tmp_path_factory.getbasetemp() / "cells.csv"
         write_csv(p, header, iter(rows))
         expected = ",".join(header) + "\n" + "".join(
-            ",".join(fmt(v) for v in row) + "\n" for row in rows
+            ",".join(map(_cell_text, row)) + "\n" for row in rows
         )
         assert p.read_bytes() == expected.encode("utf-8")
