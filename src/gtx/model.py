@@ -220,9 +220,9 @@ def increment_table(method: Method, labeler_ids, estimates) -> list:
     try:
         return [estimates[i].increments[code] for i in labeler_ids]
     except KeyError as exc:
-        raise DataError(
-            f"no accuracy estimate for labeler {exc.args[0]!r}"
-        ) from None
+        raise DataError(f"no accuracy estimate for labeler {exc.args[0]!r}") from None
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise DataError(f"estimates must map labeler ids to LabelerEstimates: {exc}") from None
 
 
 def accumulate(method: Method, labels: list, estimates) -> tuple[float, float]:

@@ -43,12 +43,15 @@ MAX_SIZE = np.iinfo(np.intp).max // 8
 
 @dataclass(frozen=True)
 class SimLabeler:
-    """A simulated labeler with a known true accuracy in [0, 1]."""
+    """A simulated labeler: a str or integer id, as label files hold, and a
+    known true accuracy in [0, 1]."""
 
-    labeler_id: int
+    labeler_id: int | str
     accuracy: float
 
     def __post_init__(self):
+        if not (isinstance(self.labeler_id, str) or is_int(self.labeler_id)):
+            raise DataError(f"labeler_id must be a string or an integer, got {self.labeler_id!r}")
         if not is_number(self.accuracy):
             raise ConfigError(f"true accuracy must be a number, got {self.accuracy!r}")
         if not 0.0 <= self.accuracy <= 1.0:

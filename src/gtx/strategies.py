@@ -28,17 +28,19 @@ floating point; SV stops on its winning share.
 Each label takes two uniform draws: selection indexes the ascending list of
 unused labeler ids, then correctness is compared against the labeler's true
 accuracy.  Label j of a run uses draws 2j and 2j + 1, whichever example it
-goes to.  Both engines take the draws in blocks.  The uncertainty engine
-runs its first pass, where example i takes label i, in numpy, and hands its
-later draws to the heap loop as Python floats a block at a time.  The
-threshold engine takes them for a window of start offsets at a time: it
-simulates in numpy the labels an example starting at each offset would
-take, one count for both truths (truth 1 swaps the sums), then chains the
-real example starts through the window and closes all examples with the
-kernel's array finalizer.  The
-one-label select and elicit oracles in ``tests/oracles.py`` are the spec
-both engines replay exactly, and the one-label-at-a-time threshold and
-uncertainty loops there are the references the engines equal bit for bit.
+goes to.  Both engines take the draws in blocks.  The uncertainty engine runs
+its first pass, where example i takes label i, in numpy, and hands its later
+draws to the heap loop as Python floats a block at a time.  The loop records
+each label's example, hard label and soft score, and the label counts and the
+error and MAE dynamics come from those columns after it.  The threshold engine
+takes its draws for a window of start offsets at a time: it simulates in
+numpy the labels an example starting at each offset would take, one count for
+both truths (truth 1 swaps the sums), then chains the real example starts
+through the window and closes all examples with the kernel's array
+finalizer.  The one-label select and elicit oracles in ``tests/oracles.py``
+are the spec both engines replay exactly, and the one-label-at-a-time
+threshold and uncertainty loops there are the references the engines equal
+bit for bit.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from typing import Hashable, Mapping, NamedTuple
 import numpy as np
 
 from .aggregators import Method
-from .errors import ConfigError, is_int, is_number
+from .errors import ConfigError, DataError, is_int, is_number
 from .model import increment_table, kernel
 from .simulation import SimDataset, SimLabeler
 
@@ -210,16 +212,24 @@ class CollectionOutcome:
         return len(self.labels)
 
 
-def _setup(labelers, estimates, budget, method):
-    """What both engines check and look up first: the rule and its kernel,
-    the budget, the pool's ids in ascending order, each pool position's
-    increment pairs and true accuracy, and ``tab[:, 2 * pos + right]``, the
-    pair of a vote from position pos that is right (1) or not (0) on an
-    example of truth 0, where a right vote is 0."""
+def _setup(dataset, labelers, estimates, budget, method, rng):
+    """What both engines check and look up first: the arguments' types, the
+    rule and its kernel, the budget, the pool's ids in ascending order, each
+    pool position's increment pairs and true accuracy, and ``tab[:, 2 * pos
+    + right]``, the pair of a vote from position pos that is right (1) or
+    not (0) on an example of truth 0, where a right vote is 0."""
     method = Method(method)
     budget = BudgetLedger(budget).total
+    if not isinstance(dataset, SimDataset):
+        raise DataError(f"dataset must be a SimDataset, got {type(dataset).__name__}")
+    if not callable(getattr(rng, "random", None)):
+        raise ConfigError(f"rng must be a numpy Generator, got {type(rng).__name__}")
+    if not isinstance(labelers, Sequence) or not all(isinstance(x, SimLabeler) for x in labelers):
+        raise ConfigError("labelers must be a sequence of SimLabelers")
     if not labelers:
         raise ConfigError("labeler pool is empty")
+    if len({isinstance(lab.labeler_id, str) for lab in labelers}) > 1:
+        raise ConfigError("labeler ids must be all strings or all integers")
     pool = sorted(labelers, key=lambda lab: lab.labeler_id)
     ids = [lab.labeler_id for lab in pool]
     if len(set(ids)) != len(ids):
@@ -333,7 +343,10 @@ def run_confidence_threshold(
     examples take kmax labels each, in numpy.  One call of the kernel's
     array finalizer closes the examples that start in a window.
     """
-    method, budget, ids, kern, _, acc, tab = _setup(labelers, estimates, budget, method)
+    method, budget, ids, kern, _, acc, tab = _setup(dataset, labelers, estimates, budget,
+                                                    method, rng)
+    if not isinstance(config, ThresholdConfig):
+        raise ConfigError(f"config must be a ThresholdConfig, got {type(config).__name__}")
     if config.kappa > len(ids):
         raise ConfigError(f"kappa ({config.kappa}) exceeds pool size ({len(ids)})")
     kmax, reached = config.fixed_count, None
@@ -455,15 +468,15 @@ def run_uncertainty_sampling(
     listed when the heap first picks it.  The draws are taken a block at a
     time; a stream that ends before the run does is a ``ConfigError``.
 
-    The outcome's ``dynamics`` are the dataset-wide error rate and MAE
-    after every label, starting at the label that completes full coverage,
-    as ``(steps, errors, maes)`` arrays; all three are empty when the first
-    pass does not cover the dataset.
+    The loop appends only each label's example, hard label and soft score
+    (and, with ``record_events``, its other event fields).  After it,
+    ``labels_per_example`` counts the example column, and ``dynamics``, the
+    error rate and MAE over the dataset after each label from full coverage
+    on, as ``(steps, errors, maes)`` (empty without it), are running sums.
     """
-    method, budget, ids, kern, inc, acc, tab = _setup(labelers, estimates, budget, method)
-    L = len(ids)
-    truth = dataset.true_labels
-    n = dataset.n_examples
+    method, budget, ids, kern, inc, acc, tab = _setup(dataset, labelers, estimates, budget,
+                                                      method, rng)
+    L, truth, n = len(ids), dataset.true_labels, dataset.n_examples
     total = min(budget, n * L)
     c = min(budget, n)  # the examples covered by the first pass
 
@@ -475,27 +488,12 @@ def run_uncertainty_sampling(
     # 0.0 + d, as a sum starting at 0.0 adds its first increment
     s0, s1 = 0.0 + tab[:, 2 * pos + 1 - v]
     first = kern.finalize_array(s0, s1)
-    later = ex_log, pos_log, value_log, conf_log = [], [], [], []  # the heap loop's events
-
-    errors, maes = [], []  # after each label from full coverage on
-    track = 0 < c == n
-    if track:
-        miss = first[0] != truth
-        dev = np.abs(truth - first[2])
-        err_sum = int(np.count_nonzero(miss))
-        mae_sum = float(np.add.accumulate(dev)[-1])  # left to right, as a loop adds
-        errors.append(err_sum / n)
-        maes.append(mae_sum / n)
-        miss, dev = miss.tolist(), dev.tolist()
-
-    ks, closed = np.ones(c, np.int64), first
+    # the heap loop's columns; positions, values and confidences only with record_events
+    ex_log, lab_log, soft_log, pos_log, value_log, conf_log = [], [], [], [], [], []
     if c < total:  # then every example is covered and has unused labelers
         finalize = kern.finalize
-        acc = acc.tolist()
-        ys = truth.tolist()
-        firsts = pos.tolist()
+        acc, ys, firsts = acc.tolist(), truth.tolist(), pos.tolist()
         unused = [None] * n
-        kcount = [1] * n
         s0, s1 = s0.tolist(), s1.tolist()
         heappop, heappushpop = heapq.heappop, heapq.heappushpop
         heap = list(zip((-(1.0 - first[1])).tolist(), range(n)))
@@ -514,37 +512,49 @@ def run_uncertainty_sampling(
             p = un.pop(int(r0 * len(un)))
             yi = ys[i]
             w = yi if r1 < acc[p] else 1 - yi
-            kcount[i] += 1
             d0, d1 = inc[p][w]
             a0 = s0[i] = s0[i] + d0
             a1 = s1[i] = s1[i] + d1
             lab, conf, soft = finalize(a0, a1)
+            ex_log.append(i)
+            lab_log.append(lab)
+            soft_log.append(soft)
             if record_events:
-                ex_log.append(i)
                 pos_log.append(p)
                 value_log.append(w)
                 conf_log.append(conf)
-            if track:
-                wrong = lab != yi
-                err_sum += wrong - miss[i]
-                miss[i] = wrong
-                d = abs(yi - soft)
-                mae_sum += d - dev[i]
-                dev[i] = d
-                errors.append(err_sum / n)
-                maes.append(mae_sum / n)
             if un:
                 entry = heappushpop(heap, (-(1.0 - conf), i))
             elif heap:
                 entry = heappop(heap)
-        ks = np.array(kcount, dtype=np.int64)
-        closed = kern.finalize_array(np.array(s0), np.array(s1))
 
-    log = None
-    if record_events:  # label j of the run is step j + 1
-        log = EventLog(np.arange(1, total + 1), *(
-            np.concatenate((a, np.array(b, a.dtype)))
-            for a, b in zip((np.arange(c), pos, v, first[1]), later)), ids)
-    dynamics = np.arange(n, n + len(errors)), np.array(errors), np.array(maes)
-    return CollectionOutcome(method, BudgetLedger(budget, total), *closed, ks,
-                             event_log=log, dynamics=dynamics)
+    # each column: the first pass's, then the heap loop's
+    ex, pos, v, lab, conf, soft = (np.concatenate((a, np.array(b, a.dtype))) for a, b in zip(
+        (np.arange(c), pos, v, *first), (ex_log, pos_log, value_log, lab_log, conf_log, soft_log)))
+    # label j of the run is step j + 1
+    log = EventLog(np.arange(1, total + 1), ex, pos, v, conf, ids) if record_events else None
+    closed = kern.finalize_array(np.array(s0), np.array(s1))  # each example's last aggregate
+    return CollectionOutcome(method, BudgetLedger(budget, total), *closed,
+                             np.bincount(ex, minlength=c), event_log=log,
+                             dynamics=_dynamics(truth, ex, lab, soft))
+
+
+def _dynamics(truth, ex, labels, softs):
+    """The ``(steps, errors, maes)`` of a run whose label j left example
+    ``ex[j]`` at ``labels[j]`` and ``softs[j]``, from full coverage on: the
+    running sums of each label's change to the error count and to the MAE
+    sum.  A label replaces its example's last earlier one, and a first-pass
+    label replaces nothing."""
+    n = len(truth)
+    # each label's miss (as int64) and deviation, then the state before any label
+    miss = np.append(labels != truth[ex], 0)
+    dev = np.append(np.abs(truth[ex] - softs), 0.0)
+    order = np.argsort(ex, kind="stable")  # each example's labels in run order
+    prev = np.empty_like(order)
+    prev[order[1:]] = order[:-1]
+    prev[:n] = -1  # first-pass labels
+    # np.add.accumulate adds left to right, as a running sum does; [n - 1:]
+    # starts at the label that completes full coverage, and is empty without it
+    errors = np.cumsum(miss[:-1] - miss[prev])[n - 1:] / n
+    maes = np.add.accumulate(dev[:-1] - dev[prev])[n - 1:] / n
+    return np.arange(n, n + len(errors)), errors, maes

@@ -169,11 +169,18 @@ def test_any_bad_scalar_raises_only_gtx_errors(case, bad):
 # first argument the tests below replace (the path of write_label_records
 # is not an argument they check)
 _RECORDS = [gtx.LabelRecord(0, "a", 1)]
+# an engine run: dataset, pool, estimates, (config,) budget, method, rng
+_POOL = [gtx.SimLabeler(0, 0.8), gtx.SimLabeler(1, 0.7)]
+_RUN = (gtx.SimDataset(np.array([0, 1, 1])), _POOL,
+        {lab.labeler_id: gtx.LabelerEstimate(lab.labeler_id, lab.accuracy) for lab in _POOL})
+_RNG = np.random.default_rng(0)
 VALID_CALLS = {
     "aggregate": (("gtx", _RECORDS, {"a": gtx.LabelerEstimate("a", 0.8)},
                    gtx.ClassPrior(0.3, 0.7)), 0),
     "estimate_accuracy": (("a", {0: 1}, gtx.AssessmentSet((0,), (1,))), 0),
     "log_odds": ((0.9,), 0),
+    "run_confidence_threshold": ((*_RUN, gtx.ThresholdConfig(0.9, 2), 4, "gtx", _RNG), 0),
+    "run_uncertainty_sampling": ((*_RUN, 4, "gtx", _RNG), 0),
     "write_label_records": ((os.devnull, _RECORDS, [1]), 1),
 }
 FUNCTION_CASES = [(name, args, i) for name, (args, first) in VALID_CALLS.items()
@@ -218,6 +225,16 @@ def test_any_bad_value_to_a_function_raises_only_gtx_errors(case, bad):
     (lambda: gtx.estimate_accuracy("w", None, gtx.AssessmentSet((0,), (1,))), DataError),
     (lambda: gtx.estimate_accuracy("w", {0: 1}, "x"), DataError),
     (lambda: gtx.write_label_records(os.devnull, [1]), DataError),
+    (lambda: gtx.run_uncertainty_sampling(None, *_RUN[1:], 4, "gtx", _RNG), DataError),
+    (lambda: gtx.run_uncertainty_sampling(*_RUN, 4, "gtx", None), ConfigError),
+    (lambda: gtx.run_confidence_threshold(*_RUN, None, 4, "gtx", _RNG), ConfigError),
+    (lambda: gtx.run_uncertainty_sampling(_RUN[0], True, _RUN[2], 4, "gtx", _RNG),
+     ConfigError),
+    (lambda: gtx.run_uncertainty_sampling(_RUN[0], np.array(_POOL), _RUN[2], 4, "gtx", _RNG),
+     ConfigError),
+    *[(lambda e=e: gtx.run_confidence_threshold(*_RUN[:2], e, gtx.ThresholdConfig(0.9, 2), 4,
+                                                "gtx", _RNG), DataError)
+      for e in ("x", [1], 3)],
 ])
 def test_former_leaks_raise_the_contract_types(make, error):
     with pytest.raises(error):

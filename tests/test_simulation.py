@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gtx.errors import ConfigError
+from gtx.errors import ConfigError, DataError
 from gtx.simulation import (
     MAX_SIZE,
     SimConfig,
@@ -61,6 +61,15 @@ class TestSimLabeler:
     def test_bad_accuracy_is_a_one_line_value_error(self, accuracy, message):
         with pytest.raises(ValueError, match=f"^true accuracy {message}"):
             SimLabeler(0, accuracy)
+
+    @pytest.mark.parametrize("labeler_id", [None, [1], (1,), True, 1.0, b"a", {}])
+    def test_id_that_is_not_a_str_or_integer_is_a_data_error(self, labeler_id):
+        with pytest.raises(DataError, match="^labeler_id must be a string or an integer, got "):
+            SimLabeler(labeler_id, 0.8)
+
+    @pytest.mark.parametrize("labeler_id", ["a", "", 0, -3, np.int64(7), 10**30])
+    def test_str_and_integer_ids_are_kept(self, labeler_id):
+        assert SimLabeler(labeler_id, 0.8).labeler_id is labeler_id
 
 
 class TestSimDataset:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -358,6 +359,26 @@ class TestThresholdValidation:
             )
 
 
+@pytest.mark.parametrize("engine", [run_confidence_threshold, run_uncertainty_sampling])
+class TestPoolIds:
+    """Pool ids are all strs or all integers, as a label file's are, so they sort."""
+
+    def _run(self, engine, ids):
+        config = (ThresholdConfig(tau=0.9, kappa=2),) if engine is run_confidence_threshold else ()
+        return engine(make_dataset([1, 0]), [SimLabeler(i, 0.8) for i in ids],
+                      {i: LabelerEstimate(i, 0.8) for i in ids}, *config, 4, Method.GTX,
+                      np.random.default_rng(0))
+
+    @pytest.mark.parametrize("ids", [[0, "a"], ["b", 1, "a"], [np.int64(2), "2"]])
+    def test_a_pool_of_strs_and_integers_is_a_config_error(self, engine, ids):
+        with pytest.raises(ConfigError, match="^labeler ids must be all strings or all integers$"):
+            self._run(engine, ids)
+
+    @pytest.mark.parametrize("ids", [["b", "a"], [3, np.int64(1)]])
+    def test_a_pool_of_one_id_type_runs(self, engine, ids):
+        assert {ev.labeler_id for ev in self._run(engine, ids).event_log} <= set(ids)
+
+
 def _run_engine(kind, budget):
     ds = make_dataset([1, 0, 1])
     labelers = make_labelers([0.8, 0.8])
@@ -562,6 +583,31 @@ class TestUncertaintyAgainstOracle:
         for ev in got.event_log or ():
             assert type(ev) is LabelEvent
             assert ev == (ev.step, ev.example_id, ev.labeler_id, ev.value, ev.confidence)
+
+
+class TestUncertaintyAgainstOracleAtScale:
+    """Heap loops longer than a draw block (``_HEAP_BLOCK`` labels), which
+    the property's runs never reach: one stopped by its budget and one whose
+    pools all run dry, under every rule, with and without events."""
+
+    N, ACCS = 2100, [0.55, 0.65, 0.7, 0.8, 0.9, 0.97]  # 12,600 labels at most
+
+    @pytest.mark.parametrize("record_events", [True, False])
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("budget", [12_000, 13_000])
+    def test_engine_equals_one_label_heap_loop(self, budget, method, record_events):
+        assert budget - self.N > strategies._HEAP_BLOCK
+        run = dict(dataset=make_dataset(np.random.default_rng(5).integers(0, 2, self.N)),
+                   labelers=make_labelers(self.ACCS),
+                   estimates=make_estimates([0.6, 0.6, 0.75, 0.85, 0.85, 0.95]),
+                   budget=budget, method=method, record_events=record_events)
+        want = uncertainty_sampling(**run, rng=np.random.default_rng(budget))
+        got = run_uncertainty_sampling(**run, rng=np.random.default_rng(budget))
+        assert got.ledger.spent == min(budget, self.N * len(self.ACCS))
+        g, w = repr(_uncertainty_fields(got)), repr(_uncertainty_fields(want))
+        # lengths, not the strings: pytest's diff of two long reprs takes minutes
+        at = len(os.path.commonprefix((g, w)))
+        assert at == len(g) == len(w), f"{g[at - 30:at + 30]!r} (engine), {w[at - 30:at + 30]!r}"
 
 
 def _flip_fields(run, engine, seed, truth):
