@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DataError
 from .model import LabelerEstimate, as_label
+from .simulation import check_pool, check_rng
 
 __all__ = [
     "AssessmentSet",
@@ -95,17 +96,17 @@ def estimate_accuracy(
 def run_assessment(labelers, assessment: AssessmentSet, rng) -> dict:
     """Simulate every labeler answering every assessment item, then estimate.
 
-    ``labelers`` is an iterable of objects with ``labeler_id`` and true
-    ``accuracy`` attributes (see :class:`gtx.simulation.SimLabeler`).  Draw
+    ``labelers`` is a sequence of :class:`gtx.simulation.SimLabeler`.  Draw
     order: one uniform per (labeler, item), labelers in the given order,
     items in assessment order, taken as one row-major block.  A response is
     right when its draw is below the labeler's accuracy, so each estimate is
     the share of its labeler's draws below its accuracy, whatever the items'
     labels.
     """
+    check_pool(labelers)
     if not isinstance(assessment, AssessmentSet):
         raise DataError(f"assessment must be an AssessmentSet, got {type(assessment).__name__}")
-    labelers = list(labelers)
+    check_rng(rng)
     size = len(assessment)
     acc = np.array([lab.accuracy for lab in labelers], dtype=float)
     right = np.count_nonzero(rng.random((len(labelers), size)) < acc[:, None], axis=1)
@@ -115,6 +116,7 @@ def run_assessment(labelers, assessment: AssessmentSet, rng) -> dict:
 
 def oracle_estimates(labelers) -> dict:
     """Bypass assessment: use each labeler's true accuracy (still clamped)."""
+    check_pool(labelers)
     return {
         labeler.labeler_id: LabelerEstimate(
             labeler_id=labeler.labeler_id, accuracy=labeler.accuracy

@@ -25,14 +25,14 @@ import itertools
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .aggregators import Method
 from .assessment import oracle_estimates, run_assessment
-from .errors import GtxError
+from .errors import ConfigError, GtxError
 from .io import (
     ExperimentConfig,
     tau_code,
@@ -347,37 +347,27 @@ _SUMMARY_HEADER = [
     "best",
 ]
 
-_BEST_HEADER = [
-    "method",
-    "avg_k",
-    "best_tau",
-    "n_labeled",
-    "error_rate",
-    "mae",
-    "avg_k_se",
-    "n_labeled_se",
-    "error_rate_se",
-    "mae_se",
-    "trials",
-]
+# best_cells.csv column -> the summary.csv column it copies
+_BEST_COLUMNS = {
+    "method": "method",
+    "avg_k": "avg_k",
+    "best_tau": "cell",
+    "n_labeled": "n_labeled",
+    "error_rate": "error_rate",
+    "mae": "mae",
+    "avg_k_se": "avg_k_se",
+    "n_labeled_se": "n_labeled_se",
+    "error_rate_se": "error_rate_se",
+    "mae_se": "mae_se",
+    "trials": "trials",
+}
+_BEST_SOURCES = [_SUMMARY_HEADER.index(c) for c in _BEST_COLUMNS.values()]
 
 
 def _summary_row(cell_type, cell_value, s: TrialSummary, best: bool):
-    return [
-        str(s.method),
-        cell_type,
-        cell_value,
-        s.trials,
-        s.avg_k_mean,
-        s.avg_k_se,
-        s.n_labeled_mean,
-        s.n_labeled_se,
-        s.error_rate_mean,
-        s.error_rate_se,
-        s.mae_mean,
-        s.mae_se,
-        int(best),
-    ]
+    """A summary.csv row: TrialSummary's fields after the method are the
+    columns between the cell and ``best``."""
+    return [str(s.method), cell_type, cell_value, *astuple(s)[1:], int(best)]
 
 
 def _write_run_json(out_dir: Path, result) -> None:
@@ -410,54 +400,32 @@ def write_results(result, out_dir) -> None:
     the same exemplar files, and run.json.  Every file is byte-deterministic
     for a given config and seed; worker count is deliberately not recorded.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if isinstance(result, SweepResult):
         best_idx = set(result.best.values())
-        write_csv(
-            out_dir / "summary.csv",
-            _SUMMARY_HEADER,
-            (
-                _summary_row(c.kind, c.value, s, i in best_idx)
-                for i, (c, s) in enumerate(zip(result.cells, result.summaries))
-            ),
-        )
-
-        def best_rows():
-            for method in result.config.methods:
-                i = result.best[method]
-                c, s = result.cells[i], result.summaries[i]
-                yield [
-                    str(method),
-                    s.avg_k_mean,
-                    c.value,
-                    s.n_labeled_mean,
-                    s.error_rate_mean,
-                    s.mae_mean,
-                    s.avg_k_se,
-                    s.n_labeled_se,
-                    s.error_rate_se,
-                    s.mae_se,
-                    s.trials,
-                ]
-
-        write_csv(out_dir / "best_cells.csv", _BEST_HEADER, best_rows())
+        rows = [
+            _summary_row(c.kind, c.value, s, i in best_idx)
+            for i, (c, s) in enumerate(zip(result.cells, result.summaries))
+        ]
     elif isinstance(result, UncertaintyResult):
+        rows = [
+            _summary_row("budget", result.config.budget, result.summaries[m], False)
+            for m in result.config.methods
+        ]
+    else:
+        raise ConfigError(f"cannot write results of type {type(result).__name__}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_csv(out_dir / "summary.csv", _SUMMARY_HEADER, rows)
+    if isinstance(result, SweepResult):
         write_csv(
-            out_dir / "summary.csv",
-            _SUMMARY_HEADER,
-            (
-                _summary_row("budget", result.config.budget, result.summaries[m], False)
-                for m in result.config.methods
-            ),
+            out_dir / "best_cells.csv",
+            list(_BEST_COLUMNS),
+            ([rows[result.best[m]][j] for j in _BEST_SOURCES] for m in result.config.methods),
         )
-
+    else:
         write_columns(
             out_dir / "dynamics.csv", "method,labels,error_rate,error_rate_se,mae,mae_se\n",
             ((str(m) + ",%s" * 5 + "\n", result.curves[m]) for m in result.config.methods),
         )
-    else:
-        raise TypeError(f"cannot write results of type {type(result).__name__}")
     _write_exemplars(out_dir, result.exemplars, result.config.methods)
     _write_run_json(out_dir, result)

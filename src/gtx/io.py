@@ -263,25 +263,21 @@ def write_event_log(path, events: Sequence[LabelEvent], method=None) -> None:
     write_columns(path, "", [(template, columns)], _value)
 
 
-def write_aggregates_csv(path, outcomes, true_labels=None) -> None:
-    """Per-example final aggregates, one block per (method, example).
+def write_aggregates_csv(path, outcomes, true_labels) -> None:
+    """Per-example final aggregates and true labels, one block per (method,
+    example).
 
     ``outcomes`` is a list of CollectionOutcome; rows are ordered by the
-    listing order then example id.  ``true_labels`` adds a true_label column
-    when available (simulated runs).
+    listing order then example id.
     """
-    header = ["method", "example_id", "n_labels", "label", "confidence", "soft_p1"]
-    if true_labels is not None:
-        header.append("true_label")
-
     def block(out):
         n = out.n_labeled
-        columns = [np.arange(n), out.labels_per_example, out.labels, out.confidences, out.soft_p1s]
-        if true_labels is not None:
-            columns.append(np.asarray(true_labels[:n], np.int64))
+        columns = [np.arange(n), out.labels_per_example, out.labels, out.confidences,
+                   out.soft_p1s, np.asarray(true_labels[:n], np.int64)]
         return str(out.method) + ",%s" * len(columns) + "\n", columns
 
-    write_columns(path, ",".join(header) + "\n", map(block, outcomes))
+    write_columns(path, "method,example_id,n_labels,label,confidence,soft_p1,true_label\n",
+                  map(block, outcomes))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 
 from .aggregators import Method
 from .errors import ConfigError, DataError
+from .simulation import as_true_labels
 from .strategies import CollectionOutcome
 
 __all__ = [
@@ -33,8 +34,11 @@ __all__ = [
 
 
 def _truth(outcome: CollectionOutcome, true_labels) -> np.ndarray:
-    """The true labels of the labeled examples 0..n_labeled-1."""
-    truth = np.asarray(true_labels)
+    """The true labels of the labeled examples 0..n_labeled-1, once both
+    arguments are checked."""
+    if not isinstance(outcome, CollectionOutcome):
+        raise DataError(f"outcome must be a CollectionOutcome, got {type(outcome).__name__}")
+    truth = as_true_labels(true_labels)
     if len(truth) < outcome.n_labeled:
         raise DataError(
             f"true_labels holds {len(truth)} labels; the outcome labeled "
@@ -43,27 +47,30 @@ def _truth(outcome: CollectionOutcome, true_labels) -> np.ndarray:
     return truth[:outcome.n_labeled]
 
 
+def _error_rate(outcome: CollectionOutcome, truth: np.ndarray) -> float | None:
+    n = outcome.n_labeled
+    return int(np.count_nonzero(outcome.labels != truth)) / n if n else None
+
+
+def _mae(outcome: CollectionOutcome, truth: np.ndarray) -> float | None:
+    n = outcome.n_labeled
+    # accumulate adds left to right, as a loop does; np.sum adds pairwise
+    return float(np.add.accumulate(np.abs(truth - outcome.soft_p1s))[-1]) / n if n else None
+
+
 def error_rate(outcome: CollectionOutcome, true_labels) -> float | None:
     """Fraction of labeled examples whose hard label is wrong.
 
-    ``true_labels`` is indexed by example id (an array or a sequence) and
-    must cover every labeled example.  Returns None when no example was
-    labeled.
+    ``true_labels`` is indexed by example id (an array or a sequence of 0s
+    and 1s) and must cover every labeled example.  Returns None when no
+    example was labeled.
     """
-    n = outcome.n_labeled
-    if n == 0:
-        return None
-    return int(np.count_nonzero(outcome.labels != _truth(outcome, true_labels))) / n
+    return _error_rate(outcome, _truth(outcome, true_labels))
 
 
 def mean_absolute_error(outcome: CollectionOutcome, true_labels) -> float | None:
     """Mean |true label - soft class-1 score| over labeled examples."""
-    n = outcome.n_labeled
-    if n == 0:
-        return None
-    # accumulate adds left to right, as a loop does; np.sum adds pairwise
-    gaps = np.abs(_truth(outcome, true_labels) - outcome.soft_p1s)
-    return float(np.add.accumulate(gaps)[-1]) / n
+    return _mae(outcome, _truth(outcome, true_labels))
 
 
 @dataclass(frozen=True)
@@ -80,6 +87,7 @@ class TrialReport:
 
 def trial_report(outcome: CollectionOutcome, true_labels) -> TrialReport:
     """Evaluate one outcome.  avg_k is spent labels per labeled example."""
+    truth = _truth(outcome, true_labels)
     n = outcome.n_labeled
     spent = outcome.ledger.spent
     return TrialReport(
@@ -87,8 +95,8 @@ def trial_report(outcome: CollectionOutcome, true_labels) -> TrialReport:
         n_labeled=n,
         spent=spent,
         avg_k=(spent / n) if n > 0 else None,
-        error_rate=error_rate(outcome, true_labels),
-        mae=mean_absolute_error(outcome, true_labels),
+        error_rate=_error_rate(outcome, truth),
+        mae=_mae(outcome, truth),
     )
 
 
@@ -141,9 +149,11 @@ class TrialSummary:
 def summarize(reports: Sequence[TrialReport]) -> TrialSummary:
     """Collapse repeated trials of one sweep cell into means and SEs.
 
-    Every report must be of one method; mixing methods would average
-    apples and oranges, so it is a ConfigError.
+    ``reports`` is a sequence of TrialReports, all of one method; mixing
+    methods would average apples and oranges, so it is a ConfigError.
     """
+    if not isinstance(reports, Sequence) or not all(isinstance(r, TrialReport) for r in reports):
+        raise DataError("reports must be a sequence of TrialReports")
     if not reports:
         raise ConfigError("cannot summarize zero trial reports")
     method = reports[0].method

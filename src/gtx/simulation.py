@@ -22,11 +22,11 @@ environment (see gtx.experiments).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assessment import AssessmentSet
 from .errors import ConfigError, DataError, is_int, is_number
 
 __all__ = [
@@ -58,6 +58,33 @@ class SimLabeler:
             raise ConfigError(f"true accuracy must be in [0, 1], got {self.accuracy}")
 
 
+def check_pool(labelers) -> None:
+    """The type rule of a labeler pool: a sequence of SimLabelers."""
+    if not isinstance(labelers, Sequence) or not all(isinstance(x, SimLabeler) for x in labelers):
+        raise ConfigError("labelers must be a sequence of SimLabelers")
+
+
+def check_rng(rng) -> None:
+    """The type rule of a draw source: anything with a Generator's ``random``."""
+    if not callable(getattr(rng, "random", None)):
+        raise ConfigError(f"rng must be a numpy Generator, got {type(rng).__name__}")
+
+
+def as_true_labels(values) -> np.ndarray:
+    """The rule of true labels: one-dimensional, each 0 or 1; returned as int8."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise DataError("true_labels must be one-dimensional") from None
+    if arr.ndim != 1:
+        raise DataError("true_labels must be one-dimensional")
+    # checked before the cast, which would turn 0.7 into 0
+    bad = (arr != 0) & (arr != 1)
+    if bad.any():
+        raise DataError("true labels must be 0 or 1")
+    return arr.astype(np.int8, copy=False)
+
+
 @dataclass(frozen=True)
 class SimDataset:
     """True labels for examples 0..n-1.  Example ids are array indices."""
@@ -65,17 +92,7 @@ class SimDataset:
     true_labels: np.ndarray
 
     def __post_init__(self):
-        try:
-            arr = np.asarray(self.true_labels)
-        except ValueError:  # ragged nesting
-            raise DataError("true_labels must be one-dimensional") from None
-        if arr.ndim != 1:
-            raise DataError("true_labels must be one-dimensional")
-        # checked before the cast, which would turn 0.7 into 0
-        bad = (arr != 0) & (arr != 1)
-        if bad.any():
-            raise DataError("true labels must be 0 or 1")
-        object.__setattr__(self, "true_labels", arr.astype(np.int8, copy=False))
+        object.__setattr__(self, "true_labels", as_true_labels(self.true_labels))
 
     @property
     def n_examples(self) -> int:
@@ -116,6 +133,9 @@ class SimConfig:
 
 def init_simulation(config: SimConfig, rng) -> tuple[SimDataset, list[SimLabeler]]:
     """Draw a dataset and a labeler pool (draw-order steps 1 and 2)."""
+    if not isinstance(config, SimConfig):
+        raise ConfigError(f"config must be a SimConfig, got {type(config).__name__}")
+    check_rng(rng)
     labels = (rng.random(config.n_examples) < 0.5).astype(np.int8)
     span = config.accuracy_high - config.accuracy_low
     accs = config.accuracy_low + rng.random(config.n_labelers) * span
@@ -125,7 +145,10 @@ def init_simulation(config: SimConfig, rng) -> tuple[SimDataset, list[SimLabeler
 
 def draw_assessment(size: int, rng) -> AssessmentSet:
     """Draw ``size`` assessment items with uniformly random true labels."""
+    from .assessment import AssessmentSet  # assessment imports the pool rule from here
+
     if not is_int(size) or not 1 <= size <= MAX_SIZE:
         raise ConfigError(f"assessment size must be an integer in 1..{MAX_SIZE}, got {size!r}")
+    check_rng(rng)
     labels = tuple(int(v) for v in (rng.random(size) < 0.5))
     return AssessmentSet(example_ids=tuple(range(size)), true_labels=labels)

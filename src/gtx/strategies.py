@@ -57,7 +57,7 @@ import numpy as np
 from .aggregators import Method
 from .errors import ConfigError, DataError, is_int, is_number
 from .model import increment_table, kernel
-from .simulation import SimDataset, SimLabeler
+from .simulation import SimDataset, SimLabeler, check_pool, check_rng
 
 __all__ = [
     "BudgetLedger",
@@ -222,10 +222,8 @@ def _setup(dataset, labelers, estimates, budget, method, rng):
     budget = BudgetLedger(budget).total
     if not isinstance(dataset, SimDataset):
         raise DataError(f"dataset must be a SimDataset, got {type(dataset).__name__}")
-    if not callable(getattr(rng, "random", None)):
-        raise ConfigError(f"rng must be a numpy Generator, got {type(rng).__name__}")
-    if not isinstance(labelers, Sequence) or not all(isinstance(x, SimLabeler) for x in labelers):
-        raise ConfigError("labelers must be a sequence of SimLabelers")
+    check_rng(rng)
+    check_pool(labelers)
     if not labelers:
         raise ConfigError("labeler pool is empty")
     if len({isinstance(lab.labeler_id, str) for lab in labelers}) > 1:

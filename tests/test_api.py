@@ -167,20 +167,34 @@ def test_any_bad_scalar_raises_only_gtx_errors(case, bad):
 
 # arguments each checked public function accepts, and the index of the
 # first argument the tests below replace (the path of write_label_records
-# is not an argument they check)
+# is not an argument they check, nor draw_assessment's size, a count of
+# draws that tests/test_simulation.py holds)
 _RECORDS = [gtx.LabelRecord(0, "a", 1)]
 # an engine run: dataset, pool, estimates, (config,) budget, method, rng
 _POOL = [gtx.SimLabeler(0, 0.8), gtx.SimLabeler(1, 0.7)]
 _RUN = (gtx.SimDataset(np.array([0, 1, 1])), _POOL,
         {lab.labeler_id: gtx.LabelerEstimate(lab.labeler_id, lab.accuracy) for lab in _POOL})
 _RNG = np.random.default_rng(0)
+_ASSESSMENT = gtx.AssessmentSet((0, 1), (1, 0))
+# a scored run: an outcome and its truth, and its report
+_SCORED = (gtx.run_uncertainty_sampling(*_RUN, 4, "gtx", np.random.default_rng(1)),
+           _RUN[0].true_labels)
+_REPORT = gtx.trial_report(*_SCORED)
 VALID_CALLS = {
     "aggregate": (("gtx", _RECORDS, {"a": gtx.LabelerEstimate("a", 0.8)},
                    gtx.ClassPrior(0.3, 0.7)), 0),
+    "draw_assessment": ((3, _RNG), 1),
+    "error_rate": (_SCORED, 0),
     "estimate_accuracy": (("a", {0: 1}, gtx.AssessmentSet((0,), (1,))), 0),
+    "init_simulation": ((gtx.SimConfig(10, 3, 0.6, 0.9), _RNG), 0),
     "log_odds": ((0.9,), 0),
+    "mean_absolute_error": (_SCORED, 0),
+    "oracle_estimates": ((_POOL,), 0),
+    "run_assessment": ((_POOL, _ASSESSMENT, _RNG), 0),
     "run_confidence_threshold": ((*_RUN, gtx.ThresholdConfig(0.9, 2), 4, "gtx", _RNG), 0),
     "run_uncertainty_sampling": ((*_RUN, 4, "gtx", _RNG), 0),
+    "summarize": (([_REPORT, _REPORT],), 0),
+    "trial_report": (_SCORED, 0),
     "write_label_records": ((os.devnull, _RECORDS, [1]), 1),
 }
 FUNCTION_CASES = [(name, args, i) for name, (args, first) in VALID_CALLS.items()
@@ -235,6 +249,19 @@ def test_any_bad_value_to_a_function_raises_only_gtx_errors(case, bad):
     *[(lambda e=e: gtx.run_confidence_threshold(*_RUN[:2], e, gtx.ThresholdConfig(0.9, 2), 4,
                                                 "gtx", _RNG), DataError)
       for e in ("x", [1], 3)],
+    (lambda: gtx.init_simulation(None, _RNG), ConfigError),
+    (lambda: gtx.init_simulation(gtx.SimConfig(10, 3, 0.6, 0.9), None), ConfigError),
+    (lambda: gtx.draw_assessment(3, None), ConfigError),
+    (lambda: gtx.run_assessment(_POOL, _ASSESSMENT, None), ConfigError),
+    (lambda: gtx.run_assessment(None, _ASSESSMENT, _RNG), ConfigError),
+    (lambda: gtx.run_assessment(["x"], _ASSESSMENT, _RNG), ConfigError),
+    (lambda: gtx.oracle_estimates(None), ConfigError),
+    (lambda: gtx.oracle_estimates(["x"]), ConfigError),
+    *[(lambda f=f, o=o: f(o, _SCORED[1]), DataError)
+      for f in (gtx.trial_report, gtx.error_rate, gtx.mean_absolute_error) for o in (None, "x")],
+    *[(lambda t=t: gtx.trial_report(_SCORED[0], t), DataError) for t in (None, "x", 3, {})],
+    (lambda: gtx.summarize([_REPORT, None]), DataError),
+    (lambda: gtx.write_results("x", os.devnull), ConfigError),
 ])
 def test_former_leaks_raise_the_contract_types(make, error):
     with pytest.raises(error):
@@ -279,7 +306,6 @@ def test_numpy_scalars_build_what_python_numbers_build(name, args, ints, float32
 # failure marks a bug, by (module, enclosing function, exception).
 INTERNAL_CHECKS = {
     ("experiments.py", "_uncertainty_curves", "ValueError"),
-    ("experiments.py", "write_results", "TypeError"),
 }
 _BUILTIN_ERRORS = {name for name, v in vars(builtins).items()
                    if isinstance(v, type) and issubclass(v, BaseException)}

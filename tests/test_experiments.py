@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import tempfile
 import tracemalloc
@@ -13,6 +14,7 @@ import gtx.experiments
 from gtx.aggregators import Method
 from gtx.errors import ConfigError
 from gtx.experiments import (
+    _SUMMARY_HEADER,
     Cell,
     _uncertainty_curves,
     build_trial_env,
@@ -24,7 +26,7 @@ from gtx.experiments import (
     write_results,
 )
 from gtx.io import ExperimentConfig, config_from_dict, read_label_records
-from gtx.metrics import TrialReport, summarize
+from gtx.metrics import TrialReport, TrialSummary, summarize
 from gtx.strategies import ThresholdConfig, run_uncertainty_sampling
 
 import oracles
@@ -448,3 +450,36 @@ class TestWriteResults:
         assert len(agg) == 1
         for method in res.config.methods:  # each exemplar holds an empty EventLog
             assert (tmp_path / f"events_{method}.jsonl").read_bytes() == b""
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.reader(f))
+
+
+class TestOneSummaryTable:
+    """summary.csv's rows are TrialSummary's fields, and best_cells.csv is
+    the best rows of summary.csv, projected."""
+
+    def test_summary_columns_name_the_summary_fields(self):
+        # method, cell type and cell come first and best last; between them
+        # each column is a TrialSummary field, in order, without "_mean"
+        names = [f.name for f in dataclasses.fields(TrialSummary)]
+        assert names[0] == "method"
+        assert _SUMMARY_HEADER[3:-1] == [n.removesuffix("_mean") for n in names[1:]]
+
+    @pytest.mark.parametrize("extra", [{}, {"methods": ["sv"]}, {"budget": 0, "trials": 1}],
+                             ids=["four-methods", "one-method", "budget-0"])
+    def test_best_cells_are_the_best_summary_rows(self, tmp_path, extra):
+        cfg = tiny_threshold_config(**extra)
+        write_results(run_threshold_experiment(cfg), tmp_path)
+        summary = _read_csv(tmp_path / "summary.csv")
+        best = _read_csv(tmp_path / "best_cells.csv")
+        head = summary[0]
+        flagged = [row for row in summary[1:] if row[head.index("best")] == "1"]
+        assert sorted(row[0] for row in flagged) == sorted(str(m) for m in cfg.methods)
+        best_rows = {row[0]: row for row in flagged}
+        sources = [head.index("cell" if c == "best_tau" else c) for c in best[0]]
+        assert best[1:] == [[best_rows[str(m)][j] for j in sources] for m in cfg.methods]
+        if not cfg.budget:  # no example labeled: every trial mean is an empty cell
+            assert {row[best[0].index("avg_k")] for row in best[1:]} == {""}
