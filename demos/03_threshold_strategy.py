@@ -13,10 +13,10 @@ from gtx import (
     Method,
     SimConfig,
     ThresholdConfig,
-    error_rate,
     init_simulation,
     oracle_estimates,
     run_confidence_threshold,
+    trial_report,
 )
 
 world = SimConfig(n_examples=3000, n_labelers=10, accuracy_low=0.8, accuracy_high=1.0)
@@ -55,7 +55,7 @@ def describe(name, out):
     print(f"  labels spent     : {out.ledger.spent} of {out.ledger.total}")
     print(f"  labels/example   : {out.ledger.spent / n:.2f} "
           f"(1-5 label histogram: {counts.tolist()})")
-    print(f"  error on labeled : {100 * error_rate(out, truth):.2f}%")
+    print(f"  error on labeled : {100 * trial_report(out, truth).error_rate:.2f}%")
     print()
 
 

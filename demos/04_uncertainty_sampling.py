@@ -11,10 +11,10 @@ import numpy as np
 from gtx import (
     Method,
     SimConfig,
-    error_rate,
     init_simulation,
     oracle_estimates,
     run_uncertainty_sampling,
+    trial_report,
 )
 
 world = SimConfig(n_examples=2000, n_labelers=10, accuracy_low=0.8, accuracy_high=1.0)
@@ -35,8 +35,9 @@ for method in (Method.MV, Method.WMV, Method.SV, Method.GTX):
     )
     curves[method] = out.dynamics  # (steps, errors, maes) arrays
     ks = out.labels_per_example
+    error = trial_report(out, dataset.true_labels).error_rate
     print(
-        f"{str(method):>4}: final error {100 * error_rate(out, dataset.true_labels):5.2f}%   "
+        f"{str(method):>4}: final error {100 * error:5.2f}%   "
         f"deepest example took {ks.max():2d} labels   "
         f"examples left at one label: {(ks == 1).sum()}"
     )

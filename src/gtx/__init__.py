@@ -35,8 +35,6 @@ from .io import (
 from .metrics import (
     TrialReport,
     TrialSummary,
-    error_rate,
-    mean_absolute_error,
     summarize,
     trial_report,
 )
@@ -89,12 +87,10 @@ __all__ = [
     "aggregate",
     "config_from_dict",
     "draw_assessment",
-    "error_rate",
     "estimate_accuracy",
     "init_simulation",
     "load_config",
     "log_odds",
-    "mean_absolute_error",
     "oracle_estimates",
     "read_assessment_set",
     "read_label_records",

@@ -25,14 +25,14 @@ import itertools
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .aggregators import Method
 from .assessment import oracle_estimates, run_assessment
-from .errors import ConfigError, GtxError
+from .errors import ConfigError, GtxError, as_path
 from .io import (
     ExperimentConfig,
     tau_code,
@@ -331,37 +331,15 @@ def run_uncertainty_experiment(
 # result files
 
 
-_SUMMARY_HEADER = [
-    "method",
-    "cell_type",
-    "cell",
-    "trials",
-    "avg_k",
-    "avg_k_se",
-    "n_labeled",
-    "n_labeled_se",
-    "error_rate",
-    "error_rate_se",
-    "mae",
-    "mae_se",
-    "best",
-]
+# summary.csv: the cell, then TrialSummary's fields after the method, each
+# mean named without its "_mean", then whether the cell is its method's best
+_SUMMARY_HEADER = ["method", "cell_type", "cell",
+                   *(f.name.removesuffix("_mean") for f in fields(TrialSummary)[1:]), "best"]
 
-# best_cells.csv column -> the summary.csv column it copies
-_BEST_COLUMNS = {
-    "method": "method",
-    "avg_k": "avg_k",
-    "best_tau": "cell",
-    "n_labeled": "n_labeled",
-    "error_rate": "error_rate",
-    "mae": "mae",
-    "avg_k_se": "avg_k_se",
-    "n_labeled_se": "n_labeled_se",
-    "error_rate_se": "error_rate_se",
-    "mae_se": "mae_se",
-    "trials": "trials",
-}
-_BEST_SOURCES = [_SUMMARY_HEADER.index(c) for c in _BEST_COLUMNS.values()]
+# best_cells.csv: summary.csv columns in its own order, the cell as best_tau
+_BEST_HEADER = ["method", "avg_k", "best_tau", "n_labeled", "error_rate", "mae",
+                "avg_k_se", "n_labeled_se", "error_rate_se", "mae_se", "trials"]
+_BEST_SOURCES = [_SUMMARY_HEADER.index("cell" if c == "best_tau" else c) for c in _BEST_HEADER]
 
 
 def _summary_row(cell_type, cell_value, s: TrialSummary, best: bool):
@@ -413,13 +391,13 @@ def write_results(result, out_dir) -> None:
         ]
     else:
         raise ConfigError(f"cannot write results of type {type(result).__name__}")
-    out_dir = Path(out_dir)
+    out_dir = as_path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "summary.csv", _SUMMARY_HEADER, rows)
     if isinstance(result, SweepResult):
         write_csv(
             out_dir / "best_cells.csv",
-            list(_BEST_COLUMNS),
+            _BEST_HEADER,
             ([rows[result.best[m]][j] for j in _BEST_SOURCES] for m in result.config.methods),
         )
     else:

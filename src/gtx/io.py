@@ -24,14 +24,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .aggregators import Method
 from .assessment import AssessmentSet
-from .errors import ConfigError, DataError, is_int, is_number
+from .errors import ConfigError, DataError, as_path, is_int, is_number
 from .model import LabelRecord, as_label
 from .simulation import MAX_SIZE
 from .strategies import EventLog, LabelEvent
@@ -58,7 +57,7 @@ DEFAULT_TAU_GRID = (0.85, 0.87, 0.89, 0.91, 0.93, 0.95, 0.96, 0.97, 0.99)
 def write_json(path, payload) -> None:
     """Write one JSON object as a single sorted, compact line."""
     text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    as_path(path).write_text(text, encoding="utf-8")
 
 
 def _csv_cell(v):
@@ -103,7 +102,7 @@ def write_columns(path, head: str, blocks, form=repr) -> None:
     ``(template, columns)`` block of numpy columns, ``_CHUNK`` rows at a
     time.  A float64 column's cells are ``form`` of its values; the cells of
     any other column fill their ``%s`` as ``tolist`` gives them."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with as_path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write(head)
         for template, columns in blocks:
             columns = [_float_cells(c, form) if c.dtype == np.float64 else c for c in columns]
@@ -181,7 +180,7 @@ def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
     seen: set[tuple] = set()
     last = None
     try:  # around the loop, so that a line pays nothing for it
-        with Path(path).open("r", encoding="utf-8") as fh:
+        with as_path(path).open("r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -490,8 +489,9 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Load and validate a JSON config file."""
+    file = as_path(path)  # outside the try: a ConfigError is a ValueError
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(file.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too long an int, too deep
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     return config_from_dict(raw)

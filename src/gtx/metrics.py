@@ -25,52 +25,10 @@ from .strategies import CollectionOutcome
 __all__ = [
     "TrialReport",
     "TrialSummary",
-    "error_rate",
-    "mean_absolute_error",
     "mean_se",
     "summarize",
     "trial_report",
 ]
-
-
-def _truth(outcome: CollectionOutcome, true_labels) -> np.ndarray:
-    """The true labels of the labeled examples 0..n_labeled-1, once both
-    arguments are checked."""
-    if not isinstance(outcome, CollectionOutcome):
-        raise DataError(f"outcome must be a CollectionOutcome, got {type(outcome).__name__}")
-    truth = as_true_labels(true_labels)
-    if len(truth) < outcome.n_labeled:
-        raise DataError(
-            f"true_labels holds {len(truth)} labels; the outcome labeled "
-            f"{outcome.n_labeled} examples"
-        )
-    return truth[:outcome.n_labeled]
-
-
-def _error_rate(outcome: CollectionOutcome, truth: np.ndarray) -> float | None:
-    n = outcome.n_labeled
-    return int(np.count_nonzero(outcome.labels != truth)) / n if n else None
-
-
-def _mae(outcome: CollectionOutcome, truth: np.ndarray) -> float | None:
-    n = outcome.n_labeled
-    # accumulate adds left to right, as a loop does; np.sum adds pairwise
-    return float(np.add.accumulate(np.abs(truth - outcome.soft_p1s))[-1]) / n if n else None
-
-
-def error_rate(outcome: CollectionOutcome, true_labels) -> float | None:
-    """Fraction of labeled examples whose hard label is wrong.
-
-    ``true_labels`` is indexed by example id (an array or a sequence of 0s
-    and 1s) and must cover every labeled example.  Returns None when no
-    example was labeled.
-    """
-    return _error_rate(outcome, _truth(outcome, true_labels))
-
-
-def mean_absolute_error(outcome: CollectionOutcome, true_labels) -> float | None:
-    """Mean |true label - soft class-1 score| over labeled examples."""
-    return _mae(outcome, _truth(outcome, true_labels))
 
 
 @dataclass(frozen=True)
@@ -86,18 +44,28 @@ class TrialReport:
 
 
 def trial_report(outcome: CollectionOutcome, true_labels) -> TrialReport:
-    """Evaluate one outcome.  avg_k is spent labels per labeled example."""
-    truth = _truth(outcome, true_labels)
+    """Evaluate one outcome.  avg_k is spent labels per labeled example.
+
+    ``true_labels`` is indexed by example id (an array or a sequence of 0s
+    and 1s) and must cover every labeled example.  The error rate is the
+    fraction of labeled examples whose hard label is wrong, the MAE the
+    mean |true label - soft class-1 score| over them; avg_k and both are
+    None when no example was labeled.
+    """
+    if not isinstance(outcome, CollectionOutcome):
+        raise DataError(f"outcome must be a CollectionOutcome, got {type(outcome).__name__}")
+    truth = as_true_labels(true_labels)
     n = outcome.n_labeled
+    if len(truth) < n:
+        raise DataError(f"true_labels holds {len(truth)} labels; the outcome labeled {n} examples")
+    truth = truth[:n]
     spent = outcome.ledger.spent
-    return TrialReport(
-        method=outcome.method,
-        n_labeled=n,
-        spent=spent,
-        avg_k=(spent / n) if n > 0 else None,
-        error_rate=_error_rate(outcome, truth),
-        mae=_mae(outcome, truth),
-    )
+    if n == 0:
+        return TrialReport(outcome.method, n, spent, None, None, None)
+    wrong = int(np.count_nonzero(outcome.labels != truth))
+    # accumulate adds left to right, as a loop does; np.sum adds pairwise
+    mae_sum = float(np.add.accumulate(np.abs(truth - outcome.soft_p1s))[-1])
+    return TrialReport(outcome.method, n, spent, spent / n, wrong / n, mae_sum / n)
 
 
 def mean_se(rows: Sequence) -> tuple:

@@ -59,9 +59,17 @@ class SimLabeler:
 
 
 def check_pool(labelers) -> None:
-    """The type rule of a labeler pool: a sequence of SimLabelers."""
+    """The rule of a labeler pool: a non-empty sequence of SimLabelers whose
+    ids are unique and all strings or all integers."""
     if not isinstance(labelers, Sequence) or not all(isinstance(x, SimLabeler) for x in labelers):
         raise ConfigError("labelers must be a sequence of SimLabelers")
+    if not labelers:
+        raise ConfigError("labeler pool is empty")
+    ids = [lab.labeler_id for lab in labelers]
+    if len({isinstance(i, str) for i in ids}) > 1:
+        raise ConfigError("labeler ids must be all strings or all integers")
+    if len(set(ids)) != len(ids):
+        raise ConfigError("labeler ids must be unique")
 
 
 def check_rng(rng) -> None:

@@ -224,14 +224,8 @@ def _setup(dataset, labelers, estimates, budget, method, rng):
         raise DataError(f"dataset must be a SimDataset, got {type(dataset).__name__}")
     check_rng(rng)
     check_pool(labelers)
-    if not labelers:
-        raise ConfigError("labeler pool is empty")
-    if len({isinstance(lab.labeler_id, str) for lab in labelers}) > 1:
-        raise ConfigError("labeler ids must be all strings or all integers")
     pool = sorted(labelers, key=lambda lab: lab.labeler_id)
     ids = [lab.labeler_id for lab in pool]
-    if len(set(ids)) != len(ids):
-        raise ConfigError("labeler ids must be unique")
     inc = increment_table(method, ids, estimates)
     acc = np.array([lab.accuracy for lab in pool])
     tab = np.array([[inc[pos][1 - right][j] for pos in range(len(ids)) for right in (0, 1)]
@@ -239,11 +233,9 @@ def _setup(dataset, labelers, estimates, budget, method, rng):
     return method, budget, ids, kernel(method), inc, acc, tab
 
 
-# A threshold window simulates _WINDOW // kmax start offsets, and at most
-# _MAX_OFFSETS: its arrays hold about _WINDOW labels, and its Python
-# temporaries one number per offset.
+# A threshold window simulates _WINDOW // kmax start offsets (at least one),
+# so its arrays hold about _WINDOW labels whatever kmax is.
 _WINDOW = 20480
-_MAX_OFFSETS = 1024
 
 
 def _simulate_offsets(u, m, stride, kmax, acc, tab, reached, room, record):
@@ -357,7 +349,7 @@ def run_confidence_threshold(
         kmax, reached = config.kappa, kern.stop(config.tau)
     truth = dataset.true_labels
     n = dataset.n_examples
-    width = max(1, min(_MAX_OFFSETS, _WINDOW // kmax))
+    width = max(1, _WINDOW // kmax)
     # Examples start every kmax labels while each takes kmax, as under a
     # fixed count, so a window then simulates only every kmax-th offset.  A
     # tau window does so after a window whose examples all took kmax, and

@@ -12,8 +12,8 @@ uncertainty engine must equal bit for bit.
 each labeler from its responses, the spec of the one-block
 ``gtx.assessment.run_assessment``.
 ``error_rate`` and ``mean_absolute_error`` are the scoring loops, one
-example at a time, that the numpy scoring of ``gtx.metrics`` must equal,
-and ``mean_se`` the scalar trial mean and standard error that
+example at a time, that the numpy scoring of ``gtx.metrics.trial_report``
+must equal, and ``mean_se`` the scalar trial mean and standard error that
 ``gtx.metrics.mean_se`` must equal on floats and, element by element, on
 arrays.
 ``read_label_records`` is the label-file reader as a plain ``json.loads``

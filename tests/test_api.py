@@ -49,12 +49,10 @@ PUBLIC = {
     "aggregate",
     "config_from_dict",
     "draw_assessment",
-    "error_rate",
     "estimate_accuracy",
     "init_simulation",
     "load_config",
     "log_odds",
-    "mean_absolute_error",
     "oracle_estimates",
     "read_assessment_set",
     "read_label_records",
@@ -73,7 +71,7 @@ PUBLIC = {
 
 
 def test_all_is_pinned():
-    assert len(gtx.__all__) == len(set(gtx.__all__))
+    assert len(gtx.__all__) == len(set(gtx.__all__)) == 42
     assert set(gtx.__all__) == PUBLIC
 
 
@@ -184,11 +182,9 @@ VALID_CALLS = {
     "aggregate": (("gtx", _RECORDS, {"a": gtx.LabelerEstimate("a", 0.8)},
                    gtx.ClassPrior(0.3, 0.7)), 0),
     "draw_assessment": ((3, _RNG), 1),
-    "error_rate": (_SCORED, 0),
     "estimate_accuracy": (("a", {0: 1}, gtx.AssessmentSet((0,), (1,))), 0),
     "init_simulation": ((gtx.SimConfig(10, 3, 0.6, 0.9), _RNG), 0),
     "log_odds": ((0.9,), 0),
-    "mean_absolute_error": (_SCORED, 0),
     "oracle_estimates": ((_POOL,), 0),
     "run_assessment": ((_POOL, _ASSESSMENT, _RNG), 0),
     "run_confidence_threshold": ((*_RUN, gtx.ThresholdConfig(0.9, 2), 4, "gtx", _RNG), 0),
@@ -257,8 +253,7 @@ def test_any_bad_value_to_a_function_raises_only_gtx_errors(case, bad):
     (lambda: gtx.run_assessment(["x"], _ASSESSMENT, _RNG), ConfigError),
     (lambda: gtx.oracle_estimates(None), ConfigError),
     (lambda: gtx.oracle_estimates(["x"]), ConfigError),
-    *[(lambda f=f, o=o: f(o, _SCORED[1]), DataError)
-      for f in (gtx.trial_report, gtx.error_rate, gtx.mean_absolute_error) for o in (None, "x")],
+    *[(lambda o=o: gtx.trial_report(o, _SCORED[1]), DataError) for o in (None, "x")],
     *[(lambda t=t: gtx.trial_report(_SCORED[0], t), DataError) for t in (None, "x", 3, {})],
     (lambda: gtx.summarize([_REPORT, None]), DataError),
     (lambda: gtx.write_results("x", os.devnull), ConfigError),
@@ -266,6 +261,47 @@ def test_any_bad_value_to_a_function_raises_only_gtx_errors(case, bad):
 def test_former_leaks_raise_the_contract_types(make, error):
     with pytest.raises(error):
         make()
+
+
+@pytest.mark.parametrize("pool, message", [
+    ([gtx.SimLabeler(0, 0.8), gtx.SimLabeler(0, 0.7)], "labeler ids must be unique"),
+    ([gtx.SimLabeler(0, 0.8), gtx.SimLabeler("0", 0.7)],
+     "labeler ids must be all strings or all integers"),
+    ([], "labeler pool is empty"),
+], ids=["duplicate", "mixed", "empty"])
+@pytest.mark.parametrize("use", [
+    lambda pool: gtx.oracle_estimates(pool),
+    lambda pool: gtx.run_assessment(pool, _ASSESSMENT, _RNG),
+    lambda pool: gtx.run_uncertainty_sampling(
+        _RUN[0], pool, _RUN[2], 4, "gtx", np.random.default_rng(0)),
+], ids=["oracle_estimates", "run_assessment", "engine"])
+def test_every_pool_taker_rejects_the_pools_the_engines_reject(pool, message, use):
+    # estimates are keyed by labeler id, so two labelers of one id would share one
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        use(pool)
+
+
+_SWEEP = gtx.run_threshold_experiment(gtx.config_from_dict(
+    {"strategy": "threshold", "trials": 1, "budget": 8, "n_examples": 4, "n_labelers": 2,
+     "kappa": 2, "tau_grid": [0.9], "fixed_counts": [1]}))
+PATH_CALLS = {
+    "load_config": gtx.load_config,
+    "read_assessment_set": gtx.read_assessment_set,
+    "read_label_records": gtx.read_label_records,
+    "write_event_log": lambda path: gtx.write_event_log(path, []),
+    "write_label_records": lambda path: gtx.write_label_records(path, _RECORDS),
+    "write_results": lambda path: gtx.write_results(_SWEEP, path),
+}
+
+
+@pytest.mark.parametrize("bad", [None, 5, [1]], ids=["None", "int", "list"])
+@pytest.mark.parametrize("name", sorted(PATH_CALLS))
+def test_a_path_that_is_no_path_is_a_config_error_and_writes_nothing(
+        name, bad, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match="a path must be a str or an os.PathLike"):
+        PATH_CALLS[name](bad)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _numpy_form(v, ints, float32):

@@ -101,8 +101,10 @@ class TestRunAssessment:
 class TestRunAssessmentAgainstOracle:
     @settings(max_examples=200, deadline=None)
     @given(
+        # an empty pool is a ConfigError (tests/test_api.py)
         accuracies=st.lists(
-            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), max_size=12),
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1,
+            max_size=12),
         labels=st.lists(st.integers(0, 1), min_size=1, max_size=200),
         seed=st.integers(0, 2**32 - 1),
     )

@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from gtx.aggregators import Method
 from gtx.errors import ConfigError
-from gtx.metrics import (
-    error_rate,
-    mean_absolute_error,
-    mean_se,
-    summarize,
-    trial_report,
-)
+from gtx.metrics import mean_se, summarize, trial_report
 from gtx.simulation import SimConfig, init_simulation
 from gtx.strategies import (
     BudgetLedger,
@@ -79,39 +73,41 @@ class TestErrorRate:
     def test_counts_wrong_hard_labels(self):
         out = outcome([(1, 0.9), (0, 0.2), (1, 0.8)])
         truth = np.array([1, 1, 0], dtype=np.int8)
-        assert error_rate(out, truth) == pytest.approx(2 / 3)
+        assert trial_report(out, truth).error_rate == pytest.approx(2 / 3)
 
     def test_none_when_nothing_labeled(self):
-        assert error_rate(outcome([]), []) is None
+        rep = trial_report(outcome([]), [])
+        assert (rep.n_labeled, rep.spent, rep.avg_k, rep.error_rate, rep.mae) == (
+            0, 0, None, None, None)
 
     def test_short_truth_is_a_value_error(self):
         # numpy would broadcast a one-label truth over all five examples
         out = outcome([(1, 0.9)] * 5)
-        for score in (error_rate, mean_absolute_error):
-            with pytest.raises(ValueError, match="true_labels holds 1 labels"):
-                score(out, [1])
-            with pytest.raises(ValueError, match="true_labels holds 4 labels"):
-                score(out, np.ones(4, dtype=np.int8))
-        assert error_rate(out, [1] * 5) == 0.0
+        with pytest.raises(ValueError, match="true_labels holds 1 labels"):
+            trial_report(out, [1])
+        with pytest.raises(ValueError, match="true_labels holds 4 labels"):
+            trial_report(out, np.ones(4, dtype=np.int8))
+        assert trial_report(out, [1] * 5).error_rate == 0.0
 
     def test_zero_budget_outcome(self):
         out, ds = small_outcome(budget=0)
-        assert error_rate(out, ds.true_labels) is None
-        assert mean_absolute_error(out, ds.true_labels) is None
+        rep = trial_report(out, ds.true_labels)
+        assert (rep.avg_k, rep.error_rate, rep.mae) == (None, None, None)
 
 
 class TestMeanAbsoluteError:
     def test_distance_from_soft_score_to_truth(self):
         out = outcome([(1, 0.9), (0, 0.3)])
         truth = np.array([1, 0], dtype=np.int8)
-        assert mean_absolute_error(out, truth) == pytest.approx((0.1 + 0.3) / 2)
+        assert trial_report(out, truth).mae == pytest.approx((0.1 + 0.3) / 2)
 
     @given(st.lists(st.tuples(st.integers(0, 1), st.floats(0.0, 1.0)), min_size=1, max_size=30))
     def test_error_rate_at_most_twice_mae(self, rows):
         # a wrong hard label implies soft mass >= 0.5 on the wrong side
         out = outcome([(1 if soft > 0.5 else 0, soft) for _, soft in rows])
         truth = np.array([t for t, _ in rows], dtype=np.int8)
-        assert error_rate(out, truth) <= 2 * mean_absolute_error(out, truth) + 1e-12
+        rep = trial_report(out, truth)
+        assert rep.error_rate <= 2 * rep.mae + 1e-12
 
 
 class TestAgainstOracles:
@@ -119,8 +115,9 @@ class TestAgainstOracles:
     @given(run=scored_runs())
     def test_scores_equal_the_loops_bit_for_bit(self, run):
         out, truth = run
-        assert repr(error_rate(out, truth)) == repr(oracles.error_rate(out, truth))
-        assert repr(mean_absolute_error(out, truth)) == repr(oracles.mean_absolute_error(out, truth))
+        rep = trial_report(out, truth)
+        assert repr(rep.error_rate) == repr(oracles.error_rate(out, truth))
+        assert repr(rep.mae) == repr(oracles.mean_absolute_error(out, truth))
 
 
 class TestMeanSe:

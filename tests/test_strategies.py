@@ -985,7 +985,7 @@ class TestUncertaintySampling:
         assert steps[0] == 3
 
     def test_dynamics_track_every_label_and_end_consistent(self):
-        from gtx.metrics import error_rate, mean_absolute_error
+        from gtx.metrics import trial_report
 
         cfg = SimConfig(25, 5, 0.6, 0.9)
         ds, labelers = init_simulation(cfg, np.random.default_rng(13))
@@ -1002,7 +1002,6 @@ class TestUncertaintySampling:
         assert [d.dtype for d in out.dynamics] == [np.int64, np.float64, np.float64]
         assert steps.tolist() == list(range(25, 61))
         assert len(errors) == len(maes) == len(steps)
-        err_final = error_rate(out, ds.true_labels)
-        mae_final = mean_absolute_error(out, ds.true_labels)
-        assert errors[-1] == pytest.approx(err_final, abs=1e-9)
-        assert maes[-1] == pytest.approx(mae_final, abs=1e-9)
+        rep = trial_report(out, ds.true_labels)
+        assert errors[-1] == pytest.approx(rep.error_rate, abs=1e-9)
+        assert maes[-1] == pytest.approx(rep.mae, abs=1e-9)
