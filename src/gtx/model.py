@@ -197,15 +197,6 @@ def log_odds(p: float) -> float:
     return math.log(p) - math.log1p(-p)
 
 
-def normalize(a0: float, a1: float) -> tuple[float, float]:
-    """Probabilities proportional to exp(a0) and exp(a1), max subtracted first."""
-    m = a0 if a0 >= a1 else a1
-    e0 = math.exp(a0 - m)
-    e1 = math.exp(a1 - m)
-    z = e0 + e1
-    return e0 / z, e1 / z
-
-
 def increment_table(method: Method, labeler_ids, estimates) -> list:
     """Each labeler's increment pairs under ``method``, in ``labeler_ids`` order.
 
@@ -289,17 +280,23 @@ def _gtx_kernel(prior: ClassPrior) -> Kernel:
     lp0, lp1 = prior.logs
 
     def finalize(s0, s1):
-        p0, p1 = normalize(lp0 + s0, lp1 + s1)
+        """Probabilities proportional to exp(lp0 + s0) and exp(lp1 + s1): the
+        larger log-sum exponentiates to 1.0, so only the gap takes ``math.exp``."""
+        a0, a1 = lp0 + s0, lp1 + s1
+        first = a0 >= a1
+        e = math.exp(a1 - a0 if first else a0 - a1)
+        big, small = 1.0 / (1.0 + e), e / (1.0 + e)
+        p0, p1 = (big, small) if first else (small, big)
         return (0, p0, p1) if p0 >= p1 else (1, p1, p1)
 
     def finalize_array(s0, s1):
-        """``normalize`` elementwise: the larger log-sum exponentiates to 1.0,
-        and the other difference goes through ``math.exp``, which np.exp
-        does not always equal in the last bit."""
+        """``finalize`` elementwise.  Each distinct gap goes through
+        ``math.exp`` once, which np.exp does not always equal in the last bit."""
         a0 = lp0 + s0
         a1 = lp1 + s1
         first = a0 >= a1
-        e = np.array(list(map(math.exp, np.where(first, a1 - a0, a0 - a1).tolist())))
+        x, where = np.unique(np.where(first, a1 - a0, a0 - a1), return_inverse=True)
+        e = np.array(list(map(math.exp, x.tolist())))[where]
         z = e + 1.0
         big, small = 1.0 / z, e / z
         p0 = np.where(first, big, small)

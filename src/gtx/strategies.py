@@ -383,6 +383,7 @@ def run_confidence_threshold(
                 starts.append(p)
                 o += kl[p]
                 i += 1
+            starts = np.array(starts, np.intp)
         else:
             # example i0 + p starts at window offset p (m <= n - i0) while
             # every example before it took kmax labels

@@ -18,6 +18,8 @@ must equal, and ``mean_se`` the scalar trial mean and standard error that
 arrays.
 ``read_label_records`` is the label-file reader as a plain ``json.loads``
 loop, the spec of the one-scan reader in ``gtx.io``.
+``normalize`` is the two-exp posterior, the spec of gtx's one-exp
+``finalize``.
 """
 
 import heapq
@@ -43,6 +45,15 @@ def bayes_posterior(values, accuracies, p0=0.5, p1=0.5):
         like1 *= a if v == 1 else 1.0 - a
     total = like0 + like1
     return like0 / total, like1 / total
+
+
+def normalize(a0, a1):
+    """Probabilities proportional to exp(a0) and exp(a1), max subtracted first."""
+    m = a0 if a0 >= a1 else a1
+    e0 = math.exp(a0 - m)
+    e1 = math.exp(a1 - m)
+    z = e0 + e1
+    return e0 / z, e1 / z
 
 
 def majority(values):

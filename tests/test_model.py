@@ -21,7 +21,7 @@ from gtx.model import (
     log_odds,
 )
 
-from oracles import bayes_posterior
+from oracles import bayes_posterior, normalize
 
 
 def rec(labeler, value, example=0):
@@ -258,11 +258,20 @@ def _closed_examples(draw, priors=_PRIORS):
     pool = [LabelerEstimate(0, a).increments[method.code]
             for a in draw(st.lists(_finalizer_accuracies, min_size=1, max_size=3))]
     rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    votes = [[rnd.choice(pool)[rnd.getrandbits(1)] for _ in range(rnd.randint(1, 40))]
+             for _ in range(draw(st.integers(1, 64)))]
+    return method, prior, _sums(rnd, votes, prior)
+
+
+def _sums(rnd, votes, prior):
+    """``(s0, s1)`` of each list of increment pairs in ``votes``, a quarter
+    of them set to an exact tie of the sums and a quarter to one of the
+    log-sums."""
+    lp0, lp1 = prior.logs
     rows = []
-    for _ in range(draw(st.integers(1, 64))):
+    for pairs in votes:
         s0 = s1 = 0.0
-        for _ in range(rnd.randint(1, 40)):
-            d0, d1 = rnd.choice(pool)[rnd.getrandbits(1)]
+        for d0, d1 in pairs:
             s0 += d0
             s1 += d1
         tie = rnd.choice(["none", "none", "sums", "logs"])
@@ -271,7 +280,17 @@ def _closed_examples(draw, priors=_PRIORS):
         elif tie == "logs" and math.isfinite(lp0 + lp1):
             s0, s1 = lp1, lp0
         rows.append((s0, s1))
-    return method, prior, rows
+    return rows
+
+
+def _assert_closes_as_finalize(kern, rows):
+    """``kern.finalize_array`` of ``rows`` equals ``kern.finalize`` row by row."""
+    s0, s1 = zip(*rows)
+    got = kern.finalize_array(np.array(s0), np.array(s1))
+    want = zip(*map(kern.finalize, s0, s1))
+    # repr tells a bool from an int, a numpy scalar from a float, and
+    # every float bit from its neighbours
+    assert [repr(x.tolist()) for x in got] == [repr(list(w)) for w in want]
 
 
 class TestArrayFinalizer:
@@ -279,13 +298,37 @@ class TestArrayFinalizer:
     @given(_closed_examples())
     def test_equals_scalar_finalize(self, case):
         method, prior, rows = case
-        kern = kernel(method, prior)
-        s0, s1 = zip(*rows)
-        got = kern.finalize_array(np.array(s0), np.array(s1))
-        want = zip(*map(kern.finalize, s0, s1))
-        # repr tells a bool from an int, a numpy scalar from a float, and
-        # every float bit from its neighbours
-        assert [repr(x.tolist()) for x in got] == [repr(list(w)) for w in want]
+        _assert_closes_as_finalize(kernel(method, prior), rows)
+
+    @pytest.mark.parametrize("prior", _PRIORS)
+    @settings(max_examples=10, deadline=None)
+    @given(accs=st.lists(_finalizer_accuracies, min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gtx_equals_scalar_finalize_at_engine_sizes(self, prior, accs, seed):
+        """An engine close holds thousands of examples that share few gaps:
+        5,000 rows summing a few vote sets, each in a shuffled order."""
+        rnd = random.Random(seed)
+        pool = [LabelerEstimate(0, a).increments[Method.GTX.code] for a in accs]
+        sets = [[rnd.choice(pool)[rnd.getrandbits(1)] for _ in range(rnd.randint(1, 5))]
+                for _ in range(8)]
+        votes = [rnd.sample(v, len(v)) for v in rnd.choices(sets, k=5000)]
+        rows = _sums(rnd, votes, prior)
+        assert len(set(rows)) < len(rows) // 10
+        _assert_closes_as_finalize(kernel(Method.GTX, prior), rows)
+
+    @pytest.mark.parametrize("prior", _PRIORS)
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_gtx_finalize_equals_the_two_exp_oracle(self, prior, data):
+        """``finalize`` exponentiates only the gap; ``normalize`` both
+        log-sums less their max.  The results keep every bit."""
+        _, _, rows = data.draw(_closed_examples(priors=[prior]))
+        lp0, lp1 = prior.logs
+        finalize = kernel(Method.GTX, prior).finalize
+        for s0, s1 in rows:
+            p0, p1 = normalize(lp0 + s0, lp1 + s1)
+            want = (0, p0, p1) if p0 >= p1 else (1, p1, p1)
+            assert repr(finalize(s0, s1)) == repr(want)
 
     @settings(max_examples=300)
     @given(_closed_examples(priors=[ClassPrior.uniform()]))
