@@ -21,6 +21,7 @@ shared with the collection engines.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError
@@ -30,6 +31,7 @@ from .model import (
     LabelerEstimate,
     Method,
     UNIFORM_PRIOR,
+    _KERNELS,
     accumulate,
     kernel,
 )
@@ -57,6 +59,7 @@ class AggregateLabel(NamedTuple):
 
 
 _METHODS = {m.value: m for m in Method}  # a Method hashes and compares as its value
+_EXAMPLE, _LABELER = attrgetter("example_id"), attrgetter("labeler_id")
 
 
 def aggregate(
@@ -78,9 +81,9 @@ def aggregate(
     try:  # around the whole count, so that a vote pays nothing for it
         recs = labels if type(labels) is list else list(labels)
         n = len(recs)
-        examples = {rec.example_id for rec in recs}
+        examples = set(map(_EXAMPLE, recs))
         # distinct voters on one example; the checks naming a fault run only then
-        if len({rec.labeler_id for rec in recs}) != n or len(examples) != 1:
+        if len(set(map(_LABELER, recs))) != n or len(examples) != 1:
             seen = set()
             for rec in recs:
                 if rec.labeler_id in seen:
@@ -94,5 +97,7 @@ def aggregate(
         s0, s1 = accumulate(method, recs, estimates)
     except (TypeError, AttributeError, IndexError) as exc:  # not records, or not estimates
         raise DataError(f"votes must be LabelRecords, estimates LabelerEstimates: {exc}") from None
-    label, confidence, soft_p1 = kernel(method, prior).finalize(s0, s1)
-    return AggregateLabel(recs[0].example_id, method, label, confidence, soft_p1, n)
+    kern = _KERNELS[method] if prior is UNIFORM_PRIOR else kernel(method, prior)
+    label, confidence, soft_p1 = kern.finalize(s0, s1)
+    fields = (recs[0].example_id, method, label, confidence, soft_p1, n)
+    return tuple.__new__(AggregateLabel, fields)

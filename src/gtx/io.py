@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
@@ -164,8 +165,109 @@ def write_label_records(path, records: Sequence[LabelRecord], steps=None) -> Non
 
 _RECORD_KEYS = {"example_id", "labeler_id", "step", "value"}
 _OPTIONAL_KEYS = {"confidence", "method"}
-_ID_TYPES = (str, int)  # exact types: a bool, list or dict id is rejected
-_decode = json.JSONDecoder().raw_decode
+_ID_TYPES = {str, int}  # exact types: a bool, list or dict id is rejected
+_SCALARS = {str, int, float, bool, type(None)}
+_FIELDS = ("example_id", "labeler_id", "step", "value")  # the order of the block's columns
+
+
+def _read_lines(path, lines, lineno, records, steps, seen, last):
+    """Read ``lines``, the first of them line ``lineno`` of ``path``, one at a
+    time into ``records``, ``steps`` and ``seen``, checking each line in the
+    documented order: JSON, an object, the keys, str or int ids, an int step
+    above ``last``, a value that is exactly the int 0 or 1, and a new
+    (example, labeler) pair.  Returns the last step read."""
+    for lineno, line in enumerate(lines, start=lineno):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # ValueError: an int too long to read
+            raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(row, dict):
+            raise DataError(f"{path}:{lineno}: expected an object per line")
+        if set(row) - _OPTIONAL_KEYS != _RECORD_KEYS:
+            raise DataError(
+                f"{path}:{lineno}: expected keys {sorted(_RECORD_KEYS)}, got {sorted(row)}")
+        ex, lab = row["example_id"], row["labeler_id"]
+        if type(ex) not in _ID_TYPES or type(lab) not in _ID_TYPES:
+            raise DataError(
+                f"{path}:{lineno}: example_id and labeler_id must be strings "
+                f"or integers, got {ex!r} and {lab!r}"
+            )
+        step = row["step"]
+        if type(step) is not int:  # JSON numbers decode to exact ints
+            raise DataError(f"{path}:{lineno}: step must be an integer")
+        if last is not None and step <= last:
+            raise DataError(
+                f"{path}:{lineno}: steps must be strictly increasing ({step} after {last})")
+        last = step
+        value = row["value"]
+        if type(value) is not int or value not in (0, 1):
+            raise DataError(f"{path}:{lineno}: value must be the int 0 or 1, got {value!r}")
+        if (ex, lab) in seen:
+            raise DataError(
+                f"{path}:{lineno}: duplicate label for example {ex!r} by labeler {lab!r}")
+        seen.add((ex, lab))
+        records.append(LabelRecord(ex, lab, value))
+        steps.append(step)
+    return last
+
+
+def _block_columns(lines, seen, last):
+    """The id, step and value columns and the pair set of ``lines``, stripped
+    and non-blank, when each is one valid record, else None.
+
+    The lines are decoded as one JSON array.  Each line ends in ``}``, each
+    row is an object with scalar values and there is one row per line, so
+    each row is its own line's text: a JSON string holds no raw newline, so
+    no row reaches past the ``}`` that ends its line."""
+    if not all(map(str.endswith, lines, itertools.repeat("}"))):
+        return None
+    try:
+        rows = json.loads("[" + ",\n".join(lines) + "]")
+    except (ValueError, RecursionError):
+        return None
+    if len(rows) != len(lines) or set(map(type, rows)) != {dict}:
+        return None
+    try:
+        ex, lab, steps, values = (list(map(operator.itemgetter(k), rows)) for k in _FIELDS)
+    except KeyError:
+        return None
+    if set(map(len, rows)) != {len(_FIELDS)}:  # optional keys: check each row's keys
+        shapes = set(map(tuple, rows))
+        if any(set(keys) - _OPTIONAL_KEYS != _RECORD_KEYS for keys in shapes):
+            return None
+        for key in _OPTIONAL_KEYS.intersection(itertools.chain.from_iterable(shapes)):
+            if not set(map(type, map(dict.get, rows, itertools.repeat(key)))) <= _SCALARS:
+                return None
+    order = steps if last is None else [last, *steps]
+    if not (set(map(type, ex)) | set(map(type, lab)) <= _ID_TYPES
+            and set(map(type, steps)) == {int} and all(map(operator.lt, order, order[1:]))
+            and set(map(type, values)) == {int} and set(values) <= {0, 1}):
+        return None
+    pairs = set(zip(ex, lab))
+    if len(pairs) != len(lines) or not seen.isdisjoint(pairs):
+        return None
+    return ex, lab, steps, values, pairs
+
+
+def _read_block(path, lines, lineno, records, steps, seen, last):
+    """Read ``lines``, the first of them line ``lineno``, as ``_read_lines``
+    does, checking them by column and committing them together; a block that
+    fails any check is read line by line, which names its first fault.
+    Returns the last step read."""
+    stripped = list(filter(None, map(str.strip, lines)))
+    if not stripped:
+        return last
+    columns = _block_columns(stripped, seen, last)
+    if columns is None:
+        return _read_lines(path, lines, lineno, records, steps, seen, last)
+    ex, lab, block_steps, values, pairs = columns
+    records.extend(map(tuple.__new__, itertools.repeat(LabelRecord), zip(ex, lab, values)))
+    steps.extend(block_steps)
+    seen.update(pairs)
+    return block_steps[-1]
 
 
 def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
@@ -173,65 +275,27 @@ def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
 
     Returns (records, steps).  Steps must be strictly increasing integers
     and values exactly the integer 0 or 1 (not true, not 1.0); a repeated
-    (example_id, labeler_id) pair, like any fault, is a ``DataError``.
+    (example_id, labeler_id) pair, like any fault, is a ``DataError`` naming
+    the first faulty line.  The file is read once, ``_CHUNK`` lines at a
+    time; text that is not UTF-8 is a ``DataError`` naming only the file,
+    unless a line before it is faulty.
     """
     records: list[LabelRecord] = []
     steps: list[int] = []
     seen: set[tuple] = set()
     last = None
-    try:  # around the loop, so that a line pays nothing for it
-        with as_path(path).open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                # one scan; on any failure json.loads gives the error its exact text
-                try:
-                    row, end = _decode(line)
-                except (ValueError, RecursionError):  # ValueError: an int too long to read
-                    end = None
-                if end != len(line):
-                    try:
-                        row = json.loads(line)
-                    except (ValueError, RecursionError) as exc:
-                        raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                if not isinstance(row, dict):
-                    raise DataError(f"{path}:{lineno}: expected an object per line")
-                if row.keys() != _RECORD_KEYS and set(row) - _OPTIONAL_KEYS != _RECORD_KEYS:
-                    raise DataError(
-                        f"{path}:{lineno}: expected keys {sorted(_RECORD_KEYS)}, "
-                        f"got {sorted(row)}"
-                    )
-                ex, lab = row["example_id"], row["labeler_id"]
-                if type(ex) not in _ID_TYPES or type(lab) not in _ID_TYPES:
-                    raise DataError(
-                        f"{path}:{lineno}: example_id and labeler_id must be strings "
-                        f"or integers, got {ex!r} and {lab!r}"
-                    )
-                step = row["step"]
-                if type(step) is not int:  # JSON numbers decode to exact ints
-                    raise DataError(f"{path}:{lineno}: step must be an integer")
-                if last is not None and step <= last:
-                    raise DataError(
-                        f"{path}:{lineno}: steps must be strictly increasing "
-                        f"({step} after {last})"
-                    )
-                last = step
-                value = row["value"]
-                if type(value) is not int or value not in (0, 1):
-                    raise DataError(
-                        f"{path}:{lineno}: value must be the int 0 or 1, got {value!r}")
-                pair = (ex, lab)
-                if pair in seen:
-                    raise DataError(
-                        f"{path}:{lineno}: duplicate label for example "
-                        f"{ex!r} by labeler {lab!r}"
-                    )
-                seen.add(pair)
-                records.append(tuple.__new__(LabelRecord, (ex, lab, value)))
-                steps.append(step)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: invalid UTF-8: {exc}") from None
+    with as_path(path).open("r", encoding="utf-8") as fh:
+        lines, lineno = [], 1
+        try:
+            for line in fh:
+                lines.append(line)
+                if len(lines) == _CHUNK:
+                    last = _read_block(path, lines, lineno, records, steps, seen, last)
+                    lines, lineno = [], lineno + _CHUNK
+        except UnicodeDecodeError as exc:  # the lines read before it are checked first
+            _read_lines(path, lines, lineno, records, steps, seen, last)
+            raise DataError(f"{path}: invalid UTF-8: {exc}") from None
+        _read_block(path, lines, lineno, records, steps, seen, last)
     return records, steps
 
 
@@ -241,7 +305,7 @@ def read_assessment_set(path) -> AssessmentSet:
     truth = {}
     for ex, _, value in records:
         if ex in truth:
-            raise DataError(f"duplicate truth for example {ex!r}")
+            raise DataError(f"{path}: duplicate truth for example {ex!r}")
         truth[ex] = value
     return AssessmentSet(example_ids=tuple(truth), true_labels=tuple(truth.values()))
 

@@ -19,7 +19,8 @@ arrays.
 ``read_label_records`` is the label-file reader as a plain ``json.loads``
 loop, the spec of the one-scan reader in ``gtx.io``.
 ``normalize`` is the two-exp posterior, the spec of gtx's one-exp
-``finalize``.
+``finalize``, and ``aggregate`` the spec of ``gtx.aggregate``'s bits under
+the uniform prior.
 """
 
 import heapq
@@ -30,9 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from gtx.assessment import estimate_accuracy
+from gtx.aggregators import AggregateLabel
 from gtx.errors import DataError
 from gtx.model import (
-    LabelRecord, Method, increment_table, kernel, log_odds,
+    MV_INCREMENTS, LabelRecord, Method, increment_table, kernel, log_odds,
 )
 from gtx.strategies import BudgetLedger, CollectionOutcome, LabelEvent
 
@@ -54,6 +56,22 @@ def normalize(a0, a1):
     e1 = math.exp(a1 - m)
     z = e0 + e1
     return e0 / z, e1 / z
+
+
+def aggregate(method, labels, estimates=None):
+    """One example's aggregate under the uniform prior: each vote's
+    ``increments[method.code][value]`` (mv's without estimates) summed left
+    to right from 0.0, then the rule's ``finalize``."""
+    s0 = s1 = 0.0
+    for rec in labels:
+        if method is Method.MV:
+            d0, d1 = MV_INCREMENTS[rec.value]
+        else:
+            d0, d1 = estimates[rec.labeler_id].increments[method.code][rec.value]
+        s0 += d0
+        s1 += d1
+    label, confidence, soft_p1 = kernel(method).finalize(s0, s1)
+    return AggregateLabel(labels[0].example_id, method, label, confidence, soft_p1, len(labels))
 
 
 def majority(values):

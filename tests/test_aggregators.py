@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gtx.aggregators import Method, aggregate
+from gtx.aggregators import AggregateLabel, Method, aggregate
 from gtx.errors import DataError
 from gtx.model import LabelerEstimate, LabelRecord
 
+from oracles import aggregate as spec_aggregate
 from oracles import bayes_posterior, logodds_margin, majority, share_vote, weighted_share
 
 
@@ -153,6 +154,18 @@ vote_sets = st.integers(1, 7).flatmap(
 
 
 class TestAgainstOracles:
+    @given(vote_sets, st.sampled_from(list(Method)), st.randoms(use_true_random=False))
+    def test_bits_equal_the_left_to_right_spec(self, votes, method, rnd):
+        # repr tells every bit of a float and -0.0 from 0.0; the spec sums
+        # the votes in the order given, shuffled here
+        values, accs = votes
+        labels = [rec(i, v, example=7) for i, v in enumerate(values)]
+        rnd.shuffle(labels)
+        estimates = None if method is Method.MV else est(accs)
+        got = aggregate(method, labels, estimates)
+        assert type(got) is AggregateLabel
+        assert repr(got) == repr(spec_aggregate(method, labels, estimates))
+
     @given(vote_sets)
     def test_mv(self, votes):
         values, accs = votes

@@ -2,13 +2,17 @@ import csv
 import dataclasses
 import json
 import math
+import random
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gtx import io as gtx_io
 from gtx.aggregators import Method
 from gtx.errors import ConfigError, DataError
 from gtx.io import (
@@ -534,6 +538,155 @@ class TestReaderMatchesSpec:
         assert _read_outcome(read_label_records, p) == _read_outcome(spec_read_label_records, p)
 
 
+def _block_record(i, rng, **fields):
+    """Line ``i + 1`` of a long valid file, with step ``2 * (i + 1)``: its
+    (example, labeler) pair is ``(i // 3, "xyz"[i % 3])``, so no pair repeats
+    nor meets a spec id; some rows add the optional keys, in any key order."""
+    row = {"example_id": i // 3, "labeler_id": "xyz"[i % 3], "step": 2 * (i + 1),
+           "value": rng.randrange(2)}
+    if rng.random() < 0.1:
+        row["confidence"] = rng.random()
+    if rng.random() < 0.1:
+        row["method"] = "gtx"
+    items = list({**row, **fields}.items())
+    rng.shuffle(items)
+    return json.dumps(dict(items))
+
+
+def _block_lines(n, seed=0):
+    rng = random.Random(seed)
+    return [_block_record(i, rng) for i in range(n)]
+
+
+@st.composite
+def _long_spec_files(draw):
+    """The text of a label file of 1,000 to 3,000 lines, longer than a read
+    block (``_CHUNK`` lines), with up to two odd lines inserted, often at the
+    last line of the first block or the first of the second.  An odd line
+    before clean line ``i`` gets step ``2 * i + 1``, between its neighbours'."""
+    n = draw(st.integers(1000, 3000))
+    lines = _block_lines(n, draw(st.integers(0, 2**32 - 1)))
+    at = draw(st.lists(st.sampled_from([_CHUNK - 1, _CHUNK]) | st.integers(0, n), max_size=2))
+    for i in sorted(at, reverse=True):
+        lines.insert(i, draw(_odd_line(2 * i + 1)))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _split_object_file(halves):
+    # line 11 holds two records; the record after it spans lines 12 and 13
+    lines = _block_lines(1200)
+    lines[10] = lines[10] + "," + json.dumps(
+        {"example_id": 10**6, "labeler_id": "x", "step": 23, "value": 1})
+    lines[11:12] = halves
+    return "\n".join(lines).encode("utf-8")
+
+
+def _fault_before_bad_byte_file(gap):
+    # line 1,030 lacks two keys; a byte that is not UTF-8 opens the line
+    # ``gap`` lines later, in the same block
+    lines = _block_lines(2000)
+    lines[1029] = json.dumps({"example_id": 0, "value": 1})
+    data = "\n".join(lines).encode("utf-8")
+    at = data.index(lines[1029 + gap].encode("utf-8"))
+    return data[:at] + b"\xff" + data[at:]
+
+
+def _with_line(lines, i, **fields):
+    """``lines`` with line ``i + 1`` rewritten with ``fields``."""
+    row = json.loads(lines[i])
+    row.update(fields)
+    return lines[:i] + [json.dumps(row)] + lines[i + 1:]
+
+
+_LINES = _block_lines(2500)
+_LONG_FILES = {
+    # line 6's pair again on line 1,101, in the second block
+    "duplicate-pair-across-blocks": "\n".join(
+        _with_line(_LINES, 1100, example_id=1, labeler_id="z")),
+    # the first line of block 2 repeats the last step of block 1
+    "step-fault-opens-block-2": "\n".join(
+        _with_line(_LINES, _CHUNK, step=2 * _CHUNK)),
+    "blank-block": "\n".join(
+        _LINES[:_CHUNK] + ["", "  ", "\t", ""] * (_CHUNK // 4) + _LINES[_CHUNK:]),
+    "crlf": "\r\n".join(_LINES) + "\r\n",
+    # valid: only the four record keys are checked, whatever method holds
+    "method-list-in-block-2": "\n".join(_with_line(_LINES, 1500, method=["gtx", 1])),
+}
+
+
+class TestReaderAcrossBlocks:
+    """Files longer than one read block, each read as the line-by-line spec
+    reads it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_long_spec_files())
+    def test_same_records_or_same_error(self, tmp_path_factory, text):
+        p = tmp_path_factory.getbasetemp() / "long_spec.jsonl"
+        p.write_bytes(text.encode("utf-8"))
+        assert _read_outcome(read_label_records, p) == _read_outcome(spec_read_label_records, p)
+
+    @pytest.mark.parametrize("name", sorted(_LONG_FILES))
+    def test_fixed_files(self, tmp_path, name):
+        p = tmp_path / "long.jsonl"
+        p.write_bytes(_LONG_FILES[name].encode("utf-8"))
+        assert _read_outcome(read_label_records, p) == _read_outcome(spec_read_label_records, p)
+
+    @pytest.mark.parametrize("halves", [
+        # the first line does not end in "}"
+        ['{"example_id": 3, "labeler_id": "z"', '"step": 24, "value": 1}'],
+        # both lines do, but method holds an object, not a scalar
+        ['{"example_id": 3, "labeler_id": "z", "step": 24, "value": 1, "method": {"k": 1}',
+         '"confidence": 0.5}'],
+    ], ids=["brace", "scalar"])
+    def test_two_records_on_a_line_beside_one_on_two_lines(self, tmp_path, halves):
+        # the block decodes to as many rows as it has lines, yet no line is one record
+        p = tmp_path / "split.jsonl"
+        p.write_bytes(_split_object_file(halves))
+        got = _read_outcome(read_label_records, p)
+        assert got == _read_outcome(spec_read_label_records, p)
+        assert got[0] is DataError and got[1].startswith(f"{p}:11: invalid JSON: Extra data")
+
+    @pytest.mark.parametrize("gap", [3, 200])
+    def test_fault_before_a_bad_byte_in_the_same_block(self, tmp_path, gap):
+        # text is decoded some kilobytes at a time, so a fault far enough
+        # before the bad byte is read, and named, before the byte is met
+        p = tmp_path / "fault_then_bad_byte.jsonl"
+        p.write_bytes(_fault_before_bad_byte_file(gap))
+        got = _read_outcome(read_label_records, p)
+        assert got == _read_outcome(spec_read_label_records, p)
+        if gap == 200:
+            assert got[0] is DataError and got[1].startswith(f"{p}:1030: expected keys")
+
+    @pytest.mark.parametrize("name", ["crlf", "blank-block"])
+    def test_valid_file_is_read_by_blocks(self, tmp_path, name):
+        p = tmp_path / "long.jsonl"
+        p.write_bytes(_LONG_FILES[name].encode("utf-8"))
+        with mock.patch.object(gtx_io, "_read_lines", side_effect=AssertionError("line by line")):
+            records, steps = read_label_records(p)
+        assert (records, steps) == spec_read_label_records(p)
+        assert len(records) == 2500 and {type(r) for r in records} == {LabelRecord}
+
+
+class TestReaderMemory:
+    def test_peak_stays_near_the_line_by_line_spec(self, tmp_path):
+        # the reader holds a block of lines at a time, so its peak exceeds
+        # the spec's by far less than the file's text, let alone one decoded
+        # dict per line
+        p = tmp_path / "labels.jsonl"
+        write_label_records(p, [LabelRecord(i // 4, f"w{i % 4}", i % 2) for i in range(50_000)])
+        peaks = {}
+        for read in (spec_read_label_records, read_label_records):
+            tracemalloc.start()
+            try:
+                records, _ = read(p)
+                peaks[read] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(records) == 50_000
+        excess = peaks[read_label_records] - peaks[spec_read_label_records]
+        assert excess < p.stat().st_size / 3, f"{excess} bytes above the spec's peak"
+
+
 class TestAssessmentReader:
     def test_reads_truth(self, tmp_path):
         p = tmp_path / "truth.jsonl"
@@ -545,8 +698,9 @@ class TestAssessmentReader:
     def test_duplicate_truth_rejected(self, tmp_path):
         p = tmp_path / "truth.jsonl"
         write_label_records(p, [LabelRecord(4, "e1", 1), LabelRecord(4, "e2", 1)])
-        with pytest.raises(ValueError, match="duplicate truth"):
+        with pytest.raises(DataError) as err:
             read_assessment_set(p)
+        assert str(err.value) == f"{p}: duplicate truth for example 4"
 
 
 # the cells callers pass (st.floats() includes nan, +-inf and -0.0)

@@ -532,6 +532,24 @@ class TestThresholdAgainstOracle:
             )
         assert _outcome_fields(got) == _outcome_fields(want)  # bit for bit
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("method, interval", [
+        (Method.SV, (0.8, 1.0)), (Method.GTX, (0.6, 0.9)),
+    ])
+    def test_forty_labelers_kappa_forty(self, method, interval, seed):
+        # many labels per example, which the property's pools of at most 6
+        # never reach: sv on the accurate cohort takes 36 to 39 labels an
+        # example, gtx on the noisy one 7 to 8, up to 31
+        rng = np.random.default_rng(seed)
+        labelers = make_labelers(rng.uniform(*interval, 40).tolist())
+        run = dict(dataset=make_dataset(rng.integers(0, 2, 2000)), labelers=labelers,
+                   estimates=oracle_estimates(labelers),
+                   config=ThresholdConfig(tau=0.99, kappa=40), budget=2000, method=method)
+        want = confidence_threshold(**run, rng=np.random.default_rng(seed))
+        got = run_confidence_threshold(**run, rng=np.random.default_rng(seed))
+        assert got.ledger.spent == 2000 and got.labels_per_example.max() > 6
+        assert _outcome_fields(got) == _outcome_fields(want)  # bit for bit
+
     def test_window_after_skipped_offsets_reuses_their_draws(self):
         # at sv tau 0.9 the first examples take all four labels, so the next
         # window simulates every fourth offset only; an example that stops
