@@ -31,7 +31,6 @@ from .model import (
     LabelerEstimate,
     Method,
     UNIFORM_PRIOR,
-    _KERNELS,
     accumulate,
     kernel,
 )
@@ -97,7 +96,5 @@ def aggregate(
         s0, s1 = accumulate(method, recs, estimates)
     except (TypeError, AttributeError, IndexError) as exc:  # not records, or not estimates
         raise DataError(f"votes must be LabelRecords, estimates LabelerEstimates: {exc}") from None
-    kern = _KERNELS[method] if prior is UNIFORM_PRIOR else kernel(method, prior)
-    label, confidence, soft_p1 = kern.finalize(s0, s1)
-    fields = (recs[0].example_id, method, label, confidence, soft_p1, n)
-    return tuple.__new__(AggregateLabel, fields)
+    label, confidence, soft_p1 = kernel(method, prior).finalize(s0, s1)
+    return AggregateLabel(recs[0].example_id, method, label, confidence, soft_p1, n)

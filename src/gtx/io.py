@@ -166,8 +166,7 @@ def write_label_records(path, records: Sequence[LabelRecord], steps=None) -> Non
 _RECORD_KEYS = {"example_id", "labeler_id", "step", "value"}
 _OPTIONAL_KEYS = {"confidence", "method"}
 _ID_TYPES = {str, int}  # exact types: a bool, list or dict id is rejected
-_SCALARS = {str, int, float, bool, type(None)}
-_FIELDS = ("example_id", "labeler_id", "step", "value")  # the order of the block's columns
+_FIELDS = tuple(sorted(_RECORD_KEYS))  # the order of the block's columns
 
 
 def _read_lines(path, lines, lineno, records, steps, seen, last):
@@ -175,7 +174,8 @@ def _read_lines(path, lines, lineno, records, steps, seen, last):
     time into ``records``, ``steps`` and ``seen``, checking each line in the
     documented order: JSON, an object, the keys, str or int ids, an int step
     above ``last``, a value that is exactly the int 0 or 1, and a new
-    (example, labeler) pair.  Returns the last step read."""
+    (example, labeler) pair.  Returns the last step read.  A rule added here
+    must also be added to ``_block_columns``, which checks a block by column."""
     for lineno, line in enumerate(lines, start=lineno):
         line = line.strip()
         if not line:
@@ -218,11 +218,14 @@ def _block_columns(lines, seen, last):
     """The id, step and value columns and the pair set of ``lines``, stripped
     and non-blank, when each is one valid record, else None.
 
-    The lines are decoded as one JSON array.  Each line ends in ``}``, each
-    row is an object with scalar values and there is one row per line, so
-    each row is its own line's text: a JSON string holds no raw newline, so
-    no row reaches past the ``}`` that ends its line."""
-    if not all(map(str.endswith, lines, itertools.repeat("}"))):
+    The lines are decoded as one JSON array.  Each line holds one ``{`` and
+    ends in ``}``, and there are as many objects as lines, so each line's
+    ``{`` opens its row and nothing else: no ``{`` sits in a string or opens
+    a nested object.  A JSON string holds no raw newline, so the ``}`` that
+    ends a line is outside any string and closes its row; each row is its
+    own line's text."""
+    if (set(map(str.count, lines, itertools.repeat("{"))) != {1}
+            or not all(map(str.endswith, lines, itertools.repeat("}")))):
         return None
     try:
         rows = json.loads("[" + ",\n".join(lines) + "]")
@@ -235,12 +238,8 @@ def _block_columns(lines, seen, last):
     except KeyError:
         return None
     if set(map(len, rows)) != {len(_FIELDS)}:  # optional keys: check each row's keys
-        shapes = set(map(tuple, rows))
-        if any(set(keys) - _OPTIONAL_KEYS != _RECORD_KEYS for keys in shapes):
+        if any(set(keys) - _OPTIONAL_KEYS != _RECORD_KEYS for keys in set(map(tuple, rows))):
             return None
-        for key in _OPTIONAL_KEYS.intersection(itertools.chain.from_iterable(shapes)):
-            if not set(map(type, map(dict.get, rows, itertools.repeat(key)))) <= _SCALARS:
-                return None
     order = steps if last is None else [last, *steps]
     if not (set(map(type, ex)) | set(map(type, lab)) <= _ID_TYPES
             and set(map(type, steps)) == {int} and all(map(operator.lt, order, order[1:]))

@@ -84,12 +84,16 @@ def majority(values):
 
 
 def weighted_share(values, accuracies):
-    """(label, winning accuracy mass / total accuracy mass); ties to 0."""
+    """(label, winning accuracy mass / total accuracy mass); ties to 0.
+
+    Each class's mass is summed on its own, in vote order, so that two equal
+    masses tie however the total rounds.
+    """
+    w0 = sum(a for v, a in zip(values, accuracies) if v == 0)
     w1 = sum(a for v, a in zip(values, accuracies) if v == 1)
-    total = sum(accuracies)
-    if w1 * 2 > total:
-        return 1, w1 / total
-    return 0, (total - w1) / total
+    if w1 > w0:
+        return 1, w1 / (w0 + w1)
+    return 0, w0 / (w0 + w1)
 
 
 def share_vote(values, accuracies):

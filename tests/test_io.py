@@ -581,6 +581,26 @@ def _split_object_file(halves):
     return "\n".join(lines).encode("utf-8")
 
 
+def _rows_not_lines_file(name, at):
+    """The ``_block_lines(at)`` lines, then two or three lines that decode,
+    as one block, to one valid record per line, though no record is its
+    own line; steps and pairs go on from the lines before them."""
+    s = 2 * at
+    row = '{{"example_id": {}, "labeler_id": "a", "step": {}, "value": 1}}'.format
+    tail = {
+        # two records on one line, then one over two lines whose nested
+        # example_id a repeated key replaces: every line ends in "}"
+        "repeated-key": [row(1, s + 1) + "," + row(2, s + 2),
+                         '{"example_id": {"x": 1}',
+                         row(3, s + 3).replace('{"example_id": 3', '"example_id": 3')],
+        # a record ending on the next line, which opens another: every line
+        # holds one "{"
+        "open-line": [row(1, s + 1).split(", \"step")[0],
+                      '"step": %d, "value": 1}, ' % (s + 1) + row(2, s + 2)],
+    }[name]
+    return "\n".join(_block_lines(at) + tail).encode("utf-8")
+
+
 def _fault_before_bad_byte_file(gap):
     # line 1,030 lacks two keys; a byte that is not UTF-8 opens the line
     # ``gap`` lines later, in the same block
@@ -634,10 +654,10 @@ class TestReaderAcrossBlocks:
     @pytest.mark.parametrize("halves", [
         # the first line does not end in "}"
         ['{"example_id": 3, "labeler_id": "z"', '"step": 24, "value": 1}'],
-        # both lines do, but method holds an object, not a scalar
+        # both lines do, but the first holds a second "{": method holds an object
         ['{"example_id": 3, "labeler_id": "z", "step": 24, "value": 1, "method": {"k": 1}',
          '"confidence": 0.5}'],
-    ], ids=["brace", "scalar"])
+    ], ids=["brace", "nested"])
     def test_two_records_on_a_line_beside_one_on_two_lines(self, tmp_path, halves):
         # the block decodes to as many rows as it has lines, yet no line is one record
         p = tmp_path / "split.jsonl"
@@ -645,6 +665,15 @@ class TestReaderAcrossBlocks:
         got = _read_outcome(read_label_records, p)
         assert got == _read_outcome(spec_read_label_records, p)
         assert got[0] is DataError and got[1].startswith(f"{p}:11: invalid JSON: Extra data")
+
+    @pytest.mark.parametrize("at", [0, _CHUNK - 3, _CHUNK])
+    @pytest.mark.parametrize("name", ["repeated-key", "open-line"])
+    def test_records_that_are_not_their_lines(self, tmp_path, name, at):
+        p = tmp_path / "rows.jsonl"
+        p.write_bytes(_rows_not_lines_file(name, at))
+        got = _read_outcome(read_label_records, p)
+        assert got == _read_outcome(spec_read_label_records, p)
+        assert got[0] is DataError and got[1].startswith(f"{p}:{at + 1}: invalid JSON:")
 
     @pytest.mark.parametrize("gap", [3, 200])
     def test_fault_before_a_bad_byte_in_the_same_block(self, tmp_path, gap):
@@ -657,7 +686,7 @@ class TestReaderAcrossBlocks:
         if gap == 200:
             assert got[0] is DataError and got[1].startswith(f"{p}:1030: expected keys")
 
-    @pytest.mark.parametrize("name", ["crlf", "blank-block"])
+    @pytest.mark.parametrize("name", ["crlf", "blank-block", "method-list-in-block-2"])
     def test_valid_file_is_read_by_blocks(self, tmp_path, name):
         p = tmp_path / "long.jsonl"
         p.write_bytes(_LONG_FILES[name].encode("utf-8"))
