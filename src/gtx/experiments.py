@@ -23,8 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
@@ -191,6 +189,9 @@ def _map_trials(worker, trials: int, workers: int, progress=None):
     workers = min(workers, -(-trials // chunk))
     if workers <= 1:
         return collect(map(worker, range(trials)))
+    # imported here: the process pool's modules take about a third of ``import gtx``
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     spans = ((a, min(a + chunk, trials)) for a in range(0, trials, chunk))
 
     def in_order(pool):

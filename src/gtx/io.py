@@ -11,11 +11,14 @@ schema plus a ``confidence`` field, and readers ignore the extra keys, so an
 event log is itself a valid label-record file.
 
 One writer, ``write_columns``, writes event logs, label records and every
-CSV by columns, so an ``EventLog`` reaches its file without one Python object per
-event, each distinct float formatted once.  ``write_csv`` hands it the rows
-of ``summary.csv``, ``best_cells.csv`` and ``estimates.csv`` as columns:
-None is an empty cell, and a str holding a comma, a double quote or a line
-break is quoted as RFC 4180 says, so any CSV reader reads each row back.
+CSV by columns, as UTF-8 bytes.  Integers are written by ``%d``; each
+distinct float, and each pool id of an ``EventLog``, is formatted and
+encoded once.  Each ``_WRITE_ROWS`` rows are one row-major table of cells
+and one bytes ``%``, so no table of cells grows with the file.  ``write_csv``
+hands it the rows of ``summary.csv``, ``best_cells.csv`` and
+``estimates.csv`` as columns: None is an empty cell, and a str holding a
+comma, a double quote or a line break is quoted as RFC 4180 says, so any
+CSV reader reads each row back.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
@@ -88,29 +92,46 @@ def write_csv(path, header: Sequence[str], rows) -> None:
     write_columns(path, ",".join(header) + "\n", [(",".join(["%s"] * width) + "\n", table.T)])
 
 
-_CHUNK = 1024  # rows encoded per write
+_WRITE_ROWS = 1024  # rows per bytes ``%`` of write_columns
+_CELL = re.compile("%%|%s")  # a template's tokens: a literal "%", or one cell
 
 
 def _float_cells(column, form) -> np.ndarray:
-    """``form(v)`` of each float64 ``v`` of ``column``, as an object array: ``form`` runs
-    once per distinct bit pattern, so that -0.0 and every nan keep their own text."""
-    bits, where = np.unique(np.asarray(column, np.float64).view(np.int64), return_inverse=True)
-    return np.array([form(v) for v in bits.view(np.float64).tolist()], object)[where]
+    """``form(v)`` of each float64 ``v`` of ``column``, UTF-8-encoded, as an
+    object array: ``form`` and the encoding run once per distinct bit
+    pattern, so that -0.0 and every nan keep their own text."""
+    bits, where = np.unique(column.view(np.int64), return_inverse=True)
+    texts = map(str.encode, map(form, bits.view(np.float64).tolist()))
+    return np.array(list(texts), object)[where]
 
 
 def write_columns(path, head: str, blocks, form=repr) -> None:
     """Write ``head``, then ``template % row`` for each row of each
-    ``(template, columns)`` block of numpy columns, ``_CHUNK`` rows at a
-    time.  A float64 column's cells are ``form`` of its values; the cells of
-    any other column fill their ``%s`` as ``tolist`` gives them."""
-    with as_path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(head)
+    ``(template, columns)`` block of numpy columns, as UTF-8 bytes.
+
+    A template's ``%s`` takes an integer column's cells by ``%d``, a float64
+    column's as ``form`` of its values, and any other column's as ``%s``
+    writes its ``tolist`` values, but bytes as they are.  Each
+    ``_WRITE_ROWS`` rows are one row-major table of cells and one bytes
+    ``%``, so no table of cells grows with the file."""
+    with as_path(path).open("wb") as fh:
+        fh.write(head.encode())
         for template, columns in blocks:
-            columns = [_float_cells(c, form) if c.dtype == np.float64 else c for c in columns]
-            for lo in range(0, len(columns[0]), _CHUNK):
-                part = [c[lo:lo + _CHUNK].tolist() for c in columns]
-                cells = tuple(itertools.chain.from_iterable(zip(*part)))
-                fh.write((template * len(part[0])) % cells)
+            # "d": integers, written by %d; "f": float64, by form; "s": any other
+            kinds = ["d" if c.dtype.kind in "iu" else "f" if c.dtype == np.float64 else "s"
+                     for c in columns]
+            columns = [_float_cells(c, form) if k == "f" else c for k, c in zip(kinds, columns)]
+            marks = iter(kinds)
+            template = _CELL.sub(lambda m: "%d" if m[0] == "%s" and next(marks, "") == "d"
+                                 else m[0], template).encode()
+            n = len(columns[0])
+            for lo in range(0, n, _WRITE_ROWS):
+                table = np.empty((min(n - lo, _WRITE_ROWS), len(columns)), object)
+                for j, c in enumerate(columns):
+                    part = c[lo:lo + _WRITE_ROWS]
+                    table[:, j] = part if kinds[j] != "s" else [  # %s's text; bytes as is
+                        v if type(v) is bytes else str(v).encode() for v in part.tolist()]
+                fh.write(template * len(table) % tuple(table.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +188,7 @@ _RECORD_KEYS = {"example_id", "labeler_id", "step", "value"}
 _OPTIONAL_KEYS = {"confidence", "method"}
 _ID_TYPES = {str, int}  # exact types: a bool, list or dict id is rejected
 _FIELDS = tuple(sorted(_RECORD_KEYS))  # the order of the block's columns
+_READ_LINES = 1024  # lines per block of read_label_records
 
 
 def _read_lines(path, lines, lineno, records, steps, seen, last):
@@ -275,7 +297,7 @@ def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
     Returns (records, steps).  Steps must be strictly increasing integers
     and values exactly the integer 0 or 1 (not true, not 1.0); a repeated
     (example_id, labeler_id) pair, like any fault, is a ``DataError`` naming
-    the first faulty line.  The file is read once, ``_CHUNK`` lines at a
+    the first faulty line.  The file is read once, ``_READ_LINES`` lines at a
     time; text that is not UTF-8 is a ``DataError`` naming only the file,
     unless a line before it is faulty.
     """
@@ -288,9 +310,9 @@ def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
         try:
             for line in fh:
                 lines.append(line)
-                if len(lines) == _CHUNK:
+                if len(lines) == _READ_LINES:
                     last = _read_block(path, lines, lineno, records, steps, seen, last)
-                    lines, lineno = [], lineno + _CHUNK
+                    lines, lineno = [], lineno + _READ_LINES
         except UnicodeDecodeError as exc:  # the lines read before it are checked first
             _read_lines(path, lines, lineno, records, steps, seen, last)
             raise DataError(f"{path}: invalid UTF-8: {exc}") from None
@@ -315,8 +337,8 @@ def write_event_log(path, events: Sequence[LabelEvent], method=None) -> None:
     if method is not None:  # the same in every row, so part of the template
         keys = '"method":' + _value(str(method)).replace("%", "%%") + "," + keys
     template = '{"confidence":%s,"example_id":%s,"labeler_id":%s,' + keys
-    if isinstance(events, EventLog):  # each pool member's id formatted once
-        ids = np.array([_value(i) for i in events.pool_ids], object)
+    if isinstance(events, EventLog):  # each pool member's id formatted and encoded once
+        ids = np.array([_value(i).encode() for i in events.pool_ids], object)
         columns = [events.confidences, events.example_ids, ids[events.positions],
                    events.steps, events.values]
     else:  # any other sequence: each event's fields in sorted-key order

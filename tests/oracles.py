@@ -17,13 +17,16 @@ must equal, and ``mean_se`` the scalar trial mean and standard error that
 ``gtx.metrics.mean_se`` must equal on floats and, element by element, on
 arrays.
 ``read_label_records`` is the label-file reader as a plain ``json.loads``
-loop, the spec of the one-scan reader in ``gtx.io``.
+loop, the spec of the one-scan reader in ``gtx.io``, and ``write_columns``
+the column writer as text, one ``%`` of ``str`` cells per 1,024 rows, the
+spec of the bytes that ``gtx.io.write_columns`` writes.
 ``normalize`` is the two-exp posterior, the spec of gtx's one-exp
 ``finalize``, and ``aggregate`` the spec of ``gtx.aggregate``'s bits under
 the uniform prior.
 """
 
 import heapq
+import itertools
 import json
 import math
 from pathlib import Path
@@ -440,3 +443,24 @@ def read_label_records(path):
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: invalid UTF-8: {exc}") from None
     return records, steps
+
+
+def write_columns(path, head, blocks, form=repr):
+    """Write ``head``, then ``template % row`` for each row of each
+    ``(template, columns)`` block of numpy columns, 1,024 rows at a time, as
+    text.  A float64 column's cells are ``form`` of its values, run once per
+    distinct bit pattern; any other column's fill their ``%s`` as ``tolist``
+    gives them."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(head)
+        for template, columns in blocks:
+            cells = []
+            for c in columns:
+                if c.dtype == np.float64:
+                    bits, where = np.unique(c.view(np.int64), return_inverse=True)
+                    c = np.array([form(v) for v in bits.view(np.float64).tolist()], object)[where]
+                cells.append(c)
+            for lo in range(0, len(cells[0]), 1024):
+                part = [c[lo:lo + 1024].tolist() for c in cells]
+                row_cells = tuple(itertools.chain.from_iterable(zip(*part)))
+                fh.write((template * len(part[0])) % row_cells)

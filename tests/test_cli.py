@@ -531,3 +531,14 @@ class TestExperimentArbitraryConfig:
         errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
         assert len(errors) == (code != 0)
         assert "Traceback" not in err.getvalue()
+
+
+class TestColdStart:
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # the pool is imported when a run asks for more than one worker
+        code = "import sys, gtx, gtx.cli; print('multiprocessing' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(gtx.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr

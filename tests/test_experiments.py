@@ -148,7 +148,8 @@ class TestThresholdExperiment:
                 super().__init__(max_workers=min(max_workers, 2))
 
         cfg = tiny_threshold_config(trials=trials)
-        with mock.patch.object(gtx.experiments, "ProcessPoolExecutor", Pool):
+        # _map_trials imports the pool class from its module when it needs one
+        with mock.patch("concurrent.futures.process.ProcessPoolExecutor", Pool):
             par = run_threshold_experiment(cfg, workers=64)
         assert seen == asked
         assert par.reports == run_threshold_experiment(cfg, workers=1).reports

@@ -16,7 +16,8 @@ from gtx import io as gtx_io
 from gtx.aggregators import Method
 from gtx.errors import ConfigError, DataError
 from gtx.io import (
-    _CHUNK,
+    _READ_LINES,
+    _WRITE_ROWS,
     DEFAULT_TAU_GRID,
     ExperimentConfig,
     _float_cells,
@@ -32,8 +33,9 @@ from gtx.io import (
 )
 from gtx.model import LabelRecord
 from gtx.simulation import MAX_SIZE
-from gtx.strategies import LabelEvent
+from gtx.strategies import EventLog, LabelEvent
 from oracles import read_label_records as spec_read_label_records
+from oracles import write_columns as spec_write_columns
 from support import fuzz_configs, json_lines
 
 
@@ -407,8 +409,8 @@ class TestJsonlEncoding:
     def test_one_odd_cell_in_the_middle_chunk(self, tmp_path, field, odd):
         # chunks 1 and 3 are plain ints and finite floats; chunk 2 is not
         events = [LabelEvent(i + 1, i // 3, i % 3, i % 2, 0.5 + i / 7919)
-                  for i in range(2 * _CHUNK + 5)]
-        events[_CHUNK + 3] = events[_CHUNK + 3]._replace(**{field: odd})
+                  for i in range(2 * _WRITE_ROWS + 5)]
+        events[_WRITE_ROWS + 3] = events[_WRITE_ROWS + 3]._replace(**{field: odd})
         p = tmp_path / "events.jsonl"
         write_event_log(p, events, Method.GTX)
         assert p.read_bytes() == _event_dict_lines(events, Method.GTX).encode("utf-8")
@@ -435,11 +437,47 @@ def _float_columns(draw):
     return np.array(draw(st.lists(st.sampled_from(pool), max_size=50)), np.float64)
 
 
+# literal template text: "%" escaped, so that "%s" in it becomes "%%s"
+_literals = (st.text(st.characters(codec="utf-8"), max_size=4).map(lambda t: t.replace("%", "%%"))
+             | st.sampled_from(["%%", "%%s", ",", '"', "é,\"%%"]))
+# the kinds of column callers pass: values drawn from a few, so that a
+# column of any length repeats them
+_column_kinds = st.sampled_from([
+    (st.floats() | st.sampled_from(_ODD_FLOATS), np.float64),
+    (st.integers(-2**63, 2**63 - 1) | st.sampled_from([-2**63, 2**63 - 1]), np.int64),
+    (st.integers(0, 2**64 - 1), np.uint64),
+    (st.booleans(), np.bool_),
+    (st.floats(width=32), np.float32),
+    (st.text(st.characters(codec="utf-8"), max_size=4)
+     | st.sampled_from(["é", "a,b", 'q"x', "100%", "%s", "%%"]), object),
+])
+
+
+@st.composite
+def _column_blocks(draw):
+    """One to three (template, columns) blocks of one to four columns, each
+    block of 0 to 5 rows or of as many as end just before, at or just after
+    the end of a write chunk, or inside the third."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 5) | st.sampled_from(
+            [_WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1, 2 * _WRITE_ROWS + 3]))
+        columns, template = [], draw(_literals)
+        for _ in range(draw(st.integers(1, 4))):
+            values, dtype = draw(_column_kinds)
+            pool = draw(st.lists(values, min_size=1, max_size=6))
+            columns.append(np.resize(np.array(pool, dtype), n))
+            template += "%s" + draw(_literals)
+        blocks.append((template + "\n", columns))
+    return blocks
+
+
 class TestColumnWriters:
     @given(_float_columns())
     def test_float_cells_are_repr_and_json_text(self, column):
         for form in (repr, _value):
-            assert _float_cells(column, form).tolist() == [form(v) for v in column.tolist()]
+            assert _float_cells(column, form).tolist() == [
+                form(v).encode() for v in column.tolist()]
 
     @given(_float_columns(), st.lists(st.integers(-2**63, 2**63 - 1), max_size=50),
            st.sampled_from(["gtx", "a%sb", "100%"]))
@@ -456,6 +494,16 @@ class TestColumnWriters:
         write_columns(by_columns, "a,b,c,d\n", templates)
         write_csv(by_rows, ["a", "b", "c", "d"], rows)
         assert by_columns.read_bytes() == by_rows.read_bytes()
+
+    @settings(deadline=None)
+    @given(st.text(st.characters(codec="utf-8"), max_size=4), _column_blocks(),
+           st.sampled_from([repr, _value]))
+    def test_bytes_equal_the_text_spec(self, tmp_path_factory, head, blocks, form):
+        p = tmp_path_factory.getbasetemp() / "columns.txt"
+        spec = tmp_path_factory.getbasetemp() / "spec.txt"
+        write_columns(p, head, blocks, form)
+        spec_write_columns(spec, head, blocks, form)
+        assert p.read_bytes() == spec.read_bytes()
 
 
 # an id past Python's 4300-digit limit on reading an int, a plain ValueError
@@ -561,12 +609,13 @@ def _block_lines(n, seed=0):
 @st.composite
 def _long_spec_files(draw):
     """The text of a label file of 1,000 to 3,000 lines, longer than a read
-    block (``_CHUNK`` lines), with up to two odd lines inserted, often at the
+    block (``_READ_LINES`` lines), with up to two odd lines inserted, often at the
     last line of the first block or the first of the second.  An odd line
     before clean line ``i`` gets step ``2 * i + 1``, between its neighbours'."""
     n = draw(st.integers(1000, 3000))
     lines = _block_lines(n, draw(st.integers(0, 2**32 - 1)))
-    at = draw(st.lists(st.sampled_from([_CHUNK - 1, _CHUNK]) | st.integers(0, n), max_size=2))
+    edge = st.sampled_from([_READ_LINES - 1, _READ_LINES])
+    at = draw(st.lists(edge | st.integers(0, n), max_size=2))
     for i in sorted(at, reverse=True):
         lines.insert(i, draw(_odd_line(2 * i + 1)))
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
@@ -625,9 +674,10 @@ _LONG_FILES = {
         _with_line(_LINES, 1100, example_id=1, labeler_id="z")),
     # the first line of block 2 repeats the last step of block 1
     "step-fault-opens-block-2": "\n".join(
-        _with_line(_LINES, _CHUNK, step=2 * _CHUNK)),
+        _with_line(_LINES, _READ_LINES, step=2 * _READ_LINES)),
     "blank-block": "\n".join(
-        _LINES[:_CHUNK] + ["", "  ", "\t", ""] * (_CHUNK // 4) + _LINES[_CHUNK:]),
+        _LINES[:_READ_LINES] + ["", "  ", "\t", ""] * (_READ_LINES // 4)
+        + _LINES[_READ_LINES:]),
     "crlf": "\r\n".join(_LINES) + "\r\n",
     # valid: only the four record keys are checked, whatever method holds
     "method-list-in-block-2": "\n".join(_with_line(_LINES, 1500, method=["gtx", 1])),
@@ -666,7 +716,7 @@ class TestReaderAcrossBlocks:
         assert got == _read_outcome(spec_read_label_records, p)
         assert got[0] is DataError and got[1].startswith(f"{p}:11: invalid JSON: Extra data")
 
-    @pytest.mark.parametrize("at", [0, _CHUNK - 3, _CHUNK])
+    @pytest.mark.parametrize("at", [0, _READ_LINES - 3, _READ_LINES])
     @pytest.mark.parametrize("name", ["repeated-key", "open-line"])
     def test_records_that_are_not_their_lines(self, tmp_path, name, at):
         p = tmp_path / "rows.jsonl"
@@ -714,6 +764,37 @@ class TestReaderMemory:
             assert len(records) == 50_000
         excess = peaks[read_label_records] - peaks[spec_read_label_records]
         assert excess < p.stat().st_size / 3, f"{excess} bytes above the spec's peak"
+
+
+class TestWriterMemory:
+    def test_peak_stays_near_the_text_spec(self, tmp_path):
+        # the writer holds one chunk's table of cells at a time, so its peak
+        # exceeds the spec's by far less than the file's size; a table of a
+        # whole block's cells would not
+        n = 200_000
+        log = EventLog(np.arange(1, n + 1), np.arange(n) // 4, np.arange(n) % 4, np.arange(n) % 2,
+                       np.arange(n) % 1000 / 1000, [f"w{j}" for j in range(4)])
+        template = ('{"confidence":%s,"example_id":%s,"labeler_id":%s,"method":"gtx",'
+                    '"step":%s,"value":%s}\n')
+
+        def spec_write(path):  # the columns write_event_log writes, ids as text
+            ids = np.array([_value(i) for i in log.pool_ids], object)
+            columns = [log.confidences, log.example_ids, ids[log.positions], log.steps, log.values]
+            spec_write_columns(path, "", [(template, columns)], _value)
+
+        peaks = {}
+        for name, write in (("spec", spec_write),
+                            ("writer", lambda path: write_event_log(path, log, Method.GTX))):
+            tracemalloc.start()
+            try:
+                write(tmp_path / name)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        size = (tmp_path / "writer").stat().st_size
+        assert (tmp_path / "writer").read_bytes() == (tmp_path / "spec").read_bytes()
+        excess = peaks["writer"] - peaks["spec"]
+        assert excess < size / 3, f"{excess} bytes above the spec's peak, file {size} bytes"
 
 
 class TestAssessmentReader:
@@ -766,7 +847,7 @@ def _csv_rows(draw):
     width = draw(st.integers(1, 4))
     row = st.lists(_cells, min_size=width, max_size=width)
     block = draw(st.lists(row, min_size=1, max_size=4))
-    copies = draw(st.sampled_from([1, _CHUNK // len(block) + 1]))
+    copies = draw(st.sampled_from([1, _WRITE_ROWS // len(block) + 1]))
     tail = draw(st.lists(row, max_size=3))
     return [f"h{i}" for i in range(width)], block * copies + tail
 
@@ -804,7 +885,7 @@ class TestCsvWriter:
         assert not p.exists()
 
     @given(_csv_rows())
-    @example((["x", "y"], [[0.1, 2]] * _CHUNK + [[None, "a,b"]]))
+    @example((["x", "y"], [[0.1, 2]] * _WRITE_ROWS + [[None, "a,b"]]))
     def test_bytes_equal_per_cell_text(self, tmp_path_factory, csv_rows):
         header, rows = csv_rows
         p = tmp_path_factory.getbasetemp() / "cells.csv"
