@@ -8,7 +8,10 @@ Label-record files are JSON Lines; each line holds exactly
 ``{"example_id": ..., "labeler_id": ..., "step": n, "value": 0|1}`` with
 ``step`` strictly increasing across the file.  Event logs reuse the same
 schema plus a ``confidence`` field, and readers ignore the extra keys, so an
-event log is itself a valid label-record file.
+event log is itself a valid label-record file.  The record rules live in one
+check, ``_columns``, which the reader's block and line paths and
+``write_label_records`` share: the writer refuses the files the reader
+refuses, with the reader's message, before it opens the file.
 
 One writer, ``write_columns``, writes event logs, label records and every
 CSV by columns, as UTF-8 bytes.  Integers are written by ``%d``; each
@@ -158,11 +161,12 @@ def _record_id(v):
 
 
 def write_label_records(path, records: Sequence[LabelRecord], steps=None) -> None:
-    """Write records as JSONL; steps default to 1..n and must be strictly
-    increasing integers, ids strings or integers and values 0 or 1, as
-    ``read_label_records`` requires.  Numpy integers are written as ints;
-    any other record, step, id or value is a ``DataError``, raised before
-    the file is opened."""
+    """Write ``(example_id, labeler_id, value)`` records as JSONL, steps 1..n
+    by default: integer steps and ids (numpy integers written as ints), str
+    ids and values 0 or 1 (``as_label``).  ``_columns`` then holds the rows to
+    the reader's rules: the writer refuses the files the reader refuses, with
+    its message.  Every fault is a ``DataError`` raised before the file is
+    opened, an int too long to write too."""
     try:
         records = [tuple(rec) for rec in records]
         steps = list(range(1, len(records) + 1) if steps is None else steps)
@@ -170,34 +174,90 @@ def write_label_records(path, records: Sequence[LabelRecord], steps=None) -> Non
         raise DataError("records, each record and steps must be sequences") from None
     if len(steps) != len(records):
         raise DataError("steps and records differ in length")
-    rows = []
-    for last, step, rec in zip([0] + steps, steps, records):
+    rows, cells = [], []
+    for lineno, (step, rec) in enumerate(zip(steps, records), start=1):
         if len(rec) != 3:
             raise DataError(f"a record must be (example_id, labeler_id, value), got {rec!r}")
         if not is_int(step):
             raise DataError(f"steps must be integers, got {step!r}")
-        if step <= last:
-            raise DataError(f"steps must be strictly increasing, got {step} after {last}")
         ex, lab, v = rec
-        rows.append((_value(_record_id(ex)), _value(_record_id(lab)), int(step), as_label(v)))
-    template = '{"example_id":%s,"labeler_id":%s,"step":%s,"value":%s}\n'
-    write_columns(path, "", [(template, np.array(rows, object).reshape(-1, 4).T)])
+        rows.append(dict(zip(_FIELDS, (_record_id(ex), _record_id(lab), int(step), as_label(v)))))
+        try:
+            cells.append(tuple(map(_value, rows[-1].values())))
+        except ValueError as exc:  # an int of more digits than Python writes
+            _read_lines(path, [_LINE % c for c in cells], 1, [], [], set(), None)  # lines before
+            raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+    try:
+        _columns(path, 1, rows, set(), None)
+    except DataError:  # read line by line, which names the first faulty line
+        _read_lines(path, [_LINE % c for c in cells], 1, [], [], set(), None)
+    write_columns(path, "", [(_LINE, np.array(cells, object).reshape(-1, 4).T)])
 
 
 _RECORD_KEYS = {"example_id", "labeler_id", "step", "value"}
 _OPTIONAL_KEYS = {"confidence", "method"}
 _ID_TYPES = {str, int}  # exact types: a bool, list or dict id is rejected
-_FIELDS = tuple(sorted(_RECORD_KEYS))  # the order of the block's columns
+_FIELDS = tuple(sorted(_RECORD_KEYS))  # the order of the columns, and of a line's keys
+_LINE = '{"example_id":%s,"labeler_id":%s,"step":%s,"value":%s}\n'
 _READ_LINES = 1024  # lines per block of read_label_records
 
 
+def _columns(path, lineno, rows, seen, last):
+    """The id, step and value columns and the pair set of ``rows``, decoded
+    JSON values, if each is a record; else the ``DataError`` of line
+    ``lineno`` of ``path`` for the first rule they break, in the documented
+    order: an object, the keys, str or int ids, an int step above the one
+    before it (``last`` before the first; None: any), a value that is
+    exactly the int 0 or 1, and a pair new to ``seen`` (left unchanged) and
+    to the rows before it.  The one home of the record rules: each is
+    checked by column, and the text is the reader's when ``rows`` is one row."""
+    at = f"{path}:{lineno}: "
+    if not set(map(type, rows)) <= {dict}:
+        raise DataError(at + "expected an object per line")
+    try:
+        ex, lab, steps, values = (list(map(operator.itemgetter(k), rows)) for k in _FIELDS)
+        keys = set(map(tuple, rows)) if set(map(len, rows)) - {len(_FIELDS)} else ()
+    except KeyError:
+        keys = map(tuple, rows)
+    for row_keys in keys:
+        if set(row_keys) - _OPTIONAL_KEYS != _RECORD_KEYS:
+            raise DataError(f"{at}expected keys {sorted(_RECORD_KEYS)}, got {sorted(row_keys)}")
+    if not set(map(type, ex)) | set(map(type, lab)) <= _ID_TYPES:
+        e, b = next(p for p in zip(ex, lab) if not {type(p[0]), type(p[1])} <= _ID_TYPES)
+        raise DataError(
+            f"{at}example_id and labeler_id must be strings or integers, got {e!r} and {b!r}")
+    if not set(map(type, steps)) <= {int}:  # JSON numbers decode to exact ints
+        raise DataError(at + "step must be an integer")
+    order = steps if last is None else [last, *steps]
+    if not all(map(operator.lt, order, order[1:])):
+        b, s = next(p for p in zip(order, order[1:]) if p[0] >= p[1])
+        raise DataError(f"{at}steps must be strictly increasing ({s} after {b})")
+    if not (set(map(type, values)) <= {int} and set(values) <= {0, 1}):
+        v = next(v for v in values if type(v) is not int or v not in (0, 1))
+        raise DataError(f"{at}value must be the int 0 or 1, got {v!r}")
+    pairs = set(zip(ex, lab))
+    if len(pairs) != len(rows) or not seen.isdisjoint(pairs):
+        met = set()  # the pairs of the rows before
+        for e, b in zip(ex, lab):
+            if (e, b) in seen or (e, b) in met:
+                raise DataError(f"{at}duplicate label for example {e!r} by labeler {b!r}")
+            met.add((e, b))
+    return ex, lab, steps, values, pairs
+
+
+def _commit(columns, records, steps, seen, last):
+    """Add ``_columns``' records, steps and pairs; returns the last step read."""
+    ex, lab, new_steps, values, pairs = columns
+    records.extend(map(tuple.__new__, itertools.repeat(LabelRecord), zip(ex, lab, values)))
+    steps.extend(new_steps)
+    seen.update(pairs)
+    return new_steps[-1] if new_steps else last
+
+
 def _read_lines(path, lines, lineno, records, steps, seen, last):
-    """Read ``lines``, the first of them line ``lineno`` of ``path``, one at a
-    time into ``records``, ``steps`` and ``seen``, checking each line in the
-    documented order: JSON, an object, the keys, str or int ids, an int step
-    above ``last``, a value that is exactly the int 0 or 1, and a new
-    (example, labeler) pair.  Returns the last step read.  A rule added here
-    must also be added to ``_block_columns``, which checks a block by column."""
+    """Read ``lines``, the first of them line ``lineno`` of ``path``, each
+    non-blank one decoded and checked by ``_columns`` as a block of one row,
+    so a fault names its line.  Returns the last step read."""
     for lineno, line in enumerate(lines, start=lineno):
         line = line.strip()
         if not line:
@@ -206,89 +266,30 @@ def _read_lines(path, lines, lineno, records, steps, seen, last):
             row = json.loads(line)
         except (ValueError, RecursionError) as exc:  # ValueError: an int too long to read
             raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(row, dict):
-            raise DataError(f"{path}:{lineno}: expected an object per line")
-        if set(row) - _OPTIONAL_KEYS != _RECORD_KEYS:
-            raise DataError(
-                f"{path}:{lineno}: expected keys {sorted(_RECORD_KEYS)}, got {sorted(row)}")
-        ex, lab = row["example_id"], row["labeler_id"]
-        if type(ex) not in _ID_TYPES or type(lab) not in _ID_TYPES:
-            raise DataError(
-                f"{path}:{lineno}: example_id and labeler_id must be strings "
-                f"or integers, got {ex!r} and {lab!r}"
-            )
-        step = row["step"]
-        if type(step) is not int:  # JSON numbers decode to exact ints
-            raise DataError(f"{path}:{lineno}: step must be an integer")
-        if last is not None and step <= last:
-            raise DataError(
-                f"{path}:{lineno}: steps must be strictly increasing ({step} after {last})")
-        last = step
-        value = row["value"]
-        if type(value) is not int or value not in (0, 1):
-            raise DataError(f"{path}:{lineno}: value must be the int 0 or 1, got {value!r}")
-        if (ex, lab) in seen:
-            raise DataError(
-                f"{path}:{lineno}: duplicate label for example {ex!r} by labeler {lab!r}")
-        seen.add((ex, lab))
-        records.append(LabelRecord(ex, lab, value))
-        steps.append(step)
+        last = _commit(_columns(path, lineno, [row], seen, last), records, steps, seen, last)
     return last
 
 
-def _block_columns(lines, seen, last):
-    """The id, step and value columns and the pair set of ``lines``, stripped
-    and non-blank, when each is one valid record, else None.
-
-    The lines are decoded as one JSON array.  Each line holds one ``{`` and
-    ends in ``}``, and there are as many objects as lines, so each line's
-    ``{`` opens its row and nothing else: no ``{`` sits in a string or opens
-    a nested object.  A JSON string holds no raw newline, so the ``}`` that
-    ends a line is outside any string and closes its row; each row is its
-    own line's text."""
-    if (set(map(str.count, lines, itertools.repeat("{"))) != {1}
-            or not all(map(str.endswith, lines, itertools.repeat("}")))):
-        return None
-    try:
-        rows = json.loads("[" + ",\n".join(lines) + "]")
-    except (ValueError, RecursionError):
-        return None
-    if len(rows) != len(lines) or set(map(type, rows)) != {dict}:
-        return None
-    try:
-        ex, lab, steps, values = (list(map(operator.itemgetter(k), rows)) for k in _FIELDS)
-    except KeyError:
-        return None
-    if set(map(len, rows)) != {len(_FIELDS)}:  # optional keys: check each row's keys
-        if any(set(keys) - _OPTIONAL_KEYS != _RECORD_KEYS for keys in set(map(tuple, rows))):
-            return None
-    order = steps if last is None else [last, *steps]
-    if not (set(map(type, ex)) | set(map(type, lab)) <= _ID_TYPES
-            and set(map(type, steps)) == {int} and all(map(operator.lt, order, order[1:]))
-            and set(map(type, values)) == {int} and set(values) <= {0, 1}):
-        return None
-    pairs = set(zip(ex, lab))
-    if len(pairs) != len(lines) or not seen.isdisjoint(pairs):
-        return None
-    return ex, lab, steps, values, pairs
-
-
 def _read_block(path, lines, lineno, records, steps, seen, last):
-    """Read ``lines``, the first of them line ``lineno``, as ``_read_lines``
-    does, checking them by column and committing them together; a block that
-    fails any check is read line by line, which names its first fault.
-    Returns the last step read."""
+    """Read ``lines`` as ``_read_lines`` does, but as one JSON array of their
+    stripped, non-blank text, checked by ``_columns`` as one block; a block
+    that fails is read line by line, which names its first fault.  Each line
+    holds one ``{`` and ends in ``}``, and there are as many rows as lines,
+    each an object (``_columns`` checks that), so each line's ``{`` opens its
+    row and nothing else: no ``{`` sits in a string or opens a nested object.
+    A JSON string holds no raw newline, so the ``}`` that ends a line is
+    outside any string and closes its row; each row is its own line's text."""
     stripped = list(filter(None, map(str.strip, lines)))
-    if not stripped:
-        return last
-    columns = _block_columns(stripped, seen, last)
-    if columns is None:
-        return _read_lines(path, lines, lineno, records, steps, seen, last)
-    ex, lab, block_steps, values, pairs = columns
-    records.extend(map(tuple.__new__, itertools.repeat(LabelRecord), zip(ex, lab, values)))
-    steps.extend(block_steps)
-    seen.update(pairs)
-    return block_steps[-1]
+    if (set(map(str.count, stripped, itertools.repeat("{"))) <= {1}
+            and all(map(str.endswith, stripped, itertools.repeat("}")))):
+        try:
+            rows = json.loads("[" + ",\n".join(stripped) + "]")
+            if len(rows) == len(stripped):
+                columns = _columns(path, lineno, rows, seen, last)
+                return _commit(columns, records, steps, seen, last)
+        except (ValueError, RecursionError):  # a DataError too: named line by line
+            pass
+    return _read_lines(path, lines, lineno, records, steps, seen, last)
 
 
 def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
@@ -321,8 +322,11 @@ def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
 
 
 def read_assessment_set(path) -> AssessmentSet:
-    """Load expert truth from a label-record file (labeler ids are ignored)."""
+    """Load expert truth from a label-record file (labeler ids are ignored);
+    a file with no records is a ``DataError`` naming it."""
     records, _ = read_label_records(path)
+    if not records:
+        raise DataError(f"{path}: assessment set has no items")
     truth = {}
     for ex, _, value in records:
         if ex in truth:
@@ -337,13 +341,16 @@ def write_event_log(path, events: Sequence[LabelEvent], method=None) -> None:
     if method is not None:  # the same in every row, so part of the template
         keys = '"method":' + _value(str(method)).replace("%", "%%") + "," + keys
     template = '{"confidence":%s,"example_id":%s,"labeler_id":%s,' + keys
-    if isinstance(events, EventLog):  # each pool member's id formatted and encoded once
-        ids = np.array([_value(i).encode() for i in events.pool_ids], object)
-        columns = [events.confidences, events.example_ids, ids[events.positions],
-                   events.steps, events.values]
-    else:  # any other sequence: each event's fields in sorted-key order
-        rows = [[_value(ev[j]) for j in (4, 1, 2, 0, 3)] for ev in events]
-        columns = np.array(rows, object).reshape(-1, 5).T
+    try:
+        if isinstance(events, EventLog):  # each pool member's id formatted and encoded once
+            ids = np.array([_value(i).encode() for i in events.pool_ids], object)
+            columns = [events.confidences, events.example_ids, ids[events.positions],
+                       events.steps, events.values]
+        else:  # any other sequence: each event's fields in sorted-key order
+            rows = [[_value(ev[j]) for j in (4, 1, 2, 0, 3)] for ev in events]
+            columns = np.array(rows, object).reshape(-1, 5).T
+    except ValueError as exc:  # an int of more digits than Python writes
+        raise DataError(f"{path}: invalid JSON: {exc}") from None
     write_columns(path, "", [(template, columns)], _value)
 
 

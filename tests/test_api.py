@@ -257,10 +257,19 @@ def test_any_bad_value_to_a_function_raises_only_gtx_errors(case, bad):
     *[(lambda t=t: gtx.trial_report(_SCORED[0], t), DataError) for t in (None, "x", 3, {})],
     (lambda: gtx.summarize([_REPORT, None]), DataError),
     (lambda: gtx.write_results("x", os.devnull), ConfigError),
+    # integers of more digits than Python writes, named before the file is opened
+    *[(lambda r=r: gtx.write_label_records("out.jsonl", [r]), DataError)
+      for r in [(10**5000, "a", 1), (0, 10**5000, 1)]],
+    (lambda: gtx.write_label_records("out.jsonl", [(0, "a", 1), (1, "a", 0)], [1, 10**5000]),
+     DataError),
+    *[(lambda e=e: gtx.write_event_log("out.jsonl", [e]), DataError)
+      for e in [gtx.LabelEvent(1, 10**5000, "a", 1, 0.9), gtx.LabelEvent(1, 0, 10**5000, 1, 0.9)]],
 ])
-def test_former_leaks_raise_the_contract_types(make, error):
+def test_former_leaks_raise_the_contract_types(make, error, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(error):
         make()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("pool, message", [
@@ -380,6 +389,36 @@ def test_only_errors_decides_what_a_number_is():
                  if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
                  or isinstance(node, ast.ImportFrom) and node.module == "numbers"}
     assert importers == {"errors.py"}
+
+
+# the record rules' messages, raised only by their one home, io._columns
+_RECORD_RULES = ("strictly increasing", "duplicate label for example",
+                 "value must be the int 0 or 1")
+
+
+def _rule_raises(tree):
+    """``(function, message)`` of every ``raise`` whose text holds a record
+    rule's message."""
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    found += [(func.name, rule) for text in ast.walk(node.exc)
+                              if isinstance(text, ast.Constant) and isinstance(text.value, str)
+                              for rule in _RECORD_RULES if rule in text.value]
+    return found
+
+
+def test_only_one_check_raises_the_record_rules():
+    # write_label_records, _read_lines and _read_block state no rule themselves
+    seen = _rule_raises(ast.parse("def f(at):\n    raise E(f'{at}: steps must be strictly "
+                                  "increasing')\n"))
+    assert seen == [("f", "strictly increasing")]
+    src = Path(gtx.__file__).parent
+    raised = {(path.name, func, rule) for path in sorted(src.glob("*.py"))
+              for func, rule in _rule_raises(ast.parse(path.read_text(encoding="utf-8")))}
+    assert raised == {("io.py", "_columns", rule) for rule in _RECORD_RULES}
 
 
 def test_the_guard_sees_a_plain_raise():

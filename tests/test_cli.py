@@ -292,6 +292,17 @@ class TestAssessCommand:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith(f"error: {paths[kind]}: invalid UTF-8: ")
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_empty_truth_exits_two_naming_the_file(self, tmp_path, capsys, text):
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(text)
+        labels = tmp_path / "labels.jsonl"
+        write_label_records(labels, [LabelRecord(4, "p", 1)])
+        code = main(["assess", "--labels", str(labels), "--truth", str(truth),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {truth}: assessment set has no items\n"
+
     def test_duplicate_truth_exits_two_naming_the_file(self, tmp_path, capsys):
         truth = tmp_path / "truth.jsonl"
         write_label_records(truth, [LabelRecord(4, "e1", 1), LabelRecord(4, "e2", 0)])

@@ -586,6 +586,80 @@ class TestReaderMatchesSpec:
         assert _read_outcome(read_label_records, p) == _read_outcome(spec_read_label_records, p)
 
 
+@st.composite
+def _records_to_write(draw):
+    """Records whose (example, labeler) pairs may repeat, and integer steps
+    that may be zero, negative, repeated or out of order, or None."""
+    records = draw(st.lists(st.builds(LabelRecord, _spec_ids, _spec_ids,
+                                      st.integers(0, 1)), max_size=8))
+    n = len(records)
+    gaps = st.lists(st.integers(1, 3), min_size=n, max_size=n)
+    steps = draw(st.none() | st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+                 | st.tuples(st.integers(-5, 5), gaps).map(
+                     lambda s: [s[0] + sum(s[1][:i]) for i in range(n)]))
+    return records, steps
+
+
+class TestWriterRefusesWhatTheReaderRefuses:
+    """``write_label_records`` writes a file the reader reads back, or
+    raises the spec reader's error on the lines it would have written."""
+
+    @given(_records_to_write())
+    @example(([LabelRecord(0, "a", 1), LabelRecord(0, "a", 0)], None))
+    @example((_TWO_RECORDS, [5, 5]))
+    @example((_TWO_RECORDS, [-3, 0]))
+    def test_writes_what_reads_back_or_raises_the_readers_error(self, tmp_path_factory, case):
+        records, steps = case
+        written = list(range(1, len(records) + 1)) if steps is None else steps
+        p = tmp_path_factory.getbasetemp() / "agree.jsonl"
+        p.write_text("".join(_dict_line({"example_id": r.example_id, "labeler_id": r.labeler_id,
+                                         "step": s, "value": r.value})
+                             for s, r in zip(written, records)), encoding="utf-8")
+        expected = _read_outcome(spec_read_label_records, p)
+        p.unlink()
+        try:
+            write_label_records(p, records, steps)
+        except DataError as exc:
+            assert (DataError, str(exc)) == expected
+            assert not p.exists()
+        else:
+            assert read_label_records(p) == (records, written)
+            assert _read_outcome(read_label_records, p) == expected
+
+    def test_a_pair_repeated_at_record_three_names_line_three(self, tmp_path):
+        p = tmp_path / "labels.jsonl"
+        records = [LabelRecord(0, "a", 1), LabelRecord(1, "a", 0), LabelRecord(0, "a", 0)]
+        with pytest.raises(DataError) as err:
+            write_label_records(p, records)
+        assert str(err.value) == f"{p}:3: duplicate label for example 0 by labeler 'a'"
+        assert not p.exists()
+
+    @pytest.mark.parametrize("steps", [[-3, 0], [0]], ids=["negative", "zero"])
+    def test_steps_at_or_below_zero_round_trip(self, tmp_path, steps):
+        p = tmp_path / "labels.jsonl"
+        records = _TWO_RECORDS[:len(steps)]
+        write_label_records(p, records, steps)
+        assert read_label_records(p) == (records, steps)
+
+    @pytest.mark.parametrize("at", ["example_id", "labeler_id", "step"])
+    def test_an_int_too_long_to_write_names_its_line(self, tmp_path, at):
+        p = tmp_path / "labels.jsonl"
+        second = {"example_id": 1, "labeler_id": "a", "step": 2, "value": 0, at: 10**5000}
+        steps = [1, second.pop("step")]
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:2: invalid JSON: Exceeds"):
+            write_label_records(p, [_TWO_RECORDS[0], LabelRecord(**second)], steps)
+        assert not p.exists()
+
+    def test_a_fault_before_an_int_too_long_to_write_is_named_first(self, tmp_path):
+        # as the reader reads the lines in order
+        p = tmp_path / "labels.jsonl"
+        records = [LabelRecord(0, "a", 1), LabelRecord(0, "a", 0), LabelRecord(10**5000, "a", 1)]
+        with pytest.raises(DataError) as err:
+            write_label_records(p, records)
+        assert str(err.value) == f"{p}:2: duplicate label for example 0 by labeler 'a'"
+        assert not p.exists()
+
+
 def _block_record(i, rng, **fields):
     """Line ``i + 1`` of a long valid file, with step ``2 * (i + 1)``: its
     (example, labeler) pair is ``(i // 3, "xyz"[i % 3])``, so no pair repeats
@@ -742,6 +816,7 @@ class TestReaderAcrossBlocks:
         p.write_bytes(_LONG_FILES[name].encode("utf-8"))
         with mock.patch.object(gtx_io, "_read_lines", side_effect=AssertionError("line by line")):
             records, steps = read_label_records(p)
+            write_label_records(tmp_path / "written.jsonl", records, steps)  # a valid write too
         assert (records, steps) == spec_read_label_records(p)
         assert len(records) == 2500 and {type(r) for r in records} == {LabelRecord}
 
