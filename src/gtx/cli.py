@@ -19,9 +19,9 @@ from .experiments import (
     write_results,
 )
 from .io import (
+    _read_label_file,
     load_config,
     read_assessment_set,
-    read_label_records,
     write_csv,
     write_json,
 )
@@ -81,12 +81,15 @@ def _cmd_assess(args) -> int:
     from .assessment import estimate_accuracy
 
     truth = read_assessment_set(args.truth)
-    records, _ = read_label_records(args.labels)
     truth_ids = set(truth.example_ids)
     by_labeler: dict = {}
-    for rec in records:
-        if rec.example_id in truth_ids:
-            by_labeler.setdefault(rec.labeler_id, {})[rec.example_id] = rec.value
+
+    def take(example_ids, labeler_ids, values, _):  # a block's columns: no record is built
+        for ex, lab, value in zip(example_ids, labeler_ids, values):
+            if ex in truth_ids:
+                by_labeler.setdefault(lab, {})[ex] = value
+
+    _read_label_file(args.labels, take)
     if not by_labeler:
         raise DataError("no label records overlap the truth set")
     estimates = [

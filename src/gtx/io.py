@@ -8,10 +8,15 @@ Label-record files are JSON Lines; each line holds exactly
 ``{"example_id": ..., "labeler_id": ..., "step": n, "value": 0|1}`` with
 ``step`` strictly increasing across the file.  Event logs reuse the same
 schema plus a ``confidence`` field, and readers ignore the extra keys, so an
-event log is itself a valid label-record file.  The record rules live in one
-check, ``_columns``, which the reader's block and line paths and
-``write_label_records`` share: the writer refuses the files the reader
-refuses, with the reader's message, before it opens the file.
+event log is itself a valid label-record file.  The reader reads columns:
+``_read_label_file`` hands each checked block's example ids, labeler ids,
+values and steps, as lists, to its caller, and only ``read_label_records``
+builds ``LabelRecord``s from them; ``gtx assess`` and
+``read_assessment_set`` build none.  The record rules live in one check,
+``_columns``, which the reader's block and line paths, ``write_label_records``
+and ``write_event_log`` of a plain sequence share: the writers refuse the
+files the reader refuses, with the reader's message, before they open the
+file.
 
 One writer, ``write_columns``, writes event logs, label records and every
 CSV by columns, as UTF-8 bytes.  Integers are written by ``%d``; each
@@ -185,12 +190,12 @@ def write_label_records(path, records: Sequence[LabelRecord], steps=None) -> Non
         try:
             cells.append(tuple(map(_value, rows[-1].values())))
         except ValueError as exc:  # an int of more digits than Python writes
-            _read_lines(path, [_LINE % c for c in cells], 1, [], [], set(), None)  # lines before
+            _read_lines(path, [_LINE % c for c in cells], 1, _skip, set(), None)  # lines before
             raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from None
     try:
         _columns(path, 1, rows, set(), None)
     except DataError:  # read line by line, which names the first faulty line
-        _read_lines(path, [_LINE % c for c in cells], 1, [], [], set(), None)
+        _read_lines(path, [_LINE % c for c in cells], 1, _skip, set(), None)
     write_columns(path, "", [(_LINE, np.array(cells, object).reshape(-1, 4).T)])
 
 
@@ -245,16 +250,20 @@ def _columns(path, lineno, rows, seen, last):
     return ex, lab, steps, values, pairs
 
 
-def _commit(columns, records, steps, seen, last):
-    """Add ``_columns``' records, steps and pairs; returns the last step read."""
-    ex, lab, new_steps, values, pairs = columns
-    records.extend(map(tuple.__new__, itertools.repeat(LabelRecord), zip(ex, lab, values)))
-    steps.extend(new_steps)
+def _commit(columns, take, seen, last):
+    """Hand ``_columns``' example ids, labeler ids, values and steps to
+    ``take`` and add its pairs to ``seen``; returns the last step read."""
+    ex, lab, steps, values, pairs = columns
+    take(ex, lab, values, steps)
     seen.update(pairs)
-    return new_steps[-1] if new_steps else last
+    return steps[-1] if steps else last
 
 
-def _read_lines(path, lines, lineno, records, steps, seen, last):
+def _skip(*columns):
+    """A ``take`` that keeps nothing: a writer's check of its own lines."""
+
+
+def _read_lines(path, lines, lineno, take, seen, last):
     """Read ``lines``, the first of them line ``lineno`` of ``path``, each
     non-blank one decoded and checked by ``_columns`` as a block of one row,
     so a fault names its line.  Returns the last step read."""
@@ -266,11 +275,11 @@ def _read_lines(path, lines, lineno, records, steps, seen, last):
             row = json.loads(line)
         except (ValueError, RecursionError) as exc:  # ValueError: an int too long to read
             raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        last = _commit(_columns(path, lineno, [row], seen, last), records, steps, seen, last)
+        last = _commit(_columns(path, lineno, [row], seen, last), take, seen, last)
     return last
 
 
-def _read_block(path, lines, lineno, records, steps, seen, last):
+def _read_block(path, lines, lineno, take, seen, last):
     """Read ``lines`` as ``_read_lines`` does, but as one JSON array of their
     stripped, non-blank text, checked by ``_columns`` as one block; a block
     that fails is read line by line, which names its first fault.  Each line
@@ -285,25 +294,18 @@ def _read_block(path, lines, lineno, records, steps, seen, last):
         try:
             rows = json.loads("[" + ",\n".join(stripped) + "]")
             if len(rows) == len(stripped):
-                columns = _columns(path, lineno, rows, seen, last)
-                return _commit(columns, records, steps, seen, last)
+                return _commit(_columns(path, lineno, rows, seen, last), take, seen, last)
         except (ValueError, RecursionError):  # a DataError too: named line by line
             pass
-    return _read_lines(path, lines, lineno, records, steps, seen, last)
+    return _read_lines(path, lines, lineno, take, seen, last)
 
 
-def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
-    """Read a JSONL label-record file, validating the schema.
-
-    Returns (records, steps).  Steps must be strictly increasing integers
-    and values exactly the integer 0 or 1 (not true, not 1.0); a repeated
-    (example_id, labeler_id) pair, like any fault, is a ``DataError`` naming
-    the first faulty line.  The file is read once, ``_READ_LINES`` lines at a
-    time; text that is not UTF-8 is a ``DataError`` naming only the file,
-    unless a line before it is faulty.
-    """
-    records: list[LabelRecord] = []
-    steps: list[int] = []
+def _read_label_file(path, take) -> None:
+    """Read a JSONL label-record file once, ``_READ_LINES`` lines at a time,
+    handing ``take`` the example ids, labeler ids, values and steps of each
+    checked block (of each line, where a block is read line by line) as
+    lists; text that is not UTF-8 is a ``DataError`` naming only the file,
+    unless a line before it is faulty."""
     seen: set[tuple] = set()
     last = None
     with as_path(path).open("r", encoding="utf-8") as fh:
@@ -312,23 +314,56 @@ def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
             for line in fh:
                 lines.append(line)
                 if len(lines) == _READ_LINES:
-                    last = _read_block(path, lines, lineno, records, steps, seen, last)
+                    last = _read_block(path, lines, lineno, take, seen, last)
                     lines, lineno = [], lineno + _READ_LINES
         except UnicodeDecodeError as exc:  # the lines read before it are checked first
-            _read_lines(path, lines, lineno, records, steps, seen, last)
+            _read_lines(path, lines, lineno, take, seen, last)
             raise DataError(f"{path}: invalid UTF-8: {exc}") from None
-        _read_block(path, lines, lineno, records, steps, seen, last)
+        _read_block(path, lines, lineno, take, seen, last)
+
+
+def _label_columns(path) -> tuple[list, list, list, list]:
+    """The example ids, labeler ids, values and steps of a label-record file,
+    read and checked as ``read_label_records`` reads them, as four lists: no
+    record is built."""
+    columns = ([], [], [], [])
+
+    def take(*block):
+        for column, new in zip(columns, block):
+            column.extend(new)
+
+    _read_label_file(path, take)
+    return columns
+
+
+def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
+    """Read a JSONL label-record file, validating the schema.
+
+    Returns (records, steps).  Steps must be strictly increasing integers
+    and values exactly the integer 0 or 1 (not true, not 1.0); a repeated
+    (example_id, labeler_id) pair, like any fault, is a ``DataError`` naming
+    the first faulty line (``_read_label_file``).  Each block's records are
+    built from the columns read.
+    """
+    records: list[LabelRecord] = []
+    steps: list[int] = []
+
+    def take(ex, lab, values, block_steps):
+        records.extend(map(tuple.__new__, itertools.repeat(LabelRecord), zip(ex, lab, values)))
+        steps.extend(block_steps)
+
+    _read_label_file(path, take)
     return records, steps
 
 
 def read_assessment_set(path) -> AssessmentSet:
     """Load expert truth from a label-record file (labeler ids are ignored);
     a file with no records is a ``DataError`` naming it."""
-    records, _ = read_label_records(path)
-    if not records:
+    example_ids, _, values, _ = _label_columns(path)
+    if not example_ids:
         raise DataError(f"{path}: assessment set has no items")
     truth = {}
-    for ex, _, value in records:
+    for ex, value in zip(example_ids, values):
         if ex in truth:
             raise DataError(f"{path}: duplicate truth for example {ex!r}")
         truth[ex] = value
@@ -336,7 +371,12 @@ def read_assessment_set(path) -> AssessmentSet:
 
 
 def write_event_log(path, events: Sequence[LabelEvent], method=None) -> None:
-    """Write collection events as JSONL (label-record schema + confidence)."""
+    """Write collection events as JSONL (label-record schema + confidence).
+
+    An ``EventLog`` is valid by construction.  The lines of any other
+    sequence are read as the reader reads them before the file is opened, so
+    the writer refuses, with the reader's ``DataError``, the files the reader
+    refuses."""
     keys = '"step":%s,"value":%s}\n'
     if method is not None:  # the same in every row, so part of the template
         keys = '"method":' + _value(str(method)).replace("%", "%%") + "," + keys
@@ -347,10 +387,12 @@ def write_event_log(path, events: Sequence[LabelEvent], method=None) -> None:
             columns = [events.confidences, events.example_ids, ids[events.positions],
                        events.steps, events.values]
         else:  # any other sequence: each event's fields in sorted-key order
-            rows = [[_value(ev[j]) for j in (4, 1, 2, 0, 3)] for ev in events]
-            columns = np.array(rows, object).reshape(-1, 5).T
+            rows = [tuple(_value(ev[j]) for j in (4, 1, 2, 0, 3)) for ev in events]
     except ValueError as exc:  # an int of more digits than Python writes
         raise DataError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(events, EventLog):
+        _read_block(path, [template % row for row in rows], 1, _skip, set(), None)
+        columns = np.array(rows, object).reshape(-1, 5).T
     write_columns(path, "", [(template, columns)], _value)
 
 

@@ -4,10 +4,12 @@ import io
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,9 +20,10 @@ import gtx.cli
 import gtx.experiments
 from gtx.cli import main
 from gtx.errors import is_int
-from gtx.io import write_label_records
+from gtx.io import write_csv, write_label_records
 from gtx.model import LabelRecord
 from gtx.simulation import MAX_SIZE
+from oracles import read_label_records as spec_read_label_records
 from support import fuzz_configs, json_lines, json_values
 
 NOT_UTF8 = b"\xff\xfe{}"  # a UTF-16 byte-order mark
@@ -337,6 +340,38 @@ class TestAssessCommand:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "1 and '1'" in err
         assert not (out / "estimates.csv").exists()
+
+    def test_assess_builds_no_records(self, tmp_path):
+        # 3,000 labels over three read blocks, a "{" in one line's method (so
+        # its block is read line by line), and 1,000 labels on truth items
+        rng = random.Random(5)
+        rows = [{"example_id": i // 5, "labeler_id": f"w{i % 5}", "step": i + 1,
+                 "value": rng.randrange(2)} for i in range(3000)]
+        rows[1500]["method"] = "{"
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        truth = tmp_path / "truth.jsonl"
+        write_label_records(truth, [LabelRecord(i, "expert", rng.randrange(2)) for i in range(200)])
+        refuse = mock.Mock(side_effect=AssertionError("assess built records"))
+        with mock.patch("gtx.io.read_label_records", refuse), \
+                mock.patch("gtx.cli.read_label_records", refuse, create=True):
+            code = main(["assess", "--labels", str(labels), "--truth", str(truth),
+                         "--out", str(tmp_path / "out")])
+        assert code == 0 and not refuse.called
+        # the estimates of the spec reader's records
+        aset = gtx.AssessmentSet(*zip(*((r.example_id, r.value)
+                                        for r in spec_read_label_records(truth)[0])))
+        by_labeler = {}
+        for rec in spec_read_label_records(labels)[0]:
+            if rec.example_id in aset.example_ids:
+                by_labeler.setdefault(rec.labeler_id, {})[rec.example_id] = rec.value
+        estimates = sorted((gtx.estimate_accuracy(j, r, aset) for j, r in by_labeler.items()),
+                           key=lambda e: str(e.labeler_id))
+        want = tmp_path / "want.csv"
+        write_csv(want, ["labeler_id", "n_assessed", "accuracy"],
+                  [[e.labeler_id, e.n_assessed, e.accuracy] for e in estimates])
+        assert (tmp_path / "out" / "estimates.csv").read_bytes() == want.read_bytes()
+        assert len(estimates) == 5 and {e.n_assessed for e in estimates} == {200}
 
 
 def _read_back(path):

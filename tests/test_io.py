@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from gtx import io as gtx_io
 from gtx.aggregators import Method
+from gtx.cli import main
 from gtx.errors import ConfigError, DataError
 from gtx.io import (
     _READ_LINES,
@@ -367,6 +368,23 @@ def _event_dict_lines(events, method) -> str:
     return "".join(rows)
 
 
+def _assert_event_log_or_readers_error(p, events, method):
+    """``write_event_log`` writes the events' dict form, or raises the spec
+    reader's error on those lines and leaves no file."""
+    text = _event_dict_lines(events, method).encode("utf-8")
+    p.write_bytes(text)
+    expected = _read_outcome(spec_read_label_records, p)
+    p.unlink()
+    try:
+        write_event_log(p, events, method)
+    except DataError as exc:
+        assert (DataError, str(exc)) == expected
+        assert not p.exists()
+    else:
+        assert p.read_bytes() == text
+        assert isinstance(expected, str)  # the records' repr: the reader reads the file
+
+
 @st.composite
 def _labeled(draw):
     """Records with distinct (example, labeler) pairs and increasing steps."""
@@ -375,6 +393,14 @@ def _labeled(draw):
     gaps = draw(st.lists(st.integers(1, 2**40), min_size=len(rows), max_size=len(rows)))
     steps = [sum(gaps[: i + 1]) for i in range(len(gaps))]
     return [LabelRecord(*r) for r in rows], steps
+
+
+@st.composite
+def _valid_events(draw):
+    """Events with distinct (example, labeler) pairs and increasing steps."""
+    records, steps = draw(_labeled())
+    confidences = draw(st.lists(st.floats(), min_size=len(steps), max_size=len(steps)))
+    return [LabelEvent(s, *r, c) for s, r, c in zip(steps, records, confidences)]
 
 
 class TestJsonlEncoding:
@@ -391,16 +417,15 @@ class TestJsonlEncoding:
         assert p.read_bytes() == expected.encode("utf-8")
 
     @given(
-        st.lists(st.builds(LabelEvent, st.integers(1), _ids, _ids,
-                           st.integers(0, 1), st.floats()), max_size=20),
+        _valid_events() | st.lists(st.builds(LabelEvent, st.integers(1), _ids, _ids,
+                                             st.integers(0, 1), st.floats()), max_size=20),
         st.one_of(st.none(), st.sampled_from(list(Method)), st.text()),
     )
     @example([LabelEvent(1, 0, "a", 1, 0.5)], "100%s")  # a method the template must escape
     @example([LabelEvent(1, 0, 0, 1, float("nan"))], None)  # json's NaN, not %s's nan
     def test_event_log_matches_dict_form(self, tmp_path_factory, events, method):
-        p = tmp_path_factory.getbasetemp() / "events.jsonl"
-        write_event_log(p, events, method)
-        assert p.read_bytes() == _event_dict_lines(events, method).encode("utf-8")
+        _assert_event_log_or_readers_error(tmp_path_factory.getbasetemp() / "events.jsonl",
+                                           events, method)
 
     @pytest.mark.parametrize("field, odd", [
         ("confidence", float("nan")), ("confidence", float("-inf")),
@@ -411,9 +436,7 @@ class TestJsonlEncoding:
         events = [LabelEvent(i + 1, i // 3, i % 3, i % 2, 0.5 + i / 7919)
                   for i in range(2 * _WRITE_ROWS + 5)]
         events[_WRITE_ROWS + 3] = events[_WRITE_ROWS + 3]._replace(**{field: odd})
-        p = tmp_path / "events.jsonl"
-        write_event_log(p, events, Method.GTX)
-        assert p.read_bytes() == _event_dict_lines(events, Method.GTX).encode("utf-8")
+        _assert_event_log_or_readers_error(tmp_path / "events.jsonl", events, Method.GTX)
 
     @given(_labeled())
     def test_label_records_round_trip(self, tmp_path_factory, labeled):
@@ -573,6 +596,22 @@ def _read_outcome(read, path):
         return type(exc), str(exc)
 
 
+def _spec_columns(path):
+    """The spec reader's records transposed, then its steps: the example ids,
+    labeler ids, values and steps that the column reader reads."""
+    records, steps = spec_read_label_records(path)
+    return (*([r[i] for r in records] for i in range(3)), steps)
+
+
+def _reads_as_spec(p):
+    """The reader's records and the column reader's columns are the spec's,
+    or each raises the spec's error; returns the reader's outcome."""
+    got = _read_outcome(read_label_records, p)
+    assert got == _read_outcome(spec_read_label_records, p)
+    assert _read_outcome(gtx_io._label_columns, p) == _read_outcome(_spec_columns, p)
+    return got
+
+
 class TestReaderMatchesSpec:
     @given(_spec_files())
     @example("\ufeff" + json.dumps({"example_id": 0, "labeler_id": "a", "step": 1, "value": 1}))
@@ -583,7 +622,7 @@ class TestReaderMatchesSpec:
     def test_same_records_or_same_error(self, tmp_path_factory, text):
         p = tmp_path_factory.getbasetemp() / "spec.jsonl"
         p.write_bytes(text.encode("utf-8"))
-        assert _read_outcome(read_label_records, p) == _read_outcome(spec_read_label_records, p)
+        _reads_as_spec(p)
 
 
 @st.composite
@@ -632,6 +671,14 @@ class TestWriterRefusesWhatTheReaderRefuses:
         with pytest.raises(DataError) as err:
             write_label_records(p, records)
         assert str(err.value) == f"{p}:3: duplicate label for example 0 by labeler 'a'"
+        assert not p.exists()
+
+    def test_plain_events_are_held_to_the_readers_rules(self, tmp_path):
+        p = tmp_path / "events.jsonl"
+        events = [LabelEvent(1, 0, "a", 1, 0.5), LabelEvent(1, 0, "a", 7, 0.5)]
+        with pytest.raises(DataError) as err:
+            write_event_log(p, events)
+        assert str(err.value) == f"{p}:2: steps must be strictly increasing (1 after 1)"
         assert not p.exists()
 
     @pytest.mark.parametrize("steps", [[-3, 0], [0]], ids=["negative", "zero"])
@@ -746,6 +793,9 @@ _LONG_FILES = {
     # line 6's pair again on line 1,101, in the second block
     "duplicate-pair-across-blocks": "\n".join(
         _with_line(_LINES, 1100, example_id=1, labeler_id="z")),
+    # line 6's pair again on line 2,101, in the third block
+    "duplicate-pair-two-blocks-later": "\n".join(
+        _with_line(_LINES, 2100, example_id=1, labeler_id="z")),
     # the first line of block 2 repeats the last step of block 1
     "step-fault-opens-block-2": "\n".join(
         _with_line(_LINES, _READ_LINES, step=2 * _READ_LINES)),
@@ -767,13 +817,13 @@ class TestReaderAcrossBlocks:
     def test_same_records_or_same_error(self, tmp_path_factory, text):
         p = tmp_path_factory.getbasetemp() / "long_spec.jsonl"
         p.write_bytes(text.encode("utf-8"))
-        assert _read_outcome(read_label_records, p) == _read_outcome(spec_read_label_records, p)
+        _reads_as_spec(p)
 
     @pytest.mark.parametrize("name", sorted(_LONG_FILES))
     def test_fixed_files(self, tmp_path, name):
         p = tmp_path / "long.jsonl"
         p.write_bytes(_LONG_FILES[name].encode("utf-8"))
-        assert _read_outcome(read_label_records, p) == _read_outcome(spec_read_label_records, p)
+        _reads_as_spec(p)
 
     @pytest.mark.parametrize("halves", [
         # the first line does not end in "}"
@@ -786,8 +836,7 @@ class TestReaderAcrossBlocks:
         # the block decodes to as many rows as it has lines, yet no line is one record
         p = tmp_path / "split.jsonl"
         p.write_bytes(_split_object_file(halves))
-        got = _read_outcome(read_label_records, p)
-        assert got == _read_outcome(spec_read_label_records, p)
+        got = _reads_as_spec(p)
         assert got[0] is DataError and got[1].startswith(f"{p}:11: invalid JSON: Extra data")
 
     @pytest.mark.parametrize("at", [0, _READ_LINES - 3, _READ_LINES])
@@ -795,8 +844,7 @@ class TestReaderAcrossBlocks:
     def test_records_that_are_not_their_lines(self, tmp_path, name, at):
         p = tmp_path / "rows.jsonl"
         p.write_bytes(_rows_not_lines_file(name, at))
-        got = _read_outcome(read_label_records, p)
-        assert got == _read_outcome(spec_read_label_records, p)
+        got = _reads_as_spec(p)
         assert got[0] is DataError and got[1].startswith(f"{p}:{at + 1}: invalid JSON:")
 
     @pytest.mark.parametrize("gap", [3, 200])
@@ -805,10 +853,26 @@ class TestReaderAcrossBlocks:
         # before the bad byte is read, and named, before the byte is met
         p = tmp_path / "fault_then_bad_byte.jsonl"
         p.write_bytes(_fault_before_bad_byte_file(gap))
-        got = _read_outcome(read_label_records, p)
-        assert got == _read_outcome(spec_read_label_records, p)
+        got = _reads_as_spec(p)
         if gap == 200:
             assert got[0] is DataError and got[1].startswith(f"{p}:1030: expected keys")
+
+    def test_block_read_line_by_line_then_a_valid_block(self, tmp_path):
+        # a "{" in line 501's method breaks the first block's one-"{" rule, so
+        # that block is read line by line; the second is read as one block
+        p = tmp_path / "brace.jsonl"
+        p.write_bytes("\n".join(_with_line(_LINES, 500, method="{gtx}")).encode("utf-8"))
+        with mock.patch.object(gtx_io, "_read_lines", wraps=gtx_io._read_lines) as by_line:
+            got = _reads_as_spec(p)
+        assert isinstance(got, str) and got.count("LabelRecord(") == 2500
+        assert [c.args[2] for c in by_line.call_args_list] == [1, 1]  # block 1, in each read
+
+    @pytest.mark.parametrize("good", [3, _READ_LINES + 10])
+    def test_bad_byte_after_good_lines(self, tmp_path, good):
+        p = tmp_path / "bad_byte.jsonl"
+        p.write_bytes("\n".join(_LINES[:good]).encode("utf-8") + b"\n\xff" + b"\n" * 3)
+        got = _reads_as_spec(p)
+        assert got[0] is DataError and got[1].startswith(f"{p}: invalid UTF-8:")
 
     @pytest.mark.parametrize("name", ["crlf", "blank-block", "method-list-in-block-2"])
     def test_valid_file_is_read_by_blocks(self, tmp_path, name):
@@ -825,20 +889,30 @@ class TestReaderMemory:
     def test_peak_stays_near_the_line_by_line_spec(self, tmp_path):
         # the reader holds a block of lines at a time, so its peak exceeds
         # the spec's by far less than the file's text, let alone one decoded
-        # dict per line
+        # dict per line; gtx assess, which keeps only each block's columns
+        # on the truth items, is held to the same bound
         p = tmp_path / "labels.jsonl"
         write_label_records(p, [LabelRecord(i // 4, f"w{i % 4}", i % 2) for i in range(50_000)])
-        peaks = {}
-        for read in (spec_read_label_records, read_label_records):
+        truth = tmp_path / "truth.jsonl"
+        write_label_records(truth, [LabelRecord(i, "expert", i % 2) for i in range(100)])
+        runs = {
+            "spec": lambda: len(spec_read_label_records(p)[0]),
+            "reader": lambda: len(read_label_records(p)[0]),
+            "assess": lambda: main(["assess", "--labels", str(p), "--truth", str(truth),
+                                    "--out", str(tmp_path / "out")]),
+        }
+        peaks, results = {}, {}
+        for name, run in runs.items():
             tracemalloc.start()
             try:
-                records, _ = read(p)
-                peaks[read] = tracemalloc.get_traced_memory()[1]
+                results[name] = run()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert len(records) == 50_000
-        excess = peaks[read_label_records] - peaks[spec_read_label_records]
-        assert excess < p.stat().st_size / 3, f"{excess} bytes above the spec's peak"
+        assert results == {"spec": 50_000, "reader": 50_000, "assess": 0}
+        for name in ("reader", "assess"):
+            excess = peaks[name] - peaks["spec"]
+            assert excess < p.stat().st_size / 3, f"{name}: {excess} bytes above the spec's peak"
 
 
 class TestWriterMemory:
