@@ -12,11 +12,13 @@ event log is itself a valid label-record file.  The reader reads columns:
 ``_read_label_file`` hands each checked block's example ids, labeler ids,
 values and steps, as lists, to its caller, and only ``read_label_records``
 builds ``LabelRecord``s from them; ``gtx assess`` and
-``read_assessment_set`` build none.  The record rules live in one check,
-``_columns``, which the reader's block and line paths, ``write_label_records``
-and ``write_event_log`` of a plain sequence share: the writers refuse the
-files the reader refuses, with the reader's message, before they open the
-file.
+``read_assessment_set`` build none.  A read keeps a memo of its labeler
+ids, so the records, pairs and per-labeler groups of one labeler share one
+id object (for the first ``_MEMO_IDS`` labelers of a file).  The record
+rules live in one check, ``_columns``, which the reader's block and line
+paths, ``write_label_records`` and ``write_event_log`` of a plain sequence
+share: the writers refuse the files the reader refuses, with the reader's
+message, before they open the file.
 
 One writer, ``write_columns``, writes event logs, label records and every
 CSV by columns, as UTF-8 bytes.  Integers are written by ``%d``; each
@@ -148,12 +150,15 @@ def write_columns(path, head: str, blocks, form=repr) -> None:
 
 def _value(v) -> str:
     """One JSON value exactly as ``json.dumps`` writes it: plain ints and
-    finite floats by ``repr``, everything else (str, bool, nan, inf) through
-    ``json.dumps``."""
+    finite floats by ``repr``, a numpy integer as its int and a numpy float
+    as the float it equals, everything else (str, bool, nan, inf) through
+    ``json.dumps``, which raises a ``TypeError`` for what JSON cannot hold."""
     t = type(v)
     if t is int or (t is float and math.isfinite(v)):
         return repr(v)
-    return json.dumps(v)
+    if isinstance(v, np.integer):
+        return repr(int(v))
+    return json.dumps(float(v) if isinstance(v, np.floating) else v)
 
 
 def _record_id(v):
@@ -205,9 +210,10 @@ _ID_TYPES = {str, int}  # exact types: a bool, list or dict id is rejected
 _FIELDS = tuple(sorted(_RECORD_KEYS))  # the order of the columns, and of a line's keys
 _LINE = '{"example_id":%s,"labeler_id":%s,"step":%s,"value":%s}\n'
 _READ_LINES = 1024  # lines per block of read_label_records
+_MEMO_IDS = 4096  # a read's memo of labeler ids takes new ids while it holds fewer
 
 
-def _columns(path, lineno, rows, seen, last):
+def _columns(path, lineno, rows, seen, last, memo=None):
     """The id, step and value columns and the pair set of ``rows``, decoded
     JSON values, if each is a record; else the ``DataError`` of line
     ``lineno`` of ``path`` for the first rule they break, in the documented
@@ -215,7 +221,10 @@ def _columns(path, lineno, rows, seen, last):
     before it (``last`` before the first; None: any), a value that is
     exactly the int 0 or 1, and a pair new to ``seen`` (left unchanged) and
     to the rows before it.  The one home of the record rules: each is
-    checked by column, and the text is the reader's when ``rows`` is one row."""
+    checked by column, and the text is the reader's when ``rows`` is one row.
+    Each labeler id becomes the one ``memo`` holds for it, and ``memo``
+    takes the ids new to it while it holds fewer than ``_MEMO_IDS`` (none:
+    ids as read)."""
     at = f"{path}:{lineno}: "
     if not set(map(type, rows)) <= {dict}:
         raise DataError(at + "expected an object per line")
@@ -240,6 +249,8 @@ def _columns(path, lineno, rows, seen, last):
     if not (set(map(type, values)) <= {int} and set(values) <= {0, 1}):
         v = next(v for v in values if type(v) is not int or v not in (0, 1))
         raise DataError(f"{at}value must be the int 0 or 1, got {v!r}")
+    if memo is not None:  # one id object per labeler, shared by its records and pairs
+        lab = list(map(memo.setdefault if len(memo) < _MEMO_IDS else memo.get, lab, lab))
     pairs = set(zip(ex, lab))
     if len(pairs) != len(rows) or not seen.isdisjoint(pairs):
         met = set()  # the pairs of the rows before
@@ -263,10 +274,10 @@ def _skip(*columns):
     """A ``take`` that keeps nothing: a writer's check of its own lines."""
 
 
-def _read_lines(path, lines, lineno, take, seen, last):
+def _read_lines(path, lines, lineno, take, seen, last, memo=None):
     """Read ``lines``, the first of them line ``lineno`` of ``path``, each
-    non-blank one decoded and checked by ``_columns`` as a block of one row,
-    so a fault names its line.  Returns the last step read."""
+    non-blank one decoded and checked by ``_columns`` (with ``memo``) as a
+    block of one row, so a fault names its line.  Returns the last step read."""
     for lineno, line in enumerate(lines, start=lineno):
         line = line.strip()
         if not line:
@@ -275,11 +286,11 @@ def _read_lines(path, lines, lineno, take, seen, last):
             row = json.loads(line)
         except (ValueError, RecursionError) as exc:  # ValueError: an int too long to read
             raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        last = _commit(_columns(path, lineno, [row], seen, last), take, seen, last)
+        last = _commit(_columns(path, lineno, [row], seen, last, memo), take, seen, last)
     return last
 
 
-def _read_block(path, lines, lineno, take, seen, last):
+def _read_block(path, lines, lineno, take, seen, last, memo=None):
     """Read ``lines`` as ``_read_lines`` does, but as one JSON array of their
     stripped, non-blank text, checked by ``_columns`` as one block; a block
     that fails is read line by line, which names its first fault.  Each line
@@ -294,10 +305,10 @@ def _read_block(path, lines, lineno, take, seen, last):
         try:
             rows = json.loads("[" + ",\n".join(stripped) + "]")
             if len(rows) == len(stripped):
-                return _commit(_columns(path, lineno, rows, seen, last), take, seen, last)
+                return _commit(_columns(path, lineno, rows, seen, last, memo), take, seen, last)
         except (ValueError, RecursionError):  # a DataError too: named line by line
             pass
-    return _read_lines(path, lines, lineno, take, seen, last)
+    return _read_lines(path, lines, lineno, take, seen, last, memo)
 
 
 def _read_label_file(path, take) -> None:
@@ -305,8 +316,11 @@ def _read_label_file(path, take) -> None:
     handing ``take`` the example ids, labeler ids, values and steps of each
     checked block (of each line, where a block is read line by line) as
     lists; text that is not UTF-8 is a ``DataError`` naming only the file,
-    unless a line before it is faulty."""
+    unless a line before it is faulty.  The labeler ids handed over are one
+    object per labeler: a memo of this read's ids maps each to its first (of
+    the first ``_MEMO_IDS`` or so labelers; later ones' ids stay as read)."""
     seen: set[tuple] = set()
+    memo: dict = {}
     last = None
     with as_path(path).open("r", encoding="utf-8") as fh:
         lines, lineno = [], 1
@@ -314,12 +328,12 @@ def _read_label_file(path, take) -> None:
             for line in fh:
                 lines.append(line)
                 if len(lines) == _READ_LINES:
-                    last = _read_block(path, lines, lineno, take, seen, last)
+                    last = _read_block(path, lines, lineno, take, seen, last, memo)
                     lines, lineno = [], lineno + _READ_LINES
         except UnicodeDecodeError as exc:  # the lines read before it are checked first
-            _read_lines(path, lines, lineno, take, seen, last)
+            _read_lines(path, lines, lineno, take, seen, last, memo)
             raise DataError(f"{path}: invalid UTF-8: {exc}") from None
-        _read_block(path, lines, lineno, take, seen, last)
+        _read_block(path, lines, lineno, take, seen, last, memo)
 
 
 def _label_columns(path) -> tuple[list, list, list, list]:
@@ -376,7 +390,9 @@ def write_event_log(path, events: Sequence[LabelEvent], method=None) -> None:
     An ``EventLog`` is valid by construction.  The lines of any other
     sequence are read as the reader reads them before the file is opened, so
     the writer refuses, with the reader's ``DataError``, the files the reader
-    refuses."""
+    refuses.  Its numpy integers are written as ints and numpy floats as the
+    floats they equal; any other value JSON cannot hold is a ``DataError``,
+    raised before the file is opened too."""
     keys = '"step":%s,"value":%s}\n'
     if method is not None:  # the same in every row, so part of the template
         keys = '"method":' + _value(str(method)).replace("%", "%%") + "," + keys
@@ -390,6 +406,8 @@ def write_event_log(path, events: Sequence[LabelEvent], method=None) -> None:
             rows = [tuple(_value(ev[j]) for j in (4, 1, 2, 0, 3)) for ev in events]
     except ValueError as exc:  # an int of more digits than Python writes
         raise DataError(f"{path}: invalid JSON: {exc}") from None
+    except TypeError as exc:  # a value JSON cannot hold, or an event that is not a sequence
+        raise DataError(f"{path}: cannot write the events: {exc}") from None
     if not isinstance(events, EventLog):
         _read_block(path, [template % row for row in rows], 1, _skip, set(), None)
         columns = np.array(rows, object).reshape(-1, 5).T

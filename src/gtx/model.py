@@ -216,28 +216,6 @@ def increment_table(method: Method, labeler_ids, estimates) -> list:
         raise DataError(f"estimates must map labeler ids to LabelerEstimates: {exc}") from None
 
 
-def accumulate(method: Method, labels: list, estimates) -> tuple[float, float]:
-    """The accumulators ``(s0, s1)`` of ``method`` over a list of votes."""
-    # increment_table's checks, made per vote: two lists per call cost more
-    # than the sums over one example's few votes
-    mv = method is Method.MV
-    if not mv and estimates is None:
-        raise DataError(f"method {method} requires accuracy estimates")
-    code = method.code
-    s0 = s1 = 0.0
-    for rec in labels:
-        if mv:
-            d0, d1 = MV_INCREMENTS[rec.value]
-        else:
-            est = estimates.get(rec.labeler_id)
-            if est is None:
-                raise DataError(f"no accuracy estimate for labeler {rec.labeler_id!r}")
-            d0, d1 = est.increments[code][rec.value]
-        s0 += d0
-        s1 += d1
-    return s0, s1
-
-
 class Kernel(NamedTuple):
     """One rule's finalizers and, for the rules that can stop at a confidence
     threshold, the factory of its stop test.  Each reads the accumulators

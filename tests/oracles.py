@@ -21,8 +21,8 @@ loop, the spec of the one-scan reader in ``gtx.io``, and ``write_columns``
 the column writer as text, one ``%`` of ``str`` cells per 1,024 rows, the
 spec of the bytes that ``gtx.io.write_columns`` writes.
 ``normalize`` is the two-exp posterior, the spec of gtx's one-exp
-``finalize``, and ``aggregate`` the spec of ``gtx.aggregate``'s bits under
-the uniform prior.
+``finalize``, ``aggregate`` the spec of ``gtx.aggregate``'s bits under the
+uniform prior, and ``aggregate_fault`` the spec of the error it raises.
 """
 
 import heapq
@@ -75,6 +75,34 @@ def aggregate(method, labels, estimates=None):
         s1 += d1
     label, confidence, soft_p1 = kernel(method).finalize(s0, s1)
     return AggregateLabel(labels[0].example_id, method, label, confidence, soft_p1, len(labels))
+
+
+def aggregate_fault(method, labels, estimates=None):
+    """The ``DataError`` message ``gtx.aggregate`` raises for one example's
+    votes, or None when they are valid, one plain loop per rule in the
+    documented order: a voter who votes twice (the first repeat, in vote
+    order), no votes, several examples, no estimates for a rule that needs
+    them, then the first voter without an estimate."""
+    voters = []
+    for rec in labels:
+        if rec.labeler_id in voters:
+            return f"labeler {rec.labeler_id!r} voted twice on example {rec.example_id!r}"
+        voters.append(rec.labeler_id)
+    if not labels:
+        return "cannot aggregate zero labels"
+    examples = []
+    for rec in labels:
+        if rec.example_id not in examples:
+            examples.append(rec.example_id)
+    if len(examples) > 1:
+        return f"labels span multiple examples: {sorted(repr(e) for e in examples)}"
+    if method is not Method.MV:
+        if estimates is None:
+            return f"method {method} requires accuracy estimates"
+        for rec in labels:
+            if rec.labeler_id not in estimates:
+                return f"no accuracy estimate for labeler {rec.labeler_id!r}"
+    return None
 
 
 def majority(values):

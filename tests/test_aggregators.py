@@ -1,14 +1,18 @@
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtx import aggregators
 from gtx.aggregators import AggregateLabel, Method, aggregate
 from gtx.errors import DataError
+from gtx.io import read_label_records, write_label_records
 from gtx.model import LabelerEstimate, LabelRecord
 
 from oracles import aggregate as spec_aggregate
+from oracles import aggregate_fault as spec_fault
 from oracles import bayes_posterior, logodds_margin, majority, share_vote, weighted_share
 
 
@@ -143,6 +147,52 @@ class TestChecks:
         for method in Method:
             assert aggregate(method, wrap(votes), est([0.9, 0.6, 0.8])) == aggregate(
                 method, votes, est([0.9, 0.6, 0.8]))
+
+
+@st.composite
+def _any_votes(draw):
+    """Votes that may repeat a voter, span a second example or name voters
+    without an estimate, with estimates that may be None; the empty list too."""
+    n = draw(st.integers(0, 5))
+    voters = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    examples = draw(st.lists(st.sampled_from([7, 7, 7, "8"]), min_size=n, max_size=n))
+    values = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    known = draw(st.none() | st.sets(st.integers(0, 5), min_size=3))
+    estimates = None if known is None else {i: LabelerEstimate(i, 0.55 + i / 15) for i in known}
+    return list(map(LabelRecord, examples, voters, values)), estimates
+
+
+class TestFaultOrder:
+    @settings(max_examples=400)
+    @given(_any_votes(), st.sampled_from(list(Method)), st.sampled_from([list, tuple, iter]))
+    def test_the_error_or_the_bits_of_the_spec(self, drawn, method, wrap):
+        votes, estimates = drawn
+        fault = spec_fault(method, votes, estimates)
+        if fault is None:
+            got = aggregate(method, wrap(votes), estimates)
+            assert repr(got) == repr(spec_aggregate(method, votes, estimates))
+        else:
+            with pytest.raises(DataError) as err:
+                aggregate(method, wrap(votes), estimates)
+            assert str(err.value) == fault
+
+
+class TestOnePass:
+    def test_valid_examples_never_reach_the_fault_path(self, tmp_path):
+        p = tmp_path / "labels.jsonl"
+        write_label_records(p, [LabelRecord(i // 4, f"w{(i * 7) % 20:02d}", i * 5 % 7 % 2)
+                                for i in range(3000)])
+        records, _ = read_label_records(p)
+        by_example = {}
+        for r in records:
+            by_example.setdefault(r.example_id, []).append(r)
+        estimates = {f"w{j:02d}": LabelerEstimate(f"w{j:02d}", 0.55 + j / 50) for j in range(20)}
+        with mock.patch.object(aggregators, "_fault", side_effect=AssertionError("fault path")):
+            for method in Method:
+                for votes in by_example.values():
+                    got = aggregate(method, votes, estimates)
+                    assert repr(got) == repr(spec_aggregate(method, votes, estimates))
+        assert len(by_example) == 750
 
 
 vote_sets = st.integers(1, 7).flatmap(

@@ -264,6 +264,11 @@ def test_any_bad_value_to_a_function_raises_only_gtx_errors(case, bad):
      DataError),
     *[(lambda e=e: gtx.write_event_log("out.jsonl", [e]), DataError)
       for e in [gtx.LabelEvent(1, 10**5000, "a", 1, 0.9), gtx.LabelEvent(1, 0, 10**5000, 1, 0.9)]],
+    # values JSON cannot hold (numpy integers and floats are written as their values)
+    *[(lambda e=e: gtx.write_event_log("out.jsonl", [e]), DataError)
+      for e in [gtx.LabelEvent(np.int64(1), 0, "a", 1, np.complex64(0.5)),
+                gtx.LabelEvent(1, np.float32(0.5).tobytes(), "a", 1, np.float32(0.5)),
+                gtx.LabelEvent(1, np.int64(0), {"a"}, 1, 0.5)]],
 ])
 def test_former_leaks_raise_the_contract_types(make, error, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -347,6 +347,15 @@ class TestLabelRecordFiles:
         assert steps == [1, 2]
         assert recs[0] == LabelRecord(0, 3, 1)
 
+    def test_numpy_scalars_are_written_as_their_values(self, tmp_path):
+        # a numpy integer as its int, a numpy float as the float it equals
+        plain = [LabelEvent(1, 0, "a", 1, 0.5), LabelEvent(2, 3, "b", 0, 0.1)]
+        numpy = [LabelEvent(np.int64(1), 0, "a", 1, np.float32(0.5)),
+                 LabelEvent(2, np.int64(3), "b", np.int8(0), np.float64(0.1))]
+        write_event_log(tmp_path / "plain.jsonl", plain)
+        write_event_log(tmp_path / "numpy.jsonl", numpy)
+        assert (tmp_path / "numpy.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+
 
 def _dict_line(row) -> str:
     """A JSONL row in the writers' reference form: the row's dict through
@@ -885,16 +894,39 @@ class TestReaderAcrossBlocks:
         assert len(records) == 2500 and {type(r) for r in records} == {LabelRecord}
 
 
-class TestReaderMemory:
-    def test_peak_stays_near_the_line_by_line_spec(self, tmp_path):
-        # the reader holds a block of lines at a time, so its peak exceeds
-        # the spec's by far less than the file's text, let alone one decoded
-        # dict per line; gtx assess, which keeps only each block's columns
-        # on the truth items, is held to the same bound
+class TestSharedLabelerIds:
+    """Each read hands out one id object per labeler, across read blocks and
+    on a block read line by line, and keeps none for the next read."""
+
+    def test_one_id_object_per_labeler(self, tmp_path):
+        rng = random.Random(3)
+        lines = [json.dumps({"example_id": i // 4, "step": i + 1, "value": rng.randrange(2),
+                             "labeler_id": f"w{i % 20:02d}" if i % 3 else 10**6 + i % 7})
+                 for i in range(3000)]
+        # a "{" in line 1,501's method: block 2 is read line by line
         p = tmp_path / "labels.jsonl"
-        write_label_records(p, [LabelRecord(i // 4, f"w{i % 4}", i % 2) for i in range(50_000)])
+        p.write_text("\n".join(_with_line(lines, 1500, method="{gtx}")) + "\n")
+        with mock.patch.object(gtx_io, "_read_lines", wraps=gtx_io._read_lines) as by_line:
+            records, steps = read_label_records(p)
+        assert [c.args[2] for c in by_line.call_args_list] == [_READ_LINES + 1]
+        assert (records, steps) == spec_read_label_records(p)
+        labelers = {r.labeler_id for r in records}
+        assert len(labelers) == 27
+        assert len({id(r.labeler_id) for r in records}) == len(labelers)
+        again, _ = read_label_records(p)  # the memo lives for one read
+        assert again[0].labeler_id == records[0].labeler_id
+        assert again[0].labeler_id is not records[0].labeler_id
+
+
+class TestReaderMemory:
+    def _peaks(self, tmp_path, records, truth_items):
+        """The peaks of the spec reader, ``read_label_records`` and ``gtx
+        assess`` (on the first ``truth_items`` examples) on a file of
+        ``records``; returns them and the file's size."""
+        p = tmp_path / "labels.jsonl"
+        write_label_records(p, records)
         truth = tmp_path / "truth.jsonl"
-        write_label_records(truth, [LabelRecord(i, "expert", i % 2) for i in range(100)])
+        write_label_records(truth, [LabelRecord(i, "expert", i % 2) for i in range(truth_items)])
         runs = {
             "spec": lambda: len(spec_read_label_records(p)[0]),
             "reader": lambda: len(read_label_records(p)[0]),
@@ -909,10 +941,28 @@ class TestReaderMemory:
                 peaks[name] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert results == {"spec": 50_000, "reader": 50_000, "assess": 0}
+        assert results == {"spec": len(records), "reader": len(records), "assess": 0}
+        return peaks, p.stat().st_size
+
+    def test_peak_stays_near_the_line_by_line_spec(self, tmp_path):
+        # the reader holds a block of lines at a time, so its peak exceeds
+        # the spec's by far less than the file's text, let alone one decoded
+        # dict per line; gtx assess, which keeps only each block's columns
+        # on the truth items, is held to the same bound
+        peaks, size = self._peaks(
+            tmp_path, [LabelRecord(i // 4, f"w{i % 4}", i % 2) for i in range(50_000)], 100)
         for name in ("reader", "assess"):
             excess = peaks[name] - peaks["spec"]
-            assert excess < p.stat().st_size / 3, f"{name}: {excess} bytes above the spec's peak"
+            assert excess < size / 3, f"{name}: {excess} bytes above the spec's peak"
+
+    def test_a_labeler_per_record_stays_near_the_spec(self, tmp_path):
+        # the read's memo of labeler ids is as large as it gets, yet held to
+        # the same bound; assess scores the four labelers of example 0
+        peaks, size = self._peaks(
+            tmp_path, [LabelRecord(i // 4, f"w{i}", i % 2) for i in range(50_000)], 1)
+        for name in ("reader", "assess"):
+            excess = peaks[name] - peaks["spec"]
+            assert excess < size / 3, f"{name}: {excess} bytes above the spec's peak"
 
 
 class TestWriterMemory:

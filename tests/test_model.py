@@ -15,7 +15,6 @@ from gtx.model import (
     LabelerEstimate,
     LabelRecord,
     Method,
-    accumulate,
     as_label,
     kernel,
     log_odds,
@@ -149,11 +148,13 @@ class TestPosterior:
     def test_log_likelihood_matches_direct_sum(self):
         labels = [rec(0, 1), rec(1, 0), rec(2, 1)]
         accs = [0.9, 0.7, 0.6]
-        ll0, ll1 = accumulate(Method.GTX, labels, est(accs))
+        # aggregate sums the two log-likelihoods; its posterior is theirs
+        agg = aggregate(Method.GTX, labels, est(accs))
         want0 = math.log(0.1) + math.log(0.7) + math.log(0.4)
         want1 = math.log(0.9) + math.log(0.3) + math.log(0.6)
-        assert ll0 == pytest.approx(want0, abs=1e-12)
-        assert ll1 == pytest.approx(want1, abs=1e-12)
+        p0, p1 = normalize(want0, want1)
+        assert agg.soft_p1 == pytest.approx(p1, abs=1e-12)
+        assert agg.confidence == pytest.approx(max(p0, p1), abs=1e-12)
 
 
 class TestLogOdds:
