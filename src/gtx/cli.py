@@ -19,7 +19,7 @@ from .experiments import (
     write_results,
 )
 from .io import (
-    _read_label_file,
+    _label_blocks,
     load_config,
     read_assessment_set,
     write_csv,
@@ -83,13 +83,10 @@ def _cmd_assess(args) -> int:
     truth = read_assessment_set(args.truth)
     truth_ids = set(truth.example_ids)
     by_labeler: dict = {}
-
-    def take(example_ids, labeler_ids, values, _):  # a block's columns: no record is built
+    for example_ids, labeler_ids, values, _ in _label_blocks(args.labels):  # builds no record
         for ex, lab, value in zip(example_ids, labeler_ids, values):
             if ex in truth_ids:
                 by_labeler.setdefault(lab, {})[ex] = value
-
-    _read_label_file(args.labels, take)
     if not by_labeler:
         raise DataError("no label records overlap the truth set")
     estimates = [

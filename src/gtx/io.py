@@ -9,16 +9,17 @@ Label-record files are JSON Lines; each line holds exactly
 ``step`` strictly increasing across the file.  Event logs reuse the same
 schema plus a ``confidence`` field, and readers ignore the extra keys, so an
 event log is itself a valid label-record file.  The reader reads columns:
-``_read_label_file`` hands each checked block's example ids, labeler ids,
-values and steps, as lists, to its caller, and only ``read_label_records``
+the generator ``_label_blocks`` yields each checked block's example ids,
+labeler ids, values and steps as lists, and only ``read_label_records``
 builds ``LabelRecord``s from them; ``gtx assess`` and
 ``read_assessment_set`` build none.  A read keeps a memo of its labeler
 ids, so the records, pairs and per-labeler groups of one labeler share one
 id object (for the first ``_MEMO_IDS`` labelers of a file).  The record
-rules live in one check, ``_columns``, which the reader's block and line
-paths, ``write_label_records`` and ``write_event_log`` of a plain sequence
-share: the writers refuse the files the reader refuses, with the reader's
-message, before they open the file.
+rules live in one check, ``_columns``, which only the reader's block and
+line paths call.  ``write_label_records`` and ``write_event_log`` of a
+plain sequence read the lines they would write by ``_label_blocks``
+(``_checked_cells``), so they refuse the files the reader refuses, with
+the reader's message, before they open the file.
 
 One writer, ``write_columns``, writes event logs, label records and every
 CSV by columns, as UTF-8 bytes.  Integers are written by ``%d``; each
@@ -38,6 +39,8 @@ import json
 import math
 import operator
 import re
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
@@ -173,10 +176,10 @@ def _record_id(v):
 def write_label_records(path, records: Sequence[LabelRecord], steps=None) -> None:
     """Write ``(example_id, labeler_id, value)`` records as JSONL, steps 1..n
     by default: integer steps and ids (numpy integers written as ints), str
-    ids and values 0 or 1 (``as_label``).  ``_columns`` then holds the rows to
-    the reader's rules: the writer refuses the files the reader refuses, with
-    its message.  Every fault is a ``DataError`` raised before the file is
-    opened, an int too long to write too."""
+    ids and values 0 or 1 (``as_label``).  ``_checked_cells`` then reads the
+    lines as the reader reads them: the writer refuses the files the reader
+    refuses, with its message.  Every fault is a ``DataError`` raised before
+    the file is opened, an int too long to write too."""
     try:
         records = [tuple(rec) for rec in records]
         steps = list(range(1, len(records) + 1) if steps is None else steps)
@@ -184,24 +187,16 @@ def write_label_records(path, records: Sequence[LabelRecord], steps=None) -> Non
         raise DataError("records, each record and steps must be sequences") from None
     if len(steps) != len(records):
         raise DataError("steps and records differ in length")
-    rows, cells = [], []
-    for lineno, (step, rec) in enumerate(zip(steps, records), start=1):
+
+    def row(step, rec):  # a record's fields in _FIELDS order
         if len(rec) != 3:
             raise DataError(f"a record must be (example_id, labeler_id, value), got {rec!r}")
         if not is_int(step):
             raise DataError(f"steps must be integers, got {step!r}")
         ex, lab, v = rec
-        rows.append(dict(zip(_FIELDS, (_record_id(ex), _record_id(lab), int(step), as_label(v)))))
-        try:
-            cells.append(tuple(map(_value, rows[-1].values())))
-        except ValueError as exc:  # an int of more digits than Python writes
-            _read_lines(path, [_LINE % c for c in cells], 1, _skip, set(), None)  # lines before
-            raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-    try:
-        _columns(path, 1, rows, set(), None)
-    except DataError:  # read line by line, which names the first faulty line
-        _read_lines(path, [_LINE % c for c in cells], 1, _skip, set(), None)
-    write_columns(path, "", [(_LINE, np.array(cells, object).reshape(-1, 4).T)])
+        return _record_id(ex), _record_id(lab), int(step), as_label(v)
+
+    write_columns(path, "", [(_LINE, _checked_cells(path, _LINE, map(row, steps, records)))])
 
 
 _RECORD_KEYS = {"example_id", "labeler_id", "step", "value"}
@@ -213,18 +208,18 @@ _READ_LINES = 1024  # lines per block of read_label_records
 _MEMO_IDS = 4096  # a read's memo of labeler ids takes new ids while it holds fewer
 
 
-def _columns(path, lineno, rows, seen, last, memo=None):
-    """The id, step and value columns and the pair set of ``rows``, decoded
-    JSON values, if each is a record; else the ``DataError`` of line
-    ``lineno`` of ``path`` for the first rule they break, in the documented
-    order: an object, the keys, str or int ids, an int step above the one
-    before it (``last`` before the first; None: any), a value that is
-    exactly the int 0 or 1, and a pair new to ``seen`` (left unchanged) and
-    to the rows before it.  The one home of the record rules: each is
-    checked by column, and the text is the reader's when ``rows`` is one row.
-    Each labeler id becomes the one ``memo`` holds for it, and ``memo``
-    takes the ids new to it while it holds fewer than ``_MEMO_IDS`` (none:
-    ids as read)."""
+def _columns(path, lineno, rows, seen, last, memo):
+    """The example id, labeler id, value and step columns of ``rows``,
+    decoded JSON values, if each is a record, their pairs then added to
+    ``seen``; else the ``DataError`` of line ``lineno`` of ``path`` for the
+    first rule they break, in the documented order: an object, the keys, str
+    or int ids, an int step above the one before it (``last`` before the
+    first; None: any), a value that is exactly the int 0 or 1, and a pair
+    new to ``seen`` (left unchanged) and to the rows before it.  The one
+    home of the record rules: each is checked by column, and the text is the
+    reader's when ``rows`` is one row.  Each labeler id becomes the one
+    ``memo`` holds for it, and ``memo`` takes the ids new to it while it
+    holds fewer than ``_MEMO_IDS``."""
     at = f"{path}:{lineno}: "
     if not set(map(type, rows)) <= {dict}:
         raise DataError(at + "expected an object per line")
@@ -249,8 +244,8 @@ def _columns(path, lineno, rows, seen, last, memo=None):
     if not (set(map(type, values)) <= {int} and set(values) <= {0, 1}):
         v = next(v for v in values if type(v) is not int or v not in (0, 1))
         raise DataError(f"{at}value must be the int 0 or 1, got {v!r}")
-    if memo is not None:  # one id object per labeler, shared by its records and pairs
-        lab = list(map(memo.setdefault if len(memo) < _MEMO_IDS else memo.get, lab, lab))
+    # one id object per labeler, shared by its records and pairs
+    lab = list(map(memo.setdefault if len(memo) < _MEMO_IDS else memo.get, lab, lab))
     pairs = set(zip(ex, lab))
     if len(pairs) != len(rows) or not seen.isdisjoint(pairs):
         met = set()  # the pairs of the rows before
@@ -258,26 +253,15 @@ def _columns(path, lineno, rows, seen, last, memo=None):
             if (e, b) in seen or (e, b) in met:
                 raise DataError(f"{at}duplicate label for example {e!r} by labeler {b!r}")
             met.add((e, b))
-    return ex, lab, steps, values, pairs
-
-
-def _commit(columns, take, seen, last):
-    """Hand ``_columns``' example ids, labeler ids, values and steps to
-    ``take`` and add its pairs to ``seen``; returns the last step read."""
-    ex, lab, steps, values, pairs = columns
-    take(ex, lab, values, steps)
     seen.update(pairs)
-    return steps[-1] if steps else last
+    return ex, lab, values, steps
 
 
-def _skip(*columns):
-    """A ``take`` that keeps nothing: a writer's check of its own lines."""
-
-
-def _read_lines(path, lines, lineno, take, seen, last, memo=None):
-    """Read ``lines``, the first of them line ``lineno`` of ``path``, each
-    non-blank one decoded and checked by ``_columns`` (with ``memo``) as a
-    block of one row, so a fault names its line.  Returns the last step read."""
+def _read_lines(path, lines, lineno, seen, last, memo):
+    """``_columns`` of ``lines``, the first of them line ``lineno`` of
+    ``path``, built row by row: each non-blank line is decoded and checked
+    (with ``memo``) as a block of one row, so a fault names its line."""
+    columns = ([], [], [], [])
     for lineno, line in enumerate(lines, start=lineno):
         line = line.strip()
         if not line:
@@ -286,12 +270,14 @@ def _read_lines(path, lines, lineno, take, seen, last, memo=None):
             row = json.loads(line)
         except (ValueError, RecursionError) as exc:  # ValueError: an int too long to read
             raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        last = _commit(_columns(path, lineno, [row], seen, last, memo), take, seen, last)
-    return last
+        for column, new in zip(columns, _columns(path, lineno, [row], seen, last, memo)):
+            column += new
+        last = columns[3][-1]
+    return columns
 
 
-def _read_block(path, lines, lineno, take, seen, last, memo=None):
-    """Read ``lines`` as ``_read_lines`` does, but as one JSON array of their
+def _read_block(path, lines, lineno, seen, last, memo):
+    """``_read_lines`` of ``lines``, but read as one JSON array of their
     stripped, non-blank text, checked by ``_columns`` as one block; a block
     that fails is read line by line, which names its first fault.  Each line
     holds one ``{`` and ends in ``}``, and there are as many rows as lines,
@@ -305,49 +291,35 @@ def _read_block(path, lines, lineno, take, seen, last, memo=None):
         try:
             rows = json.loads("[" + ",\n".join(stripped) + "]")
             if len(rows) == len(stripped):
-                return _commit(_columns(path, lineno, rows, seen, last, memo), take, seen, last)
+                return _columns(path, lineno, rows, seen, last, memo)
         except (ValueError, RecursionError):  # a DataError too: named line by line
             pass
-    return _read_lines(path, lines, lineno, take, seen, last, memo)
+    return _read_lines(path, lines, lineno, seen, last, memo)
 
 
-def _read_label_file(path, take) -> None:
-    """Read a JSONL label-record file once, ``_READ_LINES`` lines at a time,
-    handing ``take`` the example ids, labeler ids, values and steps of each
-    checked block (of each line, where a block is read line by line) as
+def _label_blocks(path, text=None):
+    """Read a JSONL label-record file once, or ``text``, the lines a writer
+    would write to ``path``, ``_READ_LINES`` lines at a time, yielding the
+    example ids, labeler ids, values and steps of each checked block as
     lists; text that is not UTF-8 is a ``DataError`` naming only the file,
-    unless a line before it is faulty.  The labeler ids handed over are one
+    unless a line before it is faulty.  The labeler ids yielded are one
     object per labeler: a memo of this read's ids maps each to its first (of
     the first ``_MEMO_IDS`` or so labelers; later ones' ids stay as read)."""
-    seen: set[tuple] = set()
-    memo: dict = {}
-    last = None
-    with as_path(path).open("r", encoding="utf-8") as fh:
+    seen, memo, last = set(), {}, None
+    with as_path(path).open("r", encoding="utf-8") if text is None else nullcontext(text) as fh:
         lines, lineno = [], 1
         try:
             for line in fh:
                 lines.append(line)
                 if len(lines) == _READ_LINES:
-                    last = _read_block(path, lines, lineno, take, seen, last, memo)
+                    block = _read_block(path, lines, lineno, seen, last, memo)
+                    last = block[3][-1] if block[3] else last
+                    yield block
                     lines, lineno = [], lineno + _READ_LINES
         except UnicodeDecodeError as exc:  # the lines read before it are checked first
-            _read_lines(path, lines, lineno, take, seen, last, memo)
+            _read_lines(path, lines, lineno, seen, last, memo)
             raise DataError(f"{path}: invalid UTF-8: {exc}") from None
-        _read_block(path, lines, lineno, take, seen, last, memo)
-
-
-def _label_columns(path) -> tuple[list, list, list, list]:
-    """The example ids, labeler ids, values and steps of a label-record file,
-    read and checked as ``read_label_records`` reads them, as four lists: no
-    record is built."""
-    columns = ([], [], [], [])
-
-    def take(*block):
-        for column, new in zip(columns, block):
-            column.extend(new)
-
-    _read_label_file(path, take)
-    return columns
+        yield _read_block(path, lines, lineno, seen, last, memo)
 
 
 def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
@@ -356,43 +328,57 @@ def read_label_records(path) -> tuple[list[LabelRecord], list[int]]:
     Returns (records, steps).  Steps must be strictly increasing integers
     and values exactly the integer 0 or 1 (not true, not 1.0); a repeated
     (example_id, labeler_id) pair, like any fault, is a ``DataError`` naming
-    the first faulty line (``_read_label_file``).  Each block's records are
+    the first faulty line (``_label_blocks``).  Each block's records are
     built from the columns read.
     """
-    records: list[LabelRecord] = []
-    steps: list[int] = []
-
-    def take(ex, lab, values, block_steps):
-        records.extend(map(tuple.__new__, itertools.repeat(LabelRecord), zip(ex, lab, values)))
-        steps.extend(block_steps)
-
-    _read_label_file(path, take)
+    records, steps = [], []
+    for ex, lab, values, block_steps in _label_blocks(path):
+        records += map(tuple.__new__, itertools.repeat(LabelRecord), zip(ex, lab, values))
+        steps += block_steps
     return records, steps
 
 
 def read_assessment_set(path) -> AssessmentSet:
     """Load expert truth from a label-record file (labeler ids are ignored);
     a file with no records is a ``DataError`` naming it."""
-    example_ids, _, values, _ = _label_columns(path)
-    if not example_ids:
+    items = [item for ex, _, values, _ in _label_blocks(path) for item in zip(ex, values)]
+    if not items:
         raise DataError(f"{path}: assessment set has no items")
     truth = {}
-    for ex, value in zip(example_ids, values):
+    for ex, value in items:
         if ex in truth:
             raise DataError(f"{path}: duplicate truth for example {ex!r}")
         truth[ex] = value
     return AssessmentSet(example_ids=tuple(truth), true_labels=tuple(truth.values()))
 
 
+def _checked_cells(path, template, rows) -> np.ndarray:
+    """The columns of cells of ``rows``, each value as ``_value`` writes it,
+    once the lines ``template`` makes of them are read by ``_label_blocks``,
+    the reader's path: the writers refuse the files the reader refuses, with
+    its ``DataError``.  An int too long to write is the ``DataError`` of its
+    line N, raised once lines 1..N-1 are read."""
+    cells = []
+    for row in rows:
+        try:
+            cells.append(tuple(map(_value, row)))
+        except ValueError as exc:  # an int of more digits than Python writes
+            deque(_label_blocks(path, (template % c for c in cells)), 0)  # lines 1..N-1
+            raise DataError(f"{path}:{len(cells) + 1}: invalid JSON: {exc}") from None
+    deque(_label_blocks(path, (template % c for c in cells)), 0)  # read, block by block
+    return np.array(cells, object).reshape(-1, _CELL.findall(template).count("%s")).T
+
+
 def write_event_log(path, events: Sequence[LabelEvent], method=None) -> None:
     """Write collection events as JSONL (label-record schema + confidence).
 
     An ``EventLog`` is valid by construction.  The lines of any other
-    sequence are read as the reader reads them before the file is opened, so
-    the writer refuses, with the reader's ``DataError``, the files the reader
-    refuses.  Its numpy integers are written as ints and numpy floats as the
-    floats they equal; any other value JSON cannot hold is a ``DataError``,
-    raised before the file is opened too."""
+    sequence are read as the reader reads them (``_checked_cells``) before
+    the file is opened, so the writer refuses, with the reader's
+    ``DataError``, the files the reader refuses.  Its numpy integers are
+    written as ints and numpy floats as the floats they equal; any other
+    value JSON cannot hold is a ``DataError``, raised before the file is
+    opened too."""
     keys = '"step":%s,"value":%s}\n'
     if method is not None:  # the same in every row, so part of the template
         keys = '"method":' + _value(str(method)).replace("%", "%%") + "," + keys
@@ -403,14 +389,14 @@ def write_event_log(path, events: Sequence[LabelEvent], method=None) -> None:
             columns = [events.confidences, events.example_ids, ids[events.positions],
                        events.steps, events.values]
         else:  # any other sequence: each event's fields in sorted-key order
-            rows = [tuple(_value(ev[j]) for j in (4, 1, 2, 0, 3)) for ev in events]
-    except ValueError as exc:  # an int of more digits than Python writes
+            columns = _checked_cells(path, template,
+                                     map(operator.itemgetter(4, 1, 2, 0, 3), events))
+    except DataError:  # the reader's, of a plain sequence's lines
+        raise
+    except ValueError as exc:  # an EventLog pool id of more digits than Python writes
         raise DataError(f"{path}: invalid JSON: {exc}") from None
     except TypeError as exc:  # a value JSON cannot hold, or an event that is not a sequence
         raise DataError(f"{path}: cannot write the events: {exc}") from None
-    if not isinstance(events, EventLog):
-        _read_block(path, [template % row for row in rows], 1, _skip, set(), None)
-        columns = np.array(rows, object).reshape(-1, 5).T
     write_columns(path, "", [(template, columns)], _value)
 
 

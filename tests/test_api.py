@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import gtx
 from gtx.cli import build_parser
 from gtx.errors import ConfigError, DataError, GtxError
+from gtx.strategies import EventLog
 
 PUBLIC = {
     "AggregateLabel",
@@ -264,6 +265,8 @@ def test_any_bad_value_to_a_function_raises_only_gtx_errors(case, bad):
      DataError),
     *[(lambda e=e: gtx.write_event_log("out.jsonl", [e]), DataError)
       for e in [gtx.LabelEvent(1, 10**5000, "a", 1, 0.9), gtx.LabelEvent(1, 0, 10**5000, 1, 0.9)]],
+    (lambda: gtx.write_event_log("out.jsonl", EventLog([1], [0], [0], [1], [0.9], [10**5000])),
+     DataError),
     # values JSON cannot hold (numpy integers and floats are written as their values)
     *[(lambda e=e: gtx.write_event_log("out.jsonl", [e]), DataError)
       for e in [gtx.LabelEvent(np.int64(1), 0, "a", 1, np.complex64(0.5)),

@@ -485,3 +485,23 @@ class TestOneSummaryTable:
         assert best[1:] == [[best_rows[str(m)][j] for j in sources] for m in cfg.methods]
         if not cfg.budget:  # no example labeled: every trial mean is an empty cell
             assert {row[best[0].index("avg_k")] for row in best[1:]} == {""}
+
+
+class TestBestCellTieBreaks:
+    """best_cells.csv holds each method's cell of lowest mean error; an error
+    tie goes to fewer labels, then to the smaller cell code."""
+
+    def test_fewer_labels_then_the_smaller_code(self, tmp_path):
+        cfg = tiny_threshold_config(methods=["mv", "sv"], trials=1, fixed_counts=[1, 2, 3],
+                                    tau_grid=[0.9, 0.97, 0.99])
+        # (error rate, avg_k) of each cell in grid order: mv's counts 1..3, then
+        # sv's taus; mv's count 1 and sv's tau 0.99 lose only a tie-break
+        means = [(0.1, 3.0), (0.1, 2.0), (0.1, 2.0), (0.2, 1.0), (0.1, 4.0), (0.1, 4.0)]
+        summaries = [TrialSummary(c.method, 1, k, 0.0, 80.0, 0.0, err, 0.0, 0.2, 0.0)
+                     for c, (err, k) in zip(threshold_cells(cfg), means)]
+        with mock.patch.object(gtx.experiments, "summarize", side_effect=summaries):
+            write_results(run_threshold_experiment(cfg), tmp_path)
+        best = _read_csv(tmp_path / "best_cells.csv")
+        columns = [best[0].index(c) for c in ("method", "best_tau", "avg_k", "error_rate")]
+        assert [[row[j] for j in columns] for row in best[1:]] == [
+            ["mv", "2", "2.0", "0.1"], ["sv", "0.97", "4.0", "0.1"]]

@@ -612,12 +612,22 @@ def _spec_columns(path):
     return (*([r[i] for r in records] for i in range(3)), steps)
 
 
+def _block_columns(path):
+    """The example ids, labeler ids, values and steps of the blocks that
+    ``_label_blocks`` yields, each column joined across the blocks."""
+    columns = ([], [], [], [])
+    for block in gtx_io._label_blocks(path):
+        for column, new in zip(columns, block):
+            column += new
+    return columns
+
+
 def _reads_as_spec(p):
     """The reader's records and the column reader's columns are the spec's,
     or each raises the spec's error; returns the reader's outcome."""
     got = _read_outcome(read_label_records, p)
     assert got == _read_outcome(spec_read_label_records, p)
-    assert _read_outcome(gtx_io._label_columns, p) == _read_outcome(_spec_columns, p)
+    assert _read_outcome(_block_columns, p) == _read_outcome(_spec_columns, p)
     return got
 
 
@@ -690,6 +700,23 @@ class TestWriterRefusesWhatTheReaderRefuses:
         assert str(err.value) == f"{p}:2: steps must be strictly increasing (1 after 1)"
         assert not p.exists()
 
+    @pytest.mark.parametrize("name", ["duplicate-pair-across-blocks",
+                                      "duplicate-pair-two-blocks-later",
+                                      "step-fault-opens-block-2"])
+    def test_faults_blocks_apart_name_the_readers_line(self, tmp_path, name):
+        # the writer reads its lines by the reader's blocks, which carry the
+        # pairs and the last step from block to block
+        p = tmp_path / "long.jsonl"
+        p.write_bytes(_LONG_FILES[name].encode("utf-8"))
+        expected = _read_outcome(spec_read_label_records, p)
+        p.unlink()
+        rows = [json.loads(line) for line in _LONG_FILES[name].split("\n")]
+        with pytest.raises(DataError) as err:
+            write_label_records(p, [LabelRecord(r["example_id"], r["labeler_id"], r["value"])
+                                    for r in rows], [r["step"] for r in rows])
+        assert (DataError, str(err.value)) == expected
+        assert not p.exists()
+
     @pytest.mark.parametrize("steps", [[-3, 0], [0]], ids=["negative", "zero"])
     def test_steps_at_or_below_zero_round_trip(self, tmp_path, steps):
         p = tmp_path / "labels.jsonl"
@@ -704,6 +731,23 @@ class TestWriterRefusesWhatTheReaderRefuses:
         steps = [1, second.pop("step")]
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:2: invalid JSON: Exceeds"):
             write_label_records(p, [_TWO_RECORDS[0], LabelRecord(**second)], steps)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("at", ["step", "example_id", "labeler_id", "confidence"])
+    def test_an_event_too_long_to_write_names_its_line(self, tmp_path, at):
+        p = tmp_path / "events.jsonl"
+        second = LabelEvent(2, 1, "a", 0, 0.5)._replace(**{at: 10**5000})
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:2: invalid JSON: Exceeds"):
+            write_event_log(p, [LabelEvent(1, 0, "a", 1, 0.5), second])
+        assert not p.exists()
+
+    def test_a_fault_before_an_event_too_long_to_write_is_named_first(self, tmp_path):
+        p = tmp_path / "events.jsonl"
+        events = [LabelEvent(1, 0, "a", 1, 0.5), LabelEvent(1, 1, "a", 0, 0.5),
+                  LabelEvent(10**5000, 2, "a", 1, 0.5)]
+        with pytest.raises(DataError) as err:
+            write_event_log(p, events)
+        assert str(err.value) == f"{p}:2: steps must be strictly increasing (1 after 1)"
         assert not p.exists()
 
     def test_a_fault_before_an_int_too_long_to_write_is_named_first(self, tmp_path):
@@ -1010,6 +1054,18 @@ class TestAssessmentReader:
         with pytest.raises(DataError) as err:
             read_assessment_set(p)
         assert str(err.value) == f"{p}: duplicate truth for example 4"
+
+    def test_a_later_blocks_fault_wins_over_a_duplicate_item(self, tmp_path):
+        # each example is labeled thrice, so line 2 repeats an item; a step in
+        # block 2 does not increase: the whole file is read before an item is
+        # named
+        lines = _with_line(_block_lines(_READ_LINES + 200), _READ_LINES + 99, step=1)
+        p = tmp_path / "truth.jsonl"
+        p.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            read_assessment_set(p)
+        assert str(err.value).startswith(f"{p}:{_READ_LINES + 100}: steps must be strictly")
+        assert _read_outcome(read_assessment_set, p) == _read_outcome(spec_read_label_records, p)
 
 
 # the cells callers pass (st.floats() includes nan, +-inf and -0.0)

@@ -80,6 +80,14 @@ class TestErrorRate:
         assert (rep.n_labeled, rep.spent, rep.avg_k, rep.error_rate, rep.mae) == (
             0, 0, None, None, None)
 
+    def test_one_labeled_example(self):
+        # three labels spent on the one example labeled, whose hard label is wrong
+        out = CollectionOutcome(Method.GTX, BudgetLedger(total=5, spent=3), np.array([1]),
+                                np.array([0.75]), np.array([0.75]), np.array([3]))
+        rep = trial_report(out, [0, 1])
+        assert (rep.n_labeled, rep.spent, rep.avg_k, rep.error_rate, rep.mae) == (
+            1, 3, 3.0, 1.0, 0.75)
+
     def test_short_truth_is_a_value_error(self):
         # numpy would broadcast a one-label truth over all five examples
         out = outcome([(1, 0.9)] * 5)
